@@ -1,7 +1,8 @@
 // Hot-path performance baseline (PR 3, re-baselined in PR 8): events/sec
 // through the simulator core, Fortune Teller predictions/sec, ack-scheduler
-// ops/sec, and the windowed measurement primitives. Run in Release; the
-// JSON output is the perf trajectory future PRs compare against:
+// ops/sec, the windowed measurement primitives and the RTP media path. Run
+// in Release; the JSON output is the perf trajectory future PRs compare
+// against:
 //
 //   ./build/bench/perf_hotpath --benchmark_format=json > perf.json
 //
@@ -14,15 +15,19 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
 #include "net/packet.hpp"
+#include "rtc/video.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "stats/windowed.hpp"
+#include "transport/rtp_receiver.hpp"
+#include "transport/rtp_sender.hpp"
 
 namespace {
 
@@ -237,6 +242,48 @@ void BM_AckSchedulerHoldRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AckSchedulerHoldRelease);
+
+// ---- RTP media path ------------------------------------------------------
+
+/// The RTP media path end to end over a clean 10 ms path each way: frame
+/// packetisation and pacing, the sender's send histories, receiver frame
+/// reassembly and loss tracking, TWCC reports and their reconstruction into
+/// GCC observations. The encoder cap is raised to 20 Mbps so a 24 fps frame
+/// spans ~90 packets. Items are media packets received.
+void BM_RtpMediaLoop(benchmark::State& state) {
+  sim::Simulator simu;
+  sim::Rng rng(1);
+  net::PacketUidSource uids;
+  rtc::FrameStats stats;
+  transport::RtpSender::Config cfg;
+  cfg.video.max_bitrate_bps = 20e6;
+  cfg.gcc.max_rate_bps = 20e6;
+  std::unique_ptr<transport::RtpReceiver> rx;
+  transport::RtpSender tx(simu, rng, net::FlowId{1, 2, 10, 20, 17}, cfg, uids,
+                          [&simu, &rx](net::Packet p) {
+                            simu.schedule_after(
+                                Duration::millis(10),
+                                [&rx, p = std::move(p)] { rx->on_rtp(p); });
+                          });
+  rx = std::make_unique<transport::RtpReceiver>(
+      simu, transport::RtpReceiver::Config{}, uids,
+      [&simu, &tx](net::Packet p) {
+        simu.schedule_after(Duration::millis(10),
+                            [&tx, p = std::move(p)] { tx.on_rtcp(p); });
+      },
+      stats);
+  tx.start();
+  // Warm-up: GCC ramps to the cap and the windows reach their peak size.
+  simu.run_until(TimePoint::zero() + Duration::seconds(10));
+  const std::uint64_t start = rx->packets_received();
+  for (auto _ : state) {
+    simu.run_until(simu.now() + Duration::millis(100));
+  }
+  const std::uint64_t packets = rx->packets_received() - start;
+  benchmark::DoNotOptimize(packets);
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_RtpMediaLoop);
 
 }  // namespace
 

@@ -26,8 +26,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/seq.hpp"
@@ -149,13 +149,21 @@ class InbandFeedbackUpdater {
     if (!pending_.empty()) {
       // Faults upstream (duplication, reordering) can hand us RTP out of
       // order or twice; the sender expects one monotone entry per seq.
-      std::sort(pending_.begin(), pending_.end(),
-                [](const Entry& a, const Entry& b) { return a.seq64 < b.seq64; });
-      pending_.erase(std::unique(pending_.begin(), pending_.end(),
-                                 [](const Entry& a, const Entry& b) {
-                                   return a.seq64 == b.seq64;
-                                 }),
-                     pending_.end());
+      // Fault-free input is already strictly increasing, its own sorted
+      // and deduplicated form, so only disordered input pays for the sort.
+      const auto not_increasing = [](const Entry& a, const Entry& b) {
+        return a.seq64 >= b.seq64;
+      };
+      if (std::adjacent_find(pending_.begin(), pending_.end(), not_increasing) !=
+          pending_.end()) {
+        std::sort(pending_.begin(), pending_.end(),
+                  [](const Entry& a, const Entry& b) { return a.seq64 < b.seq64; });
+        pending_.erase(std::unique(pending_.begin(), pending_.end(),
+                                   [](const Entry& a, const Entry& b) {
+                                     return a.seq64 == b.seq64;
+                                   }),
+                       pending_.end());
+      }
 
       net::TwccFeedback fb;
       fb.ssrc = ssrc_;
@@ -201,7 +209,7 @@ class InbandFeedbackUpdater {
   net::FlowId media_flow_;
   std::uint32_t ssrc_;
   net::PacketHandler send_feedback_;
-  std::deque<Entry> pending_;
+  std::vector<Entry> pending_;
   net::SeqUnwrapper unwrapper_;
   sim::EventId timer_ = 0;
   std::uint64_t feedback_sent_ = 0;

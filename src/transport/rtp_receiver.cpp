@@ -67,26 +67,48 @@ void RtpReceiver::on_rtp(const Packet& p) {
   const std::int64_t seq = rtp_unwrap_.unwrap(h.seq);
   if (interval_expected_base_ < 0) interval_expected_base_ = seq;
   if (seq > highest_rtp_) {
-    for (std::int64_t s = highest_rtp_ + 1; s < seq; ++s) {
-      missing_.emplace(s, NackState{});
+    // Every sequence skipped over is missing until it arrives.
+    while (missing_.end_seq() <= seq) {
+      const bool skipped = missing_.end_seq() < seq;
+      missing_.push_back() = NackState{skipped, 0, TimePoint{}};
     }
     highest_rtp_ = seq;
-  } else {
-    missing_.erase(seq);  // retransmission or reordering filled a hole
+  } else if (missing_.contains(seq)) {
+    missing_[seq].missing = false;  // retransmission or reordering filled a hole
   }
+  drop_settled_prefix();
 
-  // Frame reassembly.
-  FrameState& fs = frames_[h.frame_id];
-  fs.total = h.packets_in_frame;
-  fs.capture = h.capture_time;
-  if (!fs.seen) {
-    fs.seen = true;
-    fs.first_arrival = now;
-  }
-  fs.received.insert(h.packet_in_frame);
-  if (!fs.complete && fs.total > 0 && fs.received.size() >= fs.total) {
-    fs.complete = true;
-    fs.complete_time = now;
+  // Frame reassembly. Frames below the window were decoded or abandoned;
+  // a late packet of theirs carries nothing the decoder still needs.
+  const std::int64_t frame = h.frame_id;
+  if (frame >= frames_.begin_seq()) {
+    while (frames_.end_seq() <= frame) {
+      // A recycled slot: clear it, keeping the bitmap's capacity.
+      FrameState& fresh = frames_.push_back();
+      std::fill(fresh.received.begin(), fresh.received.end(), 0);
+      fresh.received_count = 0;
+      fresh.total = 0;
+      fresh.seen = false;
+      fresh.complete = false;
+    }
+    FrameState& fs = frames_[frame];
+    fs.total = h.packets_in_frame;
+    fs.capture = h.capture_time;
+    if (!fs.seen) {
+      fs.seen = true;
+      fs.first_arrival = now;
+    }
+    const std::size_t word = h.packet_in_frame / 64u;
+    const std::uint64_t bit = std::uint64_t{1} << (h.packet_in_frame % 64u);
+    if (fs.received.size() <= word) fs.received.resize(word + 1, 0);
+    if ((fs.received[word] & bit) == 0) {
+      fs.received[word] |= bit;
+      ++fs.received_count;
+    }
+    if (!fs.complete && fs.decodable()) {
+      fs.complete = true;
+      fs.complete_time = now;
+    }
   }
   try_decode();
 }
@@ -94,16 +116,15 @@ void RtpReceiver::on_rtp(const Packet& p) {
 void RtpReceiver::try_decode() {
   // Strictly in-order decode: a frame decodes only when complete and all
   // previous frames have been decoded (reference dependency).
-  while (true) {
-    auto it = frames_.find(next_decode_frame_);
-    if (it == frames_.end()) break;
-    FrameState& fs = it->second;
-    if (fs.total == 0 || fs.received.size() < fs.total) break;
+  while (!frames_.empty()) {
+    const std::int64_t id = frames_.begin_seq();
+    const FrameState& fs = frames_[id];
+    if (!fs.decodable()) break;
     stats_.on_frame_decoded(fs.capture, sim_.now());
     if (obs::attrib_enabled()) {
       obs::FrameSpan span;
       span.flow_key = cfg_.ssrc;
-      span.frame_id = next_decode_frame_;
+      span.frame_id = static_cast<std::uint32_t>(id);
       span.capture_ns = fs.capture.count_ns();
       span.first_arrival_ns = fs.seen ? fs.first_arrival.count_ns() : -1;
       span.complete_ns = fs.complete ? fs.complete_time.count_ns() : -1;
@@ -111,12 +132,7 @@ void RtpReceiver::try_decode() {
       span.packets = fs.total;
       stats_.on_frame_span(span);
     }
-    frames_.erase(it);
-    ++next_decode_frame_;
-  }
-  // Drop state of frames far in the past (already decoded duplicates).
-  while (!frames_.empty() && frames_.begin()->first < next_decode_frame_) {
-    frames_.erase(frames_.begin());
+    frames_.drop_before(id + 1);
   }
 }
 
@@ -124,7 +140,9 @@ void RtpReceiver::send_twcc() {
   if (flow_known_ && !pending_twcc_.empty()) {
     net::TwccFeedback fb;
     fb.ssrc = cfg_.ssrc;
-    fb.entries = std::move(pending_twcc_);
+    // Copied, not moved: the pending buffer keeps its capacity, so the
+    // per-packet appends between reports stop reallocating.
+    fb.entries = pending_twcc_;
     pending_twcc_.clear();
     rtcp_out_(make_rtcp(net::RtcpHeader{std::move(fb)}));
   }
@@ -133,27 +151,27 @@ void RtpReceiver::send_twcc() {
 void RtpReceiver::maybe_skip_stalled() {
   // A permanently-lost frame (NACK budget exhausted at both ends) would
   // stall the in-order decoder forever; abandon it after stall_timeout.
-  while (true) {
-    auto it = frames_.find(next_decode_frame_);
-    const bool have_newer =
-        !frames_.empty() && frames_.rbegin()->first > next_decode_frame_;
-    if (it == frames_.end()) {
+  const TimePoint now = sim_.now();
+  while (!frames_.empty()) {
+    const std::int64_t head = frames_.begin_seq();
+    const FrameState& fs = frames_[head];
+    if (!fs.seen) {
       // Head frame entirely missing but newer frames exist and are aging.
-      if (have_newer && sim_.now() - frames_.begin()->second.first_arrival >
-                            cfg_.stall_timeout) {
-        ++next_decode_frame_;
+      std::int64_t oldest = head + 1;
+      while (oldest < frames_.end_seq() && !frames_[oldest].seen) ++oldest;
+      if (oldest < frames_.end_seq() &&
+          now - frames_[oldest].first_arrival > cfg_.stall_timeout) {
+        frames_.drop_before(head + 1);
         continue;
       }
       break;
     }
-    if (it->second.received.size() >= it->second.total && it->second.total > 0) {
+    if (fs.decodable()) {
       try_decode();
       continue;
     }
-    if (it->second.seen &&
-        sim_.now() - it->second.first_arrival > cfg_.stall_timeout) {
-      frames_.erase(it);
-      ++next_decode_frame_;
+    if (now - fs.first_arrival > cfg_.stall_timeout) {
+      frames_.drop_before(head + 1);
       continue;
     }
     break;
@@ -166,22 +184,30 @@ void RtpReceiver::send_nacks() {
   const TimePoint now = sim_.now();
   net::RtcpNack nack;
   nack.ssrc = cfg_.ssrc;
-  for (auto it = missing_.begin(); it != missing_.end();) {
-    NackState& st = it->second;
+  for (std::int64_t s = missing_.begin_seq(); s < missing_.end_seq(); ++s) {
+    NackState& st = missing_[s];
+    if (!st.missing) continue;
     if (st.retries >= cfg_.max_nack_retries) {
-      it = missing_.erase(it);  // give up; frame will stall until skipped
+      st.missing = false;  // give up; frame will stall until skipped
       continue;
     }
     if (st.retries == 0 || now - st.last_sent >= cfg_.nack_retry_interval) {
-      nack.seqs.push_back(static_cast<std::uint16_t>(it->first & 0xFFFF));
+      nack.seqs.push_back(static_cast<std::uint16_t>(s & 0xFFFF));
       ++st.retries;
       st.last_sent = now;
     }
-    ++it;
   }
+  drop_settled_prefix();
   if (!nack.seqs.empty()) {
     ++nacks_sent_;
     rtcp_out_(make_rtcp(net::RtcpHeader{std::move(nack)}));
+  }
+}
+
+void RtpReceiver::drop_settled_prefix() {
+  // Received or given-up sequences at the front leave the window.
+  while (!missing_.empty() && !missing_[missing_.begin_seq()].missing) {
+    missing_.drop_before(missing_.begin_seq() + 1);
   }
 }
 

@@ -4,8 +4,7 @@
 // loss recovery, and periodic receiver reports.
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/seq.hpp"
@@ -57,7 +56,9 @@ class RtpReceiver {
 
   [[nodiscard]] std::uint64_t packets_received() const { return packets_received_; }
   [[nodiscard]] std::uint64_t nacks_sent() const { return nacks_sent_; }
-  [[nodiscard]] std::uint32_t next_decode_frame() const { return next_decode_frame_; }
+  [[nodiscard]] std::uint32_t next_decode_frame() const {
+    return static_cast<std::uint32_t>(frames_.begin_seq());
+  }
 
  private:
   void arm_timers();
@@ -69,6 +70,7 @@ class RtpReceiver {
   void send_rr();
   void try_decode();
   void maybe_skip_stalled();
+  void drop_settled_prefix();
   Packet make_rtcp(net::RtcpHeader h);
 
   sim::Simulator& sim_;
@@ -83,27 +85,41 @@ class RtpReceiver {
   // TWCC bookkeeping.
   std::vector<net::TwccFeedback::Entry> pending_twcc_;
 
-  // Frame reassembly: frame_id -> (packets received, total, capture).
+  // Frame reassembly. A frame's slot is live ("seen") once any of its
+  // packets arrived; arrived packets are a bitmap over packet_in_frame, so
+  // a duplicate counts once.
   struct FrameState {
-    std::set<std::uint16_t> received;
+    std::vector<std::uint64_t> received;  ///< bit i set: packet i arrived
+    std::uint32_t received_count = 0;     ///< distinct packets arrived
     std::uint16_t total = 0;
     TimePoint capture;
     TimePoint first_arrival;
     TimePoint complete_time;  ///< when the last missing packet arrived
     bool seen = false;
     bool complete = false;
-  };
-  std::map<std::uint32_t, FrameState> frames_;
-  std::uint32_t next_decode_frame_ = 0;
 
-  // Loss detection / NACK, on unwrapped RTP sequence numbers.
+    [[nodiscard]] bool decodable() const {
+      return total > 0 && received_count >= total;
+    }
+  };
+  /// Keyed by frame id from the next frame to decode on: frames below it
+  /// were decoded or abandoned, and late packets of theirs are ignored.
+  /// Slots are appended only up to an arriving packet's frame, so the
+  /// newest slot is always a seen frame.
+  net::SeqWindow<FrameState> frames_;
+
+  // Loss detection / NACK, on unwrapped RTP sequence numbers. The window
+  // runs from the oldest sequence still missing (always its first slot)
+  // to the highest one seen; slots between that are no longer missing
+  // were received or given up on.
   net::SeqUnwrapper rtp_unwrap_;
   std::int64_t highest_rtp_ = -1;
   struct NackState {
+    bool missing = false;
     int retries = 0;
     TimePoint last_sent;
   };
-  std::map<std::int64_t, NackState> missing_;
+  net::SeqWindow<NackState> missing_;
 
   // Receiver-report accounting over the current RR interval.
   std::uint64_t interval_received_ = 0;

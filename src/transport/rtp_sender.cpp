@@ -88,22 +88,15 @@ void RtpSender::on_frame_tick() {
 void RtpSender::send_packet(Packet p, Duration offset) {
   // Record send history at the *scheduled* departure time.
   const TimePoint departure = sim_.now() + offset;
-  ++rtp_sent_unwrapped_;
-  ++twcc_sent_unwrapped_;
-  const std::int64_t rtp_unwrapped = rtp_sent_unwrapped_;
-  twcc_history_[twcc_sent_unwrapped_] = {departure, p.size_bytes};
-
-  rtp_history_[rtp_unwrapped] = p;  // copy for possible retransmission
-  // Keys are monotone, so the oldest entries are the ordered prefix.
-  while (rtp_history_.size() > cfg_.history_packets) {
-    rtp_history_.erase(rtp_history_.begin());
-  }
-  // Bound the TWCC history alongside: drop everything older than the
-  // retained window (keys are monotone, so this is an ordered prefix).
+  twcc_history_.push_back() = {departure, p.size_bytes};
+  rtp_history_.push_back() = {p.rtp(), p.size_bytes};
+  // Keep the newest history_packets originals for retransmission, and
+  // bound the TWCC history alongside: past 4x that depth, keep only the
+  // newest 2x + 1.
+  const auto depth = static_cast<std::int64_t>(cfg_.history_packets);
+  rtp_history_.drop_before(rtp_history_.end_seq() - depth);
   if (twcc_history_.size() > 4 * cfg_.history_packets) {
-    const std::int64_t cutoff =
-        twcc_sent_unwrapped_ - static_cast<std::int64_t>(2 * cfg_.history_packets);
-    twcc_history_.erase(twcc_history_.begin(), twcc_history_.lower_bound(cutoff));
+    twcc_history_.drop_before(twcc_history_.end_seq() - 1 - 2 * depth);
   }
 
   ++packets_sent_;
@@ -132,27 +125,32 @@ void RtpSender::on_rtcp(const Packet& p) {
 }
 
 void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
-  std::vector<cca::TwccObservation> obs;
-  obs.reserve(fb.entries.size());
+  std::vector<cca::TwccObservation>& obs = twcc_obs_;
+  obs.clear();
   std::int64_t min_seq = INT64_MAX;
   std::int64_t max_seq = INT64_MIN;
+  bool send_ordered = true;  // send times strictly increasing so far
   for (const auto& e : fb.entries) {
     const std::int64_t unwrapped = twcc_unwrap_rx_.unwrap(e.twcc_seq);
     min_seq = std::min(min_seq, unwrapped);
     max_seq = std::max(max_seq, unwrapped);
-    const auto it = twcc_history_.find(unwrapped);
-    if (it == twcc_history_.end()) continue;
-    cca::TwccObservation o;
-    o.twcc_seq = e.twcc_seq;
-    o.send_time = it->second.send_time;
-    o.recv_time = e.recv_time;
-    o.size_bytes = it->second.size_bytes;
-    obs.push_back(o);
+    if (!twcc_history_.contains(unwrapped)) continue;
+    const SendRecord& sent = twcc_history_[unwrapped];
+    if (!obs.empty() && !(obs.back().send_time < sent.send_time)) send_ordered = false;
+    obs.push_back({e.twcc_seq, sent.send_time, e.recv_time, sent.size_bytes});
   }
   if (obs.empty()) return;
-  std::sort(obs.begin(), obs.end(), [](const auto& a, const auto& b) {
-    return a.send_time < b.send_time;
-  });
+  // GCC consumes observations in send order. A report lists packets in
+  // arrival order, which is send order unless a retransmission or a
+  // reordering came between. Strictly increasing send times have exactly
+  // one sorted order, so skipping the sort there changes nothing; an
+  // inversion or a tie takes the same (unstable) sort as always, so even
+  // the order of ties is unchanged.
+  if (!send_ordered) {
+    std::sort(obs.begin(), obs.end(), [](const auto& a, const auto& b) {
+      return a.send_time < b.send_time;
+    });
+  }
 
   // Transport-wide loss: sequence gaps between consecutive feedback ranges
   // are packets the path dropped (tail drops stay visible under Zhuge
@@ -210,20 +208,22 @@ void RtpSender::handle_nack(const net::RtcpNack& nack) {
       continue;
     }
     const std::int64_t unwrapped = rtp_unwrap_rx_.unwrap(seq);
-    const auto it = rtp_history_.find(unwrapped);
-    if (it == rtp_history_.end()) continue;
-    Packet rtx = it->second;
+    if (!rtp_history_.contains(unwrapped)) continue;
+    const RtxRecord& original = rtp_history_[unwrapped];
+    // A new wire journey: fresh uid, send time and span; the header keeps
+    // the original's frame placement.
+    Packet rtx;
     rtx.uid = uids_.next();
+    rtx.flow = flow_;
+    rtx.size_bytes = original.size_bytes;
     rtx.sent_time = sim_.now();
-    // The history copy carries the original transmission's span stamps;
-    // this is a new wire journey, so start a fresh span.
-    rtx.span = {};
     ZHUGE_SPAN_STAMP(rtx.span.paced_ns, sim_.now());
-    rtx.rtp().retransmission = true;
+    net::RtpHeader h = original.header;
+    h.retransmission = true;
     // Retransmissions travel with fresh TWCC sequence numbers.
-    rtx.rtp().twcc_seq = next_twcc_seq_++;
-    ++twcc_sent_unwrapped_;
-    twcc_history_[twcc_sent_unwrapped_] = {sim_.now(), rtx.size_bytes};
+    h.twcc_seq = next_twcc_seq_++;
+    rtx.header = h;
+    twcc_history_.push_back() = {sim_.now(), rtx.size_bytes};
     ++retransmissions_;
     ++packets_sent_;
     rtx_rate_.record(sim_.now(), rtx.size_bytes);

@@ -6,7 +6,6 @@
 // TWCC reports into GCC (or NADA).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -122,16 +121,24 @@ class RtpSender {
     TimePoint send_time;
     std::uint32_t size_bytes = 0;
   };
-  /// TWCC send history keyed by *unwrapped* TWCC sequence. Ordered so the
-  /// age-based prune is a cheap erase-prefix and no hash order leaks in.
-  std::map<std::int64_t, SendRecord> twcc_history_;
+  /// TWCC send history keyed by *unwrapped* TWCC sequence. Every send,
+  /// original or retransmission, takes the next sequence, so the keys are
+  /// dense and the age-based prune only moves the window's start.
+  net::SeqWindow<SendRecord> twcc_history_;
   net::SeqUnwrapper twcc_unwrap_rx_;  ///< unwraps seqs in feedback
-  std::int64_t twcc_sent_unwrapped_ = -1;
+  /// One report's observations; reused so TWCC handling does not allocate.
+  std::vector<cca::TwccObservation> twcc_obs_;
 
-  /// Packet history for NACK retransmission, keyed by unwrapped RTP seq.
-  std::map<std::int64_t, Packet> rtp_history_;
+  /// What a NACK retransmission needs of an original: its RTP header and
+  /// wire size. Everything else about the packet is fresh on a resend.
+  struct RtxRecord {
+    net::RtpHeader header;
+    std::uint32_t size_bytes = 0;
+  };
+  /// Retransmission history keyed by unwrapped RTP seq: the newest
+  /// history_packets originals.
+  net::SeqWindow<RtxRecord> rtp_history_;
   net::SeqUnwrapper rtp_unwrap_rx_;
-  std::int64_t rtp_sent_unwrapped_ = -1;
 
   sim::EventId frame_timer_{};
   /// Paced sends still pending from the current frame. The pacing span is

@@ -1,13 +1,15 @@
-// Unit tests for the packet model, flow identities, sequence unwrapping
-// and the wired point-to-point link.
+// Unit tests for the packet model, flow identities, sequence unwrapping,
+// the sequence-indexed window and the wired point-to-point link.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::net {
@@ -116,6 +118,47 @@ TEST(SeqUnwrapper, SurvivesManyWraps) {
     EXPECT_EQ(u.unwrap(wire), expected);
     ++wire;
     ++expected;
+  }
+}
+
+TEST(SeqWindow, MatchesOrderedMapUnderRandomUse) {
+  // Random appends, prefix drops and lookups in and around the range,
+  // against a std::map holding the same keys. Keys start negative and run
+  // far past the ring's capacity, so slots wrap many times while the range
+  // grows through several doublings and now and then empties.
+  sim::Rng rng(11);
+  SeqWindow<std::uint32_t> window(-40);
+  std::map<std::int64_t, std::uint32_t> ref;
+  for (int step = 0; step < 300'000; ++step) {
+    const std::uint32_t op = rng.uniform_int(10'000);
+    if (op < 6'500) {
+      const std::uint32_t v = rng.next_u32();
+      ref[window.end_seq()] = v;
+      window.push_back() = v;
+    } else if (op < 8'000) {
+      const std::int64_t cut =
+          window.begin_seq() - 2 + static_cast<std::int64_t>(rng.uniform_int(11));
+      window.drop_before(cut);
+      ref.erase(ref.begin(), ref.lower_bound(cut));
+    } else if (op < 8'002) {
+      window.drop_before(window.end_seq() + 3);
+      ref.clear();
+    } else {
+      const std::int64_t probe =
+          window.begin_seq() - 3 +
+          static_cast<std::int64_t>(
+              rng.uniform_int(static_cast<std::uint32_t>(window.size()) + 6));
+      const auto it = ref.find(probe);
+      ASSERT_EQ(window.contains(probe), it != ref.end()) << "probe " << probe;
+      if (it != ref.end()) {
+        ASSERT_EQ(window[probe], it->second);
+      }
+    }
+    ASSERT_EQ(window.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(window.begin_seq(), ref.begin()->first);
+      ASSERT_EQ(window.end_seq(), ref.rbegin()->first + 1);
+    }
   }
 }
 
