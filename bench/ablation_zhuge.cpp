@@ -17,8 +17,8 @@ namespace {
 
 struct Variant {
   std::string label;
-  Protocol protocol;
-  std::function<void(app::ScenarioConfig&)> tweak;
+  SpecFlowKind kind;
+  std::function<void(core::ZhugeConfig&)> tweak;
 };
 
 void run_table(const std::vector<Variant>& variants) {
@@ -28,27 +28,18 @@ void run_table(const std::vector<Variant>& variants) {
     // Trace-driven W1.
     const auto metrics = averaged_tails(
         [&](int s) {
-          const auto tr = trace::make_trace(trace::TraceKind::kRestaurantWifi,
-                                            13u * static_cast<unsigned>(s),
-                                            Duration::seconds(150));
-          auto cfg = trace_config(tr, trace::TraceKind::kRestaurantWifi,
-                                  Duration::seconds(150),
-                                  static_cast<std::uint64_t>(s));
-          cfg.protocol = v.protocol;
-          cfg.ap.mode = ApMode::kZhuge;
-          v.tweak(cfg);
-          return app::run_scenario(cfg);
+          ScenarioSpec spec = trace_spec(
+              trace::TraceKind::kRestaurantWifi, 13u * static_cast<unsigned>(s),
+              150.0, static_cast<std::uint64_t>(s), v.kind, ApMode::kZhuge);
+          v.tweak(spec.zhuge);
+          return spec;
         },
         3);
     // Bandwidth-drop microbenchmark.
-    const Duration drop_at = Duration::seconds(20);
-    const Duration dur = Duration::seconds(40);
-    const auto tr = trace::step_trace(30e6, 3e6, drop_at, dur);
-    auto cfg = drop_config(tr, 3);
-    cfg.protocol = v.protocol;
-    cfg.ap.mode = ApMode::kZhuge;
-    v.tweak(cfg);
-    const auto deg = degradation_after(app::run_scenario(cfg), drop_at, dur);
+    ScenarioSpec drop = drop_spec(10.0, 3, v.kind, ApMode::kZhuge);
+    v.tweak(drop.zhuge);
+    const auto deg = degradation_after(app::run_multi_station(drop), kDropAtS,
+                                       kDropRunS);
 
     std::printf("  %-28s %11.3f%% %11.3f%% | %12.2f\n", v.label.c_str(),
                 100.0 * metrics.rtt_gt_200, 100.0 * metrics.fd_gt_400,
@@ -64,35 +55,35 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- Fortune Teller (RTP/GCC path) ---\n");
   run_table({
-      {"full Zhuge", Protocol::kRtp, [](app::ScenarioConfig&) {}},
-      {"no qShort", Protocol::kRtp,
-       [](app::ScenarioConfig& c) { c.ap.zhuge.fortune.use_qshort = false; }},
-      {"no burst adjustment (Eq.1)", Protocol::kRtp,
-       [](app::ScenarioConfig& c) { c.ap.zhuge.fortune.burst_adjustment = false; }},
-      {"window 10 ms (too short)", Protocol::kRtp,
-       [](app::ScenarioConfig& c) {
-         c.ap.zhuge.fortune.window = Duration::millis(10);
+      {"full Zhuge", SpecFlowKind::kRtpGcc, [](core::ZhugeConfig&) {}},
+      {"no qShort", SpecFlowKind::kRtpGcc,
+       [](core::ZhugeConfig& z) { z.fortune.use_qshort = false; }},
+      {"no burst adjustment (Eq.1)", SpecFlowKind::kRtpGcc,
+       [](core::ZhugeConfig& z) { z.fortune.burst_adjustment = false; }},
+      {"window 10 ms (too short)", SpecFlowKind::kRtpGcc,
+       [](core::ZhugeConfig& z) {
+         z.fortune.window = Duration::millis(10);
        }},
-      {"window 200 ms (too long)", Protocol::kRtp,
-       [](app::ScenarioConfig& c) {
-         c.ap.zhuge.fortune.window = Duration::millis(200);
+      {"window 200 ms (too long)", SpecFlowKind::kRtpGcc,
+       [](core::ZhugeConfig& z) {
+         z.fortune.window = Duration::millis(200);
        }},
   });
 
   std::printf("\n--- Feedback Updater (TCP/Copa path) ---\n");
   run_table({
-      {"full Zhuge", Protocol::kTcp, [](app::ScenarioConfig&) {}},
-      {"accumulate deltas (no dist.)", Protocol::kTcp,
-       [](app::ScenarioConfig& c) {
-         c.ap.zhuge.oob.distributional_sampling = false;
+      {"full Zhuge", SpecFlowKind::kTcpCopa, [](core::ZhugeConfig&) {}},
+      {"accumulate deltas (no dist.)", SpecFlowKind::kTcpCopa,
+       [](core::ZhugeConfig& z) {
+         z.oob.distributional_sampling = false;
        }},
-      {"no delay tokens", Protocol::kTcp,
-       [](app::ScenarioConfig& c) { c.ap.zhuge.oob.use_tokens = false; }},
-      {"no retreat of pending holds", Protocol::kTcp,
-       [](app::ScenarioConfig& c) { c.ap.zhuge.oob.retreat_pending = false; }},
-      {"raw Algorithm 1 (no smooth)", Protocol::kTcp,
-       [](app::ScenarioConfig& c) {
-         c.ap.zhuge.oob.delta_smoothing_alpha = 1.0;
+      {"no delay tokens", SpecFlowKind::kTcpCopa,
+       [](core::ZhugeConfig& z) { z.oob.use_tokens = false; }},
+      {"no retreat of pending holds", SpecFlowKind::kTcpCopa,
+       [](core::ZhugeConfig& z) { z.oob.retreat_pending = false; }},
+      {"raw Algorithm 1 (no smooth)", SpecFlowKind::kTcpCopa,
+       [](core::ZhugeConfig& z) {
+         z.oob.delta_smoothing_alpha = 1.0;
        }},
   });
 

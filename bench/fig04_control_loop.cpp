@@ -14,16 +14,13 @@ namespace {
 
 struct Algo {
   const char* label;
-  Protocol protocol;
-  TcpCcaKind tcp;
-  transport::RtpCca rtp;
+  SpecFlowKind kind;
 };
 
-double rate_convergence_secs(const app::ScenarioResult& r, double post_capacity_bps,
-                             Duration drop_at, Duration duration) {
-  const TimePoint t0 = TimePoint::zero() + drop_at;
-  const TimePoint t1 = TimePoint::zero() + duration;
-  return (r.rate_series_bps.last_above(2.0 * post_capacity_bps, t0, t1) - t0)
+double rate_convergence_secs(const MultiStationResult& r, double post_capacity_bps) {
+  const TimePoint t0 = TimePoint::zero() + Duration::from_seconds(kDropAtS);
+  const TimePoint t1 = TimePoint::zero() + Duration::from_seconds(kDropRunS);
+  return (r.series.rate_bps.last_above(2.0 * post_capacity_bps, t0, t1) - t0)
       .to_seconds();
 }
 
@@ -32,15 +29,13 @@ double rate_convergence_secs(const app::ScenarioResult& r, double post_capacity_
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 4: convergence after a bandwidth drop (30 Mbps -> 30/k) ===\n");
-  const Duration drop_at = Duration::seconds(20);
-  const Duration dur = Duration::seconds(40);
   const std::vector<double> ks = {2, 5, 10, 20, 50};
 
   const std::vector<Algo> algos = {
-      {"Cubic", Protocol::kTcp, TcpCcaKind::kCubic, transport::RtpCca::kGcc},
-      {"Bbr", Protocol::kTcp, TcpCcaKind::kBbr, transport::RtpCca::kGcc},
-      {"Copa", Protocol::kTcp, TcpCcaKind::kCopa, transport::RtpCca::kGcc},
-      {"Gcc", Protocol::kRtp, TcpCcaKind::kCopa, transport::RtpCca::kGcc},
+      {"Cubic", SpecFlowKind::kTcpCubic},
+      {"Bbr", SpecFlowKind::kTcpBbr},
+      {"Copa", SpecFlowKind::kTcpCopa},
+      {"Gcc", SpecFlowKind::kRtpGcc},
   };
   const std::vector<std::pair<const char*, QdiscKind>> qdiscs = {
       {"FIFO", QdiscKind::kFifo}, {"CoDel", QdiscKind::kCoDel}};
@@ -61,16 +56,11 @@ int main(int argc, char** argv) {
       std::vector<Cell> row;
       std::printf("  %-6s+%-7s", algo.label, qname);
       for (double k : ks) {
-        const auto tr = trace::step_trace(30e6, 30e6 / k, drop_at, dur);
-        auto cfg = drop_config(tr, 3);
-        cfg.protocol = algo.protocol;
-        cfg.tcp_cca = algo.tcp;
-        cfg.rtp_cca = algo.rtp;
-        cfg.ap.qdisc = qkind;
-        const auto r = app::run_scenario(cfg);
+        const auto r = app::run_multi_station(
+            drop_spec(k, 3, algo.kind, ApMode::kNone, qkind));
         Cell c;
-        c.rtt = degradation_after(r, drop_at, dur).rtt_secs;
-        c.rate = rate_convergence_secs(r, 30e6 / k, drop_at, dur);
+        c.rtt = degradation_after(r, kDropAtS, kDropRunS).rtt_secs;
+        c.rate = rate_convergence_secs(r, 30e6 / k);
         row.push_back(c);
         std::printf(" %8.2f", c.rtt);
       }

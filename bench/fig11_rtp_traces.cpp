@@ -10,7 +10,7 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 11: RTP/RTCP over real-world-like traces ===\n");
-  const Duration dur = Duration::seconds(150);
+  const double dur = 150.0;
   const int seeds = 3;
 
   struct Mode {
@@ -35,12 +35,9 @@ int main(int argc, char** argv) {
     for (const auto& m : modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr = trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kRtp;
-            cfg.ap.mode = m.ap;
-            cfg.ap.qdisc = m.qdisc;
-            return app::run_scenario(cfg);
+            return trace_spec(kind, 13u * static_cast<unsigned>(s), dur,
+                              static_cast<std::uint64_t>(s),
+                              SpecFlowKind::kRtpGcc, m.ap, m.qdisc);
           },
           seeds);
       row.push_back(metrics);

@@ -10,19 +10,19 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 12: TCP over real-world-like traces ===\n");
-  const Duration dur = Duration::seconds(150);
+  const double dur = 150.0;
   const int seeds = 3;
 
   struct Mode {
     const char* label;
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
   const std::vector<Mode> modes = {
-      {"Copa", ApMode::kNone, TcpCcaKind::kCopa},
-      {"Copa+FastAck", ApMode::kFastAck, TcpCcaKind::kCopa},
-      {"ABC", ApMode::kAbc, TcpCcaKind::kAbc},
-      {"Copa+Zhuge", ApMode::kZhuge, TcpCcaKind::kCopa},
+      {"Copa", ApMode::kNone, SpecFlowKind::kTcpCopa},
+      {"Copa+FastAck", ApMode::kFastAck, SpecFlowKind::kTcpCopa},
+      {"ABC", ApMode::kAbc, SpecFlowKind::kTcpAbc},
+      {"Copa+Zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa},
   };
 
   std::printf("\n(a) P(NetworkRtt > 200 ms)   [sender-capture semantics]\n  %-10s",
@@ -37,13 +37,8 @@ int main(int argc, char** argv) {
     for (const auto& m : modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kTcp;
-            cfg.tcp_cca = m.cca;
-            cfg.ap.mode = m.ap;
-            return app::run_scenario(cfg);
+            return trace_spec(kind, 13u * static_cast<unsigned>(s), dur,
+                              static_cast<std::uint64_t>(s), m.cca, m.ap);
           },
           seeds);
       row.push_back(metrics);

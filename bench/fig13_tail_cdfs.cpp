@@ -10,7 +10,7 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 13: tail CDFs on W1 and C1 (RTP/GCC) ===\n");
-  const Duration dur = Duration::seconds(300);
+  const double dur = 300.0;
 
   struct Mode {
     const char* label;
@@ -29,20 +29,17 @@ int main(int argc, char** argv) {
        {trace::TraceKind::kRestaurantWifi, trace::TraceKind::kIndoorMixed45G}) {
     std::printf("\n--- trace %s (%s) ---\n", trace::short_name(kind),
                 trace::long_name(kind));
-    std::vector<app::ScenarioResult> results;
+    std::vector<MultiStationResult> results;
     for (const auto& m : modes) {
-      const auto tr = trace::make_trace(kind, 29, dur);
-      auto cfg = trace_config(tr, kind, dur, 4);
-      cfg.ap.mode = m.ap;
-      cfg.ap.qdisc = m.qdisc;
-      results.push_back(app::run_scenario(cfg));
+      results.push_back(app::run_multi_station(
+          trace_spec(kind, 29, dur, 4, SpecFlowKind::kRtpGcc, m.ap, m.qdisc)));
     }
 
     std::printf("P(NetworkRtt > x):%14s", "");
     for (double t : rtt_thresh) std::printf(" %7.0fms", t);
     std::printf("   p99(ms)\n");
     for (std::size_t i = 0; i < modes.size(); ++i) {
-      const auto& d = results[i].primary().network_rtt_ms;
+      const auto& d = results[i].flows.front().network_rtt_ms;
       std::printf("  %-24s", modes[i].label);
       for (double t : rtt_thresh) std::printf(" %8.4f%%", 100.0 * d.ratio_above(t));
       std::printf(" %8.0f\n", d.quantile(0.99));
@@ -52,12 +49,12 @@ int main(int argc, char** argv) {
     for (double t : fd_thresh) std::printf(" %7.0fms", t);
     std::printf("\n");
     for (std::size_t i = 0; i < modes.size(); ++i) {
-      print_ccdf(modes[i].label, results[i].primary().frame_delay_ms, fd_thresh);
+      print_ccdf(modes[i].label, results[i].flows.front().frame_delay_ms, fd_thresh);
     }
 
     std::printf("P(FrameRate < x):%15s %9s %9s %9s\n", "", "<6fps", "<10fps", "<12fps");
     for (std::size_t i = 0; i < modes.size(); ++i) {
-      const auto& fr = results[i].primary().frame_rate_fps;
+      const auto fr = frame_rate_fps(results[i], 5.0, dur);
       std::printf("  %-24s %8.4f%% %8.4f%% %8.4f%%\n", modes[i].label,
                   100.0 * fr.ratio_below(6.0), 100.0 * fr.ratio_below(10.0),
                   100.0 * fr.ratio_below(12.0));

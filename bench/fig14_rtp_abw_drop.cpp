@@ -10,8 +10,6 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 14: RTP degradation durations after ABW drop ===\n");
-  const Duration drop_at = Duration::seconds(20);
-  const Duration dur = Duration::seconds(40);
   const std::vector<double> ks = {2, 5, 10, 20, 50};
 
   struct Mode {
@@ -33,12 +31,10 @@ int main(int argc, char** argv) {
       Degradation acc;
       const int seeds = 3;
       for (int s = 1; s <= seeds; ++s) {
-        const auto tr = trace::step_trace(30e6, 30e6 / k, drop_at, dur);
-        auto cfg = drop_config(tr, static_cast<std::uint64_t>(s));
-        cfg.protocol = Protocol::kRtp;
-        cfg.ap.mode = m.ap;
-        cfg.ap.qdisc = m.qdisc;
-        const auto d = degradation_after(app::run_scenario(cfg), drop_at, dur);
+        const auto r = app::run_multi_station(
+            drop_spec(k, static_cast<std::uint64_t>(s), SpecFlowKind::kRtpGcc,
+                      m.ap, m.qdisc));
+        const auto d = degradation_after(r, kDropAtS, kDropRunS);
         acc.rtt_secs += d.rtt_secs / seeds;
         acc.fd_secs += d.fd_secs / seeds;
         acc.fps_secs += d.fps_secs / seeds;

@@ -10,8 +10,8 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 16: RTP under competing CUBIC bulk flows ===\n");
-  const Duration dur = Duration::seconds(60);
-  const Duration measure_from = Duration::seconds(5);
+  const double dur = 60.0;
+  const double measure_from = 5.0;
   const std::vector<int> flow_counts = {0, 10, 20, 30, 40};
 
   struct Mode {
@@ -29,17 +29,14 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) {
     std::vector<Degradation> row;
     for (int flows : flow_counts) {
-      const auto tr = trace::constant_trace(30e6, dur);
-      app::ScenarioConfig cfg;
-      cfg.channel_trace = &tr;
-      cfg.duration = dur;
-      cfg.warmup = measure_from;
-      cfg.seed = 7;
-      cfg.protocol = Protocol::kRtp;
-      cfg.ap.mode = m.ap;
-      cfg.ap.qdisc = m.qdisc;
-      cfg.competing_bulk_flows = flows;
-      const auto r = app::run_scenario(cfg);
+      ScenarioSpec spec =
+          figure_spec(dur, 7, SpecFlowKind::kRtpGcc, m.ap, m.qdisc);
+      spec.stations.front().rate_trace.mbps = 30.0;
+      // CUBIC bulk competitors sharing the RTC flow's AP queue.
+      app::SpecFlow bulk;
+      bulk.kind = SpecFlowKind::kTcpBulk;
+      spec.flows.insert(spec.flows.end(), static_cast<std::size_t>(flows), bulk);
+      const auto r = app::run_multi_station(spec);
       row.push_back(degradation_after(r, measure_from, dur));
     }
     table.push_back(row);

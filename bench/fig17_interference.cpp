@@ -11,8 +11,8 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 17: RTP under wireless interference ===\n");
-  const Duration dur = Duration::seconds(60);
-  const Duration measure_from = Duration::seconds(5);
+  const double dur = 60.0;
+  const double measure_from = 5.0;
   const std::vector<int> interferers = {5, 10, 20, 30, 40};
 
   struct Mode {
@@ -27,21 +27,15 @@ int main(int argc, char** argv) {
   };
 
   std::vector<std::vector<Degradation>> table;
-  const double window_secs = (dur - measure_from).to_seconds();
+  const double window_secs = dur - measure_from;
   for (const auto& m : modes) {
     std::vector<Degradation> row;
     for (int n : interferers) {
-      app::ScenarioConfig cfg;
-      cfg.channel_trace = nullptr;  // PHY mode: MCS 7 = 65 Mbps shared
-      cfg.mcs_index = 7;
-      cfg.interferers = n;
-      cfg.duration = dur;
-      cfg.warmup = measure_from;
-      cfg.seed = 7;
-      cfg.protocol = Protocol::kRtp;
-      cfg.ap.mode = m.ap;
-      cfg.ap.qdisc = m.qdisc;
-      const auto r = app::run_scenario(cfg);
+      // PHY mode: MCS 7 = 65 Mbps, shared with n saturating interferers.
+      ScenarioSpec spec =
+          figure_spec(dur, 7, SpecFlowKind::kRtpGcc, m.ap, m.qdisc);
+      spec.interferers = n;
+      const auto r = app::run_multi_station(spec);
       row.push_back(degradation_after(r, measure_from, dur));
     }
     table.push_back(row);

@@ -12,22 +12,20 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 19: Fortune Teller prediction accuracy ===\n");
-  const Duration dur = Duration::seconds(150);
+  const double dur = 150.0;
 
   std::printf("\n(a) prediction-error CDF per trace, |estimated - real| (ms)\n");
   std::printf("  %-10s %8s %8s %8s %8s %10s\n", "trace", "p50", "p90", "p99", "mean",
               "samples");
   stats::Heatmap2D heat(1.0, 256.0, 8);
   for (const auto kind : kPaperTraces) {
-    const auto tr = trace::make_trace(kind, 41, dur);
-    auto cfg = trace_config(tr, kind, dur, 6);
-    cfg.ap.mode = ApMode::kZhuge;
-    const auto r = app::run_scenario(cfg);
+    const auto r = app::run_multi_station(
+        trace_spec(kind, 41, dur, 6, SpecFlowKind::kRtpGcc, ApMode::kZhuge));
     const auto& e = r.prediction_error_ms;
     std::printf("  %-10s %8.2f %8.2f %8.2f %8.2f %10zu\n", trace::short_name(kind),
                 e.quantile(0.5), e.quantile(0.9), e.quantile(0.99), e.mean(),
                 e.count());
-    for (const auto& [pred, real] : r.predicted_vs_real_ms) {
+    for (const auto& [pred, real] : r.series.predicted_vs_real_ms) {
       heat.add(std::max(pred, 1e-3), std::max(real, 1e-3));
     }
   }

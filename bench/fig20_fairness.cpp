@@ -16,22 +16,21 @@ struct Bar {
   double flow_b = 0.0;
 };
 
-Bar run_bar(Protocol protocol, ApMode mode, std::vector<bool> optimize,
-            double capacity_bps, const trace::Trace& tr) {
-  app::ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.duration = Duration::seconds(300);
-  cfg.warmup = Duration::seconds(120);  // measure converged steady state
-  cfg.seed = 11;
-  cfg.protocol = protocol;
-  cfg.tcp_cca = TcpCcaKind::kCopa;
-  cfg.rtc_flows = 2;
-  cfg.ap.mode = mode;
-  cfg.optimize_flow = std::move(optimize);
-  // Let both flows contend for the link: raise the encoder cap so goodput
-  // is bandwidth-limited, not content-limited.
-  cfg.video.max_bitrate_bps = capacity_bps;
-  const auto r = app::run_scenario(cfg);
+Bar run_bar(SpecFlowKind kind, ApMode mode, bool optimise_a, bool optimise_b,
+            double capacity_bps) {
+  ScenarioSpec spec = figure_spec(300.0, 11, kind, mode);
+  spec.warmup_s = 120.0;  // measure converged steady state
+  spec.stations.front().rate_trace.mbps = capacity_bps / 1e6;
+  // Two RTC flows through the same AP queue. Let both contend for the
+  // link: raise the encoder cap so goodput is bandwidth-limited, not
+  // content-limited.
+  app::SpecFlow& a = spec.flows.front();
+  a.max_bitrate_mbps = capacity_bps / 1e6;
+  app::SpecFlow b = a;
+  a.zhuge = optimise_a;
+  b.zhuge = optimise_b;
+  spec.flows.push_back(b);
+  const auto r = app::run_multi_station(spec);
   Bar bar;
   bar.flow_a = r.flows[0].goodput_bps / capacity_bps;
   bar.flow_b = r.flows[1].goodput_bps / capacity_bps;
@@ -44,14 +43,14 @@ int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 20: fairness of Zhuge (goodput normalised by capacity) ===\n");
   const double capacity = 20e6;
-  const auto tr = trace::constant_trace(capacity, Duration::seconds(300));
 
-  for (const Protocol protocol : {Protocol::kRtp, Protocol::kTcp}) {
-    const char* pname = protocol == Protocol::kRtp ? "RTP/RTCP (GCC)" : "TCP (Copa)";
+  for (const SpecFlowKind kind : {SpecFlowKind::kRtpGcc, SpecFlowKind::kTcpCopa}) {
+    const char* pname =
+        kind == SpecFlowKind::kRtpGcc ? "RTP/RTCP (GCC)" : "TCP (Copa)";
     std::printf("\n--- %s ---\n", pname);
-    const Bar a = run_bar(protocol, ApMode::kNone, {false, false}, capacity, tr);
-    const Bar b = run_bar(protocol, ApMode::kZhuge, {true, false}, capacity, tr);
-    const Bar c = run_bar(protocol, ApMode::kZhuge, {true, true}, capacity, tr);
+    const Bar a = run_bar(kind, ApMode::kNone, false, false, capacity);
+    const Bar b = run_bar(kind, ApMode::kZhuge, true, false, capacity);
+    const Bar c = run_bar(kind, ApMode::kZhuge, true, true, capacity);
     std::printf("  (a) w/o Zhuge:        flow1 %5.1f%%  flow2 %5.1f%%  sum %5.1f%%\n",
                 100 * a.flow_a, 100 * a.flow_b, 100 * (a.flow_a + a.flow_b));
     std::printf("  (b) one optimised:    flow1 %5.1f%%* flow2 %5.1f%%  sum %5.1f%%\n",

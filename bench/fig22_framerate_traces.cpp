@@ -9,7 +9,7 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 22: low-frame-rate ratio over traces ===\n");
-  const Duration dur = Duration::seconds(150);
+  const double dur = 150.0;
   const int seeds = 3;
 
   std::printf("\n(a) RTP/RTCP: P(FrameRate < 10 fps)\n  %-10s %12s %12s %12s\n",
@@ -26,13 +26,9 @@ int main(int argc, char** argv) {
     for (const auto& m : rtp_modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kRtp;
-            cfg.ap.mode = m.ap;
-            cfg.ap.qdisc = m.qdisc;
-            return app::run_scenario(cfg);
+            return trace_spec(kind, 13u * static_cast<unsigned>(s), dur,
+                              static_cast<std::uint64_t>(s),
+                              SpecFlowKind::kRtpGcc, m.ap, m.qdisc);
           },
           seeds);
       std::printf(" %11.3f%%", 100.0 * metrics.fps_lt_10);
@@ -44,24 +40,19 @@ int main(int argc, char** argv) {
               "trace", "Copa", "Copa+FastAck", "ABC", "Copa+Zhuge");
   struct TcpMode {
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
-  const std::vector<TcpMode> tcp_modes = {{ApMode::kNone, TcpCcaKind::kCopa},
-                                          {ApMode::kFastAck, TcpCcaKind::kCopa},
-                                          {ApMode::kAbc, TcpCcaKind::kAbc},
-                                          {ApMode::kZhuge, TcpCcaKind::kCopa}};
+  const std::vector<TcpMode> tcp_modes = {{ApMode::kNone, SpecFlowKind::kTcpCopa},
+                                          {ApMode::kFastAck, SpecFlowKind::kTcpCopa},
+                                          {ApMode::kAbc, SpecFlowKind::kTcpAbc},
+                                          {ApMode::kZhuge, SpecFlowKind::kTcpCopa}};
   for (const auto kind : kPaperTraces) {
     std::printf("  %-10s", trace::short_name(kind));
     for (const auto& m : tcp_modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kTcp;
-            cfg.tcp_cca = m.cca;
-            cfg.ap.mode = m.ap;
-            return app::run_scenario(cfg);
+            return trace_spec(kind, 13u * static_cast<unsigned>(s), dur,
+                              static_cast<std::uint64_t>(s), m.cca, m.ap);
           },
           seeds);
       std::printf(" %11.3f%%", 100.0 * metrics.fps_lt_10);

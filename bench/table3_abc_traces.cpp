@@ -10,33 +10,30 @@ using namespace zhuge::bench;
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Table 3: ABC's legacy low-bandwidth cellular traces ===\n");
-  const Duration dur = Duration::seconds(150);
+  const double dur = 150.0;
   const int seeds = 3;
   const auto kind = trace::TraceKind::kLegacyCellular;
 
   struct Mode {
     const char* label;
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
   const std::vector<Mode> modes = {
-      {"Copa", ApMode::kNone, TcpCcaKind::kCopa},
-      {"ABC", ApMode::kAbc, TcpCcaKind::kAbc},
-      {"Copa+Zhuge", ApMode::kZhuge, TcpCcaKind::kCopa},
+      {"Copa", ApMode::kNone, SpecFlowKind::kTcpCopa},
+      {"ABC", ApMode::kAbc, SpecFlowKind::kTcpAbc},
+      {"Copa+Zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa},
   };
 
   std::vector<TailMetrics> cols;
   for (const auto& m : modes) {
     cols.push_back(averaged_tails(
         [&](int s) {
-          const auto tr = trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-          auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-          cfg.protocol = Protocol::kTcp;
-          cfg.tcp_cca = m.cca;
-          cfg.ap.mode = m.ap;
+          ScenarioSpec spec = trace_spec(kind, 13u * static_cast<unsigned>(s), dur,
+                                         static_cast<std::uint64_t>(s), m.cca, m.ap);
           // The legacy links average ~2.5 Mbps; keep the video within reach.
-          cfg.video.max_bitrate_bps = 2.0e6;
-          return app::run_scenario(cfg);
+          spec.flows.front().max_bitrate_mbps = 2.0;
+          return spec;
         },
         seeds));
   }

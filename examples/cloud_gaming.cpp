@@ -13,38 +13,42 @@
 
 #include "app/scenario.hpp"
 #include "obs/session.hpp"
-#include "trace/synthetic.hpp"
 
 using namespace zhuge;
 
 namespace {
 
-app::ScenarioResult run(const trace::Trace& tr, app::ApMode mode,
-                        app::TcpCcaKind cca) {
-  app::ScenarioConfig cfg;
-  cfg.protocol = app::Protocol::kTcp;
-  cfg.tcp_cca = cca;
-  cfg.ap.mode = mode;
-  cfg.ap.link = app::LinkKind::kCellular;
-  cfg.channel_trace = &tr;
-  cfg.video.fps = 60;                  // gaming stream
-  cfg.video.max_bitrate_bps = 8e6;
-  cfg.video.start_bitrate_bps = 3e6;
-  cfg.wan_one_way = sim::Duration::millis(10);  // nearby edge server
-  cfg.duration = sim::Duration::seconds(180);
-  cfg.seed = 99;
-  return app::run_scenario(cfg);
+app::MultiStationResult run(app::ApMode mode, app::SpecFlowKind cca) {
+  app::ScenarioSpec spec;
+  spec.name = "cloud_gaming";
+  spec.duration_s = 180;
+  spec.seed = 99;
+  spec.ap_mode = mode;
+  spec.wan_one_way_ms = 10;  // nearby edge server
+  app::StationGroupSpec phone;
+  phone.link = app::LinkKind::kCellular;
+  phone.trace_class = trace::TraceKind::kCity5G;
+  phone.trace_seed = 12;
+  spec.stations = {phone};
+  app::SpecFlow stream;
+  stream.kind = cca;
+  stream.zhuge = true;
+  stream.fps = 60;  // gaming stream
+  stream.max_bitrate_mbps = 8;
+  spec.flows = {stream};
+  return app::run_multi_station(spec);
 }
 
-void report(const char* label, const app::ScenarioResult& r) {
-  const auto& f = r.primary();
+void report(const char* label, const app::MultiStationResult& r) {
+  const auto& f = r.flows.front();
   // 96 ms budget minus ~2 frame-times of encode/decode ~= 60 ms transport.
   const double budget_ms = 96.0;
   std::printf("  %-12s frame>budget %6.3f%% | P99 frame %6.1f ms | "
-              "fps<30 %6.3f%% | stream %4.2f Mbps\n",
+              "frames %5llu/%llu | stream %4.2f Mbps\n",
               label, 100.0 * f.frame_delay_ms.ratio_above(budget_ms),
               f.frame_delay_ms.quantile(0.99),
-              100.0 * f.frame_rate_fps.ratio_below(30.0), f.goodput_bps / 1e6);
+              static_cast<unsigned long long>(f.frames_decoded),
+              static_cast<unsigned long long>(f.frames_sent), f.goodput_bps / 1e6);
 }
 
 }  // namespace
@@ -54,13 +58,10 @@ int main(int argc, char** argv) {
   std::printf("cloud gaming over a City-5G-like link (60 fps, Copa over TCP)\n");
   std::printf("(the paper's intro: cloud gaming demands <96 ms; 5G mmWave fades\n"
               " are exactly the tail events Zhuge targets)\n\n");
-  const auto tr = trace::make_trace(trace::TraceKind::kCity5G, 12,
-                                    sim::Duration::seconds(180));
-
-  report("plain AP", run(tr, app::ApMode::kNone, app::TcpCcaKind::kCopa));
-  report("FastAck AP", run(tr, app::ApMode::kFastAck, app::TcpCcaKind::kCopa));
-  report("ABC", run(tr, app::ApMode::kAbc, app::TcpCcaKind::kAbc));
-  report("Zhuge AP", run(tr, app::ApMode::kZhuge, app::TcpCcaKind::kCopa));
+  report("plain AP", run(app::ApMode::kNone, app::SpecFlowKind::kTcpCopa));
+  report("FastAck AP", run(app::ApMode::kFastAck, app::SpecFlowKind::kTcpCopa));
+  report("ABC", run(app::ApMode::kAbc, app::SpecFlowKind::kTcpAbc));
+  report("Zhuge AP", run(app::ApMode::kZhuge, app::SpecFlowKind::kTcpCopa));
 
   std::printf("\nZhuge delays Copa's ACKs at the AP by the predicted queueing\n"
               "deltas, so the sender backs off before a blockage fade strands a\n"

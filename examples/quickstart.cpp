@@ -7,35 +7,43 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "app/scenario.hpp"
+#include "app/spec.hpp"
 #include "obs/session.hpp"
-#include "trace/synthetic.hpp"
 
 using namespace zhuge;
 
 namespace {
 
-app::ScenarioResult run(const trace::Trace& tr, bool with_zhuge) {
-  app::ScenarioConfig cfg;
-  cfg.protocol = app::Protocol::kRtp;
-  cfg.ap.mode = with_zhuge ? app::ApMode::kZhuge : app::ApMode::kNone;
-  cfg.ap.qdisc = app::QdiscKind::kFifo;
-  cfg.channel_trace = &tr;
-  cfg.duration = sim::Duration::seconds(120);
-  cfg.seed = 42;
-  return app::run_scenario(cfg);
+/// Every run is a declarative spec: one station whose downlink follows a
+/// Restaurant-WiFi-like (W1) trace, one RTP/GCC 1080p24 flow asking for
+/// AP optimisation, 120 s at seed 42. Only the AP mode differs.
+app::ScenarioSpec spec(const char* ap_mode) {
+  const std::string text = std::string(R"({
+    "name": "quickstart", "duration_s": 120, "warmup_s": 5, "seed": 42,
+    "ap_mode": ")") + ap_mode + R"(",
+    "stations": [ { "trace": { "class": "W1", "seed": 7 } } ],
+    "flows": [ { "kind": "rtp_gcc", "station": 0, "zhuge": true, "fps": 24 } ]
+  })";
+  std::string err;
+  const auto parsed = app::parse_scenario_spec(text, &err);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "spec: %s\n", err.c_str());
+    std::exit(1);
+  }
+  return *parsed;
 }
 
-void report(const char* label, const app::ScenarioResult& r) {
-  const auto& f = r.primary();
+void report(const char* label, const app::MultiStationResult& r) {
+  const auto& f = r.flows.front();
   std::printf("%-14s P50 RTT %6.1f ms | P99 RTT %7.1f ms | RTT>200ms %5.2f%% | "
-              "frame>400ms %5.2f%% | fps<10 %5.2f%% | goodput %5.2f Mbps\n",
+              "frame>400ms %5.2f%% | goodput %5.2f Mbps\n",
               label, f.network_rtt_ms.quantile(0.50), f.network_rtt_ms.quantile(0.99),
               100.0 * f.network_rtt_ms.ratio_above(200.0),
-              100.0 * f.frame_delay_ms.ratio_above(400.0),
-              100.0 * f.frame_rate_fps.ratio_below(10.0),
-              f.goodput_bps / 1e6);
+              100.0 * f.frame_delay_ms.ratio_above(400.0), f.goodput_bps / 1e6);
 }
 
 }  // namespace
@@ -43,14 +51,10 @@ void report(const char* label, const app::ScenarioResult& r) {
 int main(int argc, char** argv) {
   obs::ObsSession obs(argc, argv);  // --trace/--metrics, same as every bench
   std::printf("zhuge-rtc quickstart: GCC/RTP over Restaurant-WiFi-like channel\n\n");
-  const trace::Trace tr = trace::make_trace(trace::TraceKind::kRestaurantWifi,
-                                            /*seed=*/7, sim::Duration::seconds(120));
-  std::printf("trace: mean ABW %.1f Mbps over %.0f s\n\n", tr.mean_rate_bps() / 1e6,
-              tr.span().to_seconds());
 
-  const auto baseline = run(tr, /*with_zhuge=*/false);
+  const auto baseline = app::run_multi_station(spec("none"));
   report("Gcc+FIFO", baseline);
-  const auto zhuge_run = run(tr, /*with_zhuge=*/true);
+  const auto zhuge_run = app::run_multi_station(spec("zhuge"));
   report("Gcc+Zhuge", zhuge_run);
 
   std::printf("\nevents executed: baseline %llu, zhuge %llu\n",

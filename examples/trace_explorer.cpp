@@ -1,9 +1,9 @@
 // Example: working with bandwidth traces directly.
 //
 // Generates each synthetic trace class, prints its fluctuation profile
-// (the Fig. 3(b) statistic), exports one to CSV, reloads it, and runs a
-// quick scenario on the reloaded copy — the workflow for plugging in your
-// own measured traces.
+// (the Fig. 3(b) statistic), exports one to CSV and reloads it (the
+// "time_ms,rate_mbps" format for your own measured traces), and runs a
+// quick scenario whose station follows the same trace.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -11,8 +11,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "app/scenario.hpp"
+#include "app/spec.hpp"
 #include "obs/session.hpp"
 #include "trace/synthetic.hpp"
 
@@ -44,20 +46,26 @@ int main(int argc, char** argv) {
   const auto original = trace::make_trace(trace::TraceKind::kRestaurantWifi, 1, dur);
   trace::save_csv(original, path);
   const auto reloaded = trace::load_csv(path, "my-trace");
-  std::printf("\nexported %zu samples to %s and reloaded them\n",
-              original.samples().size(), path.c_str());
+  std::printf("\nexported %zu samples to %s and reloaded %zu\n",
+              original.samples().size(), path.c_str(), reloaded.samples().size());
 
-  // Drive a scenario with the reloaded trace.
-  app::ScenarioConfig cfg;
-  cfg.channel_trace = &reloaded;
-  cfg.ap.mode = app::ApMode::kZhuge;
-  cfg.duration = sim::Duration::seconds(60);
-  cfg.seed = 1;
-  const auto r = app::run_scenario(cfg);
-  std::printf("60 s GCC/RTP run on the reloaded trace with Zhuge: "
+  // The exported file holds the W1 trace drawn from seed 1, which a spec
+  // names directly: a station's "trace" can be a class with a seed.
+  std::string err;
+  const auto spec = app::parse_scenario_spec(
+      R"({ "name": "w1", "duration_s": 60, "seed": 1, "ap_mode": "zhuge",
+           "stations": [ { "trace": { "class": "W1", "seed": 1 } } ],
+           "flows": [ { "kind": "rtp_gcc", "station": 0, "zhuge": true } ] })",
+      &err);
+  if (!spec.has_value()) {
+    std::fprintf(stderr, "spec: %s\n", err.c_str());
+    return 1;
+  }
+  const auto r = app::run_multi_station(*spec);
+  std::printf("60 s GCC/RTP run on that trace with Zhuge: "
               "P99 RTT %.1f ms, %llu frames decoded\n",
-              r.primary().network_rtt_ms.quantile(0.99),
-              static_cast<unsigned long long>(r.primary().frames_decoded));
+              r.flows.front().network_rtt_ms.quantile(0.99),
+              static_cast<unsigned long long>(r.flows.front().frames_decoded));
   std::filesystem::remove(path);
   return 0;
 }

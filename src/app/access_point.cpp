@@ -31,34 +31,15 @@ std::unique_ptr<queue::Qdisc> make_qdisc(QdiscKind kind, std::int64_t limit) {
 }  // namespace
 
 AccessPoint::AccessPoint(sim::Simulator& simulator, sim::Rng& rng,
-                         wireless::Channel& channel, wireless::Medium& medium,
-                         Config cfg, PacketHandler to_client,
-                         PacketHandler to_server)
+                         wireless::Medium& medium, Config cfg,
+                         PacketHandler to_client, PacketHandler to_server)
     : sim_(simulator),
       rng_(rng),
       cfg_(cfg),
       medium_(medium),
       to_client_(std::move(to_client)),
       to_server_(std::move(to_server)),
-      qdisc_(make_qdisc(cfg.qdisc, cfg.queue_limit_bytes)),
       abc_dequeue_rate_(Duration::millis(200)) {
-  if (cfg_.link == LinkKind::kWifi) {
-    wifi_link_ = std::make_unique<wireless::WifiLink>(
-        sim_, rng_, channel, medium, *qdisc_, cfg_.wifi, to_client_);
-    wifi_link_->set_dequeue_observer(
-        [this](const Packet& p, TimePoint now) { on_qdisc_dequeue(p, now); });
-    wifi_link_->set_delivery_observer([this](const Packet& p, TimePoint now) {
-      on_wireless_delivered(p, now);
-    });
-  } else {
-    cellular_link_ = std::make_unique<wireless::CellularLink>(
-        sim_, rng_, channel, *qdisc_, cfg_.cellular, to_client_);
-    cellular_link_->set_dequeue_observer(
-        [this](const Packet& p, TimePoint now) { on_qdisc_dequeue(p, now); });
-    cellular_link_->set_delivery_observer([this](const Packet& p, TimePoint now) {
-      on_wireless_delivered(p, now);
-    });
-  }
   if (cfg_.mode == ApMode::kAbc) {
     abc_router_ = std::make_unique<baseline::AbcRouter>(cfg_.abc);
   }
@@ -69,15 +50,25 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
   auto st = std::make_unique<Station>();
   st->kind = scfg.qdisc;
   st->qdisc = make_qdisc(scfg.qdisc, scfg.queue_limit_bytes);
-  st->link = std::make_unique<wireless::WifiLink>(
-      sim_, rng_, channel, medium_, *st->qdisc, scfg.wifi, to_client_);
   Station* raw = st.get();
-  st->link->set_dequeue_observer([this, raw, ip](const Packet& p, TimePoint now) {
+  const auto on_dequeue = [this, raw, ip](const Packet& p, TimePoint now) {
     on_station_dequeue(*raw, ip, p, now);
-  });
-  st->link->set_delivery_observer([this](const Packet& p, TimePoint now) {
+  };
+  const auto on_delivered = [this](const Packet& p, TimePoint now) {
     on_wireless_delivered(p, now);
-  });
+  };
+  if (scfg.link == LinkKind::kWifi) {
+    st->wifi = std::make_unique<wireless::WifiLink>(
+        sim_, rng_, channel, medium_, *st->qdisc, scfg.wifi, to_client_);
+    st->wifi->set_dequeue_observer(on_dequeue);
+    st->wifi->set_delivery_observer(on_delivered);
+  } else {
+    st->cell = std::make_unique<wireless::CellularLink>(
+        sim_, rng_, channel, *st->qdisc, wireless::CellularLink::Config{},
+        to_client_);
+    st->cell->set_dequeue_observer(on_dequeue);
+    st->cell->set_delivery_observer(on_delivered);
+  }
   stations_[ip] = std::move(st);
   ZHUGE_METRIC_INC("ap.station_registered");
   ZHUGE_TRACE(sim_.now(), "ap", "register_station", {"ip", double(ip)});
@@ -107,9 +98,19 @@ std::size_t AccessPoint::unregister_station(std::uint32_t ip) {
   return flushed;
 }
 
-wireless::WifiLink* AccessPoint::station_link(std::uint32_t ip) {
+AccessPoint::StationCounters AccessPoint::station_counters(std::uint32_t ip) {
+  StationCounters c;
   const auto it = stations_.find(ip);
-  return it == stations_.end() ? nullptr : it->second->link.get();
+  if (it == stations_.end()) return c;
+  const Station& st = *it->second;
+  c.qdisc_drops = st.qdisc->drops();
+  if (st.wifi != nullptr) {
+    c.airtime = st.wifi->airtime_used();
+    c.delivered_packets = st.wifi->delivered_packets();
+  } else {
+    c.delivered_packets = st.cell->delivered_packets();
+  }
+  return c;
 }
 
 std::size_t AccessPoint::active_station_count() const {
@@ -240,10 +241,9 @@ std::vector<obs::LadderTransition> AccessPoint::ladder_log() const {
 
 Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
                                                 TimePoint now) const {
-  // `q` is the qdisc the marked packet is about to enter (a station's own
-  // queue when routed, the default link's otherwise); the dequeue rate is
-  // the AP-wide aggregate, which is what ABC's router-side token rate
-  // tracks on a shared airtime medium.
+  // `q` is the station queue the marked packet is about to enter; the
+  // dequeue rate is the AP-wide aggregate, which is what ABC's router-side
+  // token rate tracks on a shared airtime medium.
   const double rate = const_cast<stats::WindowedRate&>(abc_dequeue_rate_)
                           .rate_bps(now)
                           .value_or(10e6);
@@ -254,21 +254,15 @@ Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
 void AccessPoint::from_wan(Packet p) {
   const TimePoint now = sim_.now();
   ZHUGE_METRIC_INC("ap.downlink_packets");
-  // Station routing: a registered station's traffic goes through its own
-  // qdisc + wireless link; everything else uses the default downlink.
-  Station* st = nullptr;
-  if (!stations_.empty()) {
-    if (const auto it = stations_.find(p.flow.dst_ip); it != stations_.end()) {
-      st = it->second.get();
-      if (!st->active) {
-        // Quiesced station: the client left the network; its traffic
-        // black-holes exactly like a real AP's for a deassociated STA.
-        ++quiesced_drops_;
-        return;
-      }
-    }
+  const auto it = stations_.find(p.flow.dst_ip);
+  if (it == stations_.end() || !it->second->active) {
+    // Quiesced (or unknown) station: the client left the network; its
+    // traffic black-holes exactly like a real AP's for a deassociated STA.
+    ++quiesced_drops_;
+    return;
   }
-  queue::Qdisc& dl_qdisc = st != nullptr ? *st->qdisc : *qdisc_;
+  Station& st = *it->second;
+  queue::Qdisc& dl_qdisc = *st.qdisc;
   if (abc_router_ != nullptr && p.is_tcp() && !p.tcp().is_ack) {
     p.tcp().abc_mark = abc_router_->mark(
         p.size_bytes, instantaneous_queue_delay(dl_qdisc, now), now);
@@ -284,10 +278,7 @@ void AccessPoint::from_wan(Packet p) {
     // uplink has been silent is exactly the evidence the watchdog needs.
     zf->check_watchdog(now);
   }
-  const bool accepted = st != nullptr      ? st->link->offer(std::move(p))
-                        : wifi_link_ != nullptr
-                            ? wifi_link_->offer(std::move(p))
-                            : cellular_link_->offer(std::move(p));
+  const bool accepted = st.offer(std::move(p));
   // Tail-dropped packets are never reported as received: the AP witnesses
   // the drop, so the loss stays visible to the sender.
   if (zf != nullptr && accepted) {
@@ -295,43 +286,26 @@ void AccessPoint::from_wan(Packet p) {
   }
 }
 
-void AccessPoint::on_qdisc_dequeue(const Packet& p, TimePoint now) {
-  abc_dequeue_rate_.record(now, p.size_bytes);
-  if (cfg_.qdisc == QdiscKind::kFqCoDel) {
-    // Per-flow sub-queues: each Fortune Teller observes only its own
-    // flow's departures (§4's "calculation with queue disciplines").
-    if (auto* zf = zhuge_flow(p.flow); zf != nullptr) {
-      zf->on_dequeue(p, now, qdisc_->byte_count_flow(p.flow) == 0);
-    }
-    return;
-  }
-  // Shared FIFO/CoDel queue: a packet's qLong is the *whole* queue drained
-  // at the *total* dequeue rate, so every registered teller must see every
-  // departure — feeding each teller only its own flow's departures would
-  // overestimate delays in competition (whole-queue bytes divided by a
-  // single flow's share of the rate).
-  const bool empty_after = qdisc_->byte_count() == 0;
-  for (auto& [flow, zf] : zhuge_flows_) {
-    zf->on_dequeue(p, now, empty_after);
-  }
-}
-
 void AccessPoint::on_station_dequeue(Station& st, std::uint32_t ip,
                                      const Packet& p, TimePoint now) {
-  // Station departures feed the same aggregate dequeue-rate window as the
-  // default link's: the ABC router's queue-delay estimate must see the
-  // multi-station path too. Only read when mode == kAbc, so recording it
-  // unconditionally cannot perturb other modes' results.
+  // Every station's departures feed one aggregate dequeue-rate window: the
+  // ABC router's queue-delay estimate tracks the AP's total drain rate.
+  // Only read when mode == kAbc, so recording it unconditionally cannot
+  // perturb other modes' results.
   abc_dequeue_rate_.record(now, p.size_bytes);
   if (st.kind == QdiscKind::kFqCoDel) {
+    // Per-flow sub-queues: each Fortune Teller observes only its own
+    // flow's departures (§4's "calculation with queue disciplines").
     if (auto* zf = zhuge_flow(p.flow); zf != nullptr) {
       zf->on_dequeue(p, now, st.qdisc->byte_count_flow(p.flow) == 0);
     }
     return;
   }
-  // Shared per-station queue: every teller whose flow rides this station
-  // must see every departure of this station's queue (same whole-queue
-  // semantics as the single-client path, scoped to the station).
+  // Shared per-station queue: a packet's qLong is the *whole* queue drained
+  // at the *total* dequeue rate, so every teller whose flow rides this
+  // station must see every departure of this station's queue — feeding
+  // each teller only its own flow's departures would overestimate delays
+  // in competition (whole-queue bytes divided by one flow's rate share).
   const bool empty_after = st.qdisc->byte_count() == 0;
   for (auto& [flow, zf] : zhuge_flows_) {
     if (flow.dst_ip == ip) zf->on_dequeue(p, now, empty_after);

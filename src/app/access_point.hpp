@@ -1,7 +1,8 @@
 #pragma once
-// The last-mile access point: downlink qdisc + wireless link + optional
-// in-AP optimisation (Zhuge, FastAck, or the ABC router). This is the only
-// box the paper modifies — everything else (server, client) runs stock.
+// The last-mile access point: per-station downlink qdisc + wireless link +
+// optional in-AP optimisation (Zhuge, FastAck, or the ABC router). This is
+// the only box the paper modifies — everything else (server, client) runs
+// stock.
 
 #include <cstdint>
 #include <map>
@@ -40,42 +41,40 @@ enum class QdiscKind : std::uint8_t { kFifo, kCoDel, kFqCoDel };
 /// Last-hop technology.
 enum class LinkKind : std::uint8_t { kWifi, kCellular };
 
-/// A wireless access point with a pluggable downlink qdisc, a wireless
-/// last hop, and an optional AP-side optimisation module.
+/// A wireless access point serving registered stations, each with its own
+/// downlink qdisc and wireless last hop, plus an optional AP-side
+/// optimisation module.
 class AccessPoint {
  public:
   struct Config {
     ApMode mode = ApMode::kNone;
-    QdiscKind qdisc = QdiscKind::kFifo;
-    LinkKind link = LinkKind::kWifi;
-    std::int64_t queue_limit_bytes = 300 * 1500;  ///< FIFO bufferbloat depth
-    wireless::WifiLink::Config wifi{};
-    wireless::CellularLink::Config cellular{};
     core::ZhugeConfig zhuge{};
     baseline::AbcRouter::Config abc{};
     baseline::FastAck::Config fastack{};
   };
 
   /// `to_client` receives packets that crossed the wireless downlink;
-  /// `to_server` is the AP's wired uplink towards the WAN.
+  /// `to_server` is the AP's wired uplink towards the WAN. Wi-Fi stations
+  /// contend on `medium`.
   AccessPoint(sim::Simulator& simulator, sim::Rng& rng,
-              wireless::Channel& channel, wireless::Medium& medium, Config cfg,
-              PacketHandler to_client, PacketHandler to_server);
+              wireless::Medium& medium, Config cfg, PacketHandler to_client,
+              PacketHandler to_server);
 
-  /// Per-station downlink attachment for multi-station scenarios: each
-  /// station gets its own qdisc + AMPDU WifiLink contending on the AP's
-  /// shared CSMA medium (so airtime is split the way the paper's testbed
-  /// splits it, not per-flow).
+  /// Per-station downlink attachment: each station gets its own qdisc and
+  /// last hop — an AMPDU WifiLink contending on the AP's shared CSMA
+  /// medium (so airtime is split the way the paper's testbed splits it,
+  /// not per-flow), or a per-UE cellular link.
   struct StationConfig {
     QdiscKind qdisc = QdiscKind::kFifo;
-    std::int64_t queue_limit_bytes = 300 * 1500;
+    std::int64_t queue_limit_bytes = 300 * 1500;  ///< FIFO bufferbloat depth
+    LinkKind link = LinkKind::kWifi;
     wireless::WifiLink::Config wifi{};
   };
 
-  /// Attach a station reachable at client IP `ip`. Downlink packets whose
-  /// `flow.dst_ip == ip` are routed through the station's own qdisc and
-  /// wireless link instead of the default one; `channel` models that
-  /// station's PHY (per-station MCS/fade) and must outlive the AP.
+  /// Attach a station reachable at client IP `ip`: downlink packets whose
+  /// `flow.dst_ip == ip` go through the station's own qdisc and link.
+  /// `channel` models that station's PHY (per-station MCS, fade or trace)
+  /// and must outlive the AP.
   void register_station(std::uint32_t ip, wireless::Channel& channel,
                         const StationConfig& cfg);
 
@@ -87,17 +86,25 @@ class AccessPoint {
   /// flushed from optimiser state.
   std::size_t unregister_station(std::uint32_t ip);
 
-  /// The station's wireless link (airtime, delivery counters), or nullptr
-  /// if `ip` was never registered. Valid for quiesced stations too.
-  [[nodiscard]] wireless::WifiLink* station_link(std::uint32_t ip);
+  /// Downlink counters of one station (quiesced ones included); all zero
+  /// for an IP that was never registered. Cellular links use no medium
+  /// airtime.
+  struct StationCounters {
+    Duration airtime = Duration::zero();
+    std::uint64_t qdisc_drops = 0;
+    std::uint64_t delivered_packets = 0;
+  };
+  [[nodiscard]] StationCounters station_counters(std::uint32_t ip);
 
   /// Number of currently active (non-quiesced) stations.
   [[nodiscard]] std::size_t active_station_count() const;
 
-  /// Downlink packets black-holed because their station was quiesced.
+  /// Downlink packets black-holed because their station was quiesced (or
+  /// never registered).
   [[nodiscard]] std::uint64_t quiesced_drops() const { return quiesced_drops_; }
 
-  /// Downlink entry: a packet arrives from the WAN (Ethernet port).
+  /// Downlink entry: a packet arrives from the WAN (Ethernet port) and is
+  /// routed to its station.
   void from_wan(Packet p);
 
   /// Uplink entry: a packet arrives from the client over wireless.
@@ -161,23 +168,26 @@ class AccessPoint {
     return n;
   }
 
-  [[nodiscard]] queue::Qdisc& downlink_qdisc() { return *qdisc_; }
   [[nodiscard]] core::ZhugeFlow* zhuge_flow(const net::FlowId& flow);
   [[nodiscard]] std::uint64_t uplink_delayed() const { return uplink_delayed_; }
   [[nodiscard]] std::uint64_t uplink_dropped() const { return uplink_dropped_; }
-  [[nodiscard]] wireless::WifiLink* wifi_link() { return wifi_link_.get(); }
 
  private:
+  /// One station's downlink: exactly one of `wifi` / `cell` is set.
   struct Station {
     QdiscKind kind = QdiscKind::kFifo;
     std::unique_ptr<queue::Qdisc> qdisc;
-    std::unique_ptr<wireless::WifiLink> link;
+    std::unique_ptr<wireless::WifiLink> wifi;
+    std::unique_ptr<wireless::CellularLink> cell;
     bool active = true;
+
+    bool offer(Packet p) {
+      return wifi != nullptr ? wifi->offer(std::move(p)) : cell->offer(std::move(p));
+    }
   };
 
   void send_feedback(Packet p);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
-  void on_qdisc_dequeue(const Packet& p, TimePoint now);
   void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
                           TimePoint now);
   void on_wireless_delivered(const Packet& p, TimePoint now);
@@ -190,10 +200,6 @@ class AccessPoint {
   wireless::Medium& medium_;
   PacketHandler to_client_;  ///< copy shared with every station link
   PacketHandler to_server_;
-
-  std::unique_ptr<queue::Qdisc> qdisc_;
-  std::unique_ptr<wireless::WifiLink> wifi_link_;
-  std::unique_ptr<wireless::CellularLink> cellular_link_;
 
   /// Stations keyed by client IP. Ordered map: quiesce/teardown walk this
   /// and emit packets, so iteration order must be platform-stable.

@@ -2,7 +2,7 @@
 // Golden-trace regression records.
 //
 // A golden record pins the full 64-bit result fingerprint (see
-// sweep::result_fingerprint) of a canonical scenario at a fixed seed,
+// multi_result_fingerprint) of a canonical scenario at a fixed seed,
 // plus a handful of headline metrics. The fingerprint catches ANY
 // behavioural drift — one packet scheduled one microsecond differently
 // anywhere in the stack changes the hash — while the stored headline
@@ -37,8 +37,8 @@ struct GoldenRecord {
 ///   chaos_burst      — RTP/Zhuge under a 3 s Gilbert-Elliott WAN burst
 [[nodiscard]] std::vector<std::string> golden_scenario_names();
 
-/// The canonical config behind a name; nullopt for unknown names.
-[[nodiscard]] std::optional<ScenarioConfig> golden_scenario_config(
+/// The canonical spec behind a name; nullopt for unknown names.
+[[nodiscard]] std::optional<ScenarioSpec> golden_scenario_spec(
     const std::string& name);
 
 /// Run a canonical scenario (under an ObsFreeze, so the fingerprint is

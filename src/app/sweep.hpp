@@ -1,19 +1,20 @@
 #pragma once
-// Parallel scenario-sweep runner.
+// Parallel scenario-sweep runner and the result fingerprint.
 //
-// A sweep is a grid of (scenario config, seed) points, each an independent
+// A sweep is a grid of (ScenarioSpec, seed) points, each an independent
 // deterministic simulation. Points are distributed over a thread pool of
 // N workers; because a Simulator is a self-contained single-threaded
-// timeline and run_scenario() is deterministic in (config, seed), the
+// timeline and run_multi_station() is deterministic in (spec, seed), the
 // per-run outputs are bit-identical whether the grid runs serially or on
 // 8 threads — a property the test suite asserts via result fingerprints.
 //
 // Thread-safety contract: the only process-global mutable state the
 // scenario layer touches is the obs layer (metrics registry, tracer,
-// invariant counter). run_sweep() turns all three off for the duration of
-// the sweep and restores the switches afterwards, so concurrent runs
-// never race on them; per-run headline metrics are aggregated *after* the
-// parallel phase, serially and in grid order, via export_sweep_metrics().
+// invariant counter). run_spec_sweep() turns all three off for the
+// duration of the sweep and restores the switches afterwards, so
+// concurrent runs never race on them; per-run headline metrics are
+// aggregated *after* the parallel phase, serially and in grid order, via
+// export_spec_sweep_metrics().
 
 #include <atomic>
 #include <bit>
@@ -85,27 +86,6 @@ void run_indexed_pool(std::size_t n, unsigned threads, Fn&& fn) {
   for (auto& t : pool) t.join();
 }
 
-/// One grid point: a labelled scenario configuration plus the seed to run
-/// it under. `seed` overrides `config.seed` at execution time so a seed
-/// axis can be crossed onto a scenario axis without touching configs.
-struct SweepPoint {
-  std::string name;
-  ScenarioConfig config;
-  std::uint64_t seed = 1;
-};
-
-/// Per-run output: the full scenario result plus a 64-bit FNV-1a
-/// fingerprint over the raw bit patterns of every numeric output, used to
-/// assert serial == parallel bit-identity cheaply. `wall_seconds` is host
-/// time and deliberately excluded from the fingerprint.
-struct SweepRun {
-  std::string name;
-  std::uint64_t seed = 0;
-  ScenarioResult result;
-  std::uint64_t fingerprint = 0;
-  double wall_seconds = 0.0;
-};
-
 struct SweepOptions {
   /// Worker threads; 0 or 1 runs the grid serially on the calling thread.
   unsigned threads = 1;
@@ -138,39 +118,10 @@ class ObsFreeze {
   bool attrib_was_;
 };
 
-/// FNV-1a64 over the bit patterns of every numeric field of `r` —
-/// distributions (count + each sample), time series (t + value), scalar
-/// counters, robustness stats. Two results fingerprint equal iff every
-/// compared field is bit-identical (modulo 64-bit hashing).
-[[nodiscard]] std::uint64_t result_fingerprint(const ScenarioResult& r);
-
-/// Run every grid point and return per-run results in grid order
-/// (regardless of completion order). Deterministic per point for any
-/// thread count.
-[[nodiscard]] std::vector<SweepRun> run_sweep(std::vector<SweepPoint> grid,
-                                              const SweepOptions& opts = {});
-
-/// Cross a scenario axis with a seed axis: every scenario at every seed,
-/// named "<scenario>/s<seed>", scenarios varying slowest.
-[[nodiscard]] std::vector<SweepPoint> cross_seeds(
-    const std::vector<SweepPoint>& scenarios,
-    const std::vector<std::uint64_t>& seeds);
-
-/// Aggregate per-run headline metrics into `registry`, serially, in grid
-/// order: gauges `sweep.<name>.{rtt_p50_ms,rtt_p99_ms,goodput_bps,
-/// frame_delay_p99_ms,wall_seconds}`, counters `sweep.<name>.{events,
-/// qdisc_drops,invariant_violations}`, plus suite-wide totals under
-/// `sweep.total.*`. Use obs::write_metrics_file to emit JSON.
-void export_sweep_metrics(const std::vector<SweepRun>& runs,
-                          obs::Registry& registry);
-
-// ---------------------------------------------------------------------------
-// ScenarioSpec sweeps (multi-station engine)
-// ---------------------------------------------------------------------------
-
-/// One multi-station grid point: a labelled spec plus the seed to run it
-/// under (`seed` overrides `spec.seed`, mirroring SweepPoint).
-struct SpecSweepPoint {
+/// One grid point: a labelled spec plus the seed to run it under (`seed`
+/// overrides `spec.seed`, so a seed axis crosses onto a spec axis without
+/// touching specs).
+struct SpecPoint {
   std::string name;
   ScenarioSpec spec;
   std::uint64_t seed = 1;
@@ -178,7 +129,7 @@ struct SpecSweepPoint {
 
 /// Per-run output of a spec sweep; `fingerprint` covers every numeric
 /// field of the MultiStationResult (see multi_result_fingerprint).
-struct SpecSweepRun {
+struct SpecRun {
   std::string name;
   std::uint64_t seed = 0;
   MultiStationResult result;
@@ -186,19 +137,22 @@ struct SpecSweepRun {
   double wall_seconds = 0.0;
 };
 
-/// FNV-1a64 over the bit patterns of every numeric field of `r`: per-flow
-/// and per-station outputs, aggregate distributions, the concurrency
-/// series, and all scalar counters. The golden-trace suite stores these
-/// hashes, so adding a field here intentionally invalidates goldens.
+/// FNV-1a64 over the bit patterns of every simulated field of `r`:
+/// per-flow and per-station outputs, aggregate distributions, the
+/// concurrency series, all scalar counters, the fault counters and the
+/// flow-0 series. Only the observability outputs (attrib, ladder_log) are
+/// left out. The golden-trace suite stores these hashes, so adding a
+/// field here intentionally invalidates goldens.
 [[nodiscard]] std::uint64_t multi_result_fingerprint(const MultiStationResult& r);
 
-/// Run every spec grid point (thread pool as run_sweep; obs frozen).
-/// Deterministic per point for any thread count.
-[[nodiscard]] std::vector<SpecSweepRun> run_spec_sweep(
-    std::vector<SpecSweepPoint> grid, const SweepOptions& opts = {});
+/// Run every grid point on `opts.threads` workers with the obs switches
+/// frozen, returning per-run results in grid order (regardless of
+/// completion order). Deterministic per point for any thread count.
+[[nodiscard]] std::vector<SpecRun> run_spec_sweep(
+    std::vector<SpecPoint> grid, const SweepOptions& opts = {});
 
 /// One spec across many seeds, named "<spec.name>/s<seed>".
-[[nodiscard]] std::vector<SpecSweepPoint> cross_spec_seeds(
+[[nodiscard]] std::vector<SpecPoint> cross_spec_seeds(
     const ScenarioSpec& spec, const std::vector<std::uint64_t>& seeds);
 
 /// Aggregate spec-sweep headline metrics, serially, in grid order:
@@ -208,7 +162,7 @@ struct SpecSweepRun {
 /// plus `mssweep.total.*`. Runs that recorded latency attribution
 /// additionally get `mssweep.<name>.stage.<stage>.{p50_us,p95_us,
 /// p99_us,count}` per populated stage.
-void export_spec_sweep_metrics(const std::vector<SpecSweepRun>& runs,
+void export_spec_sweep_metrics(const std::vector<SpecRun>& runs,
                                obs::Registry& registry);
 
 }  // namespace zhuge::app

@@ -13,9 +13,7 @@ RtpSender::RtpSender(sim::Simulator& simulator, sim::Rng& rng, net::FlowId flow,
       uids_(uids),
       out_(std::move(out)),
       encoder_(cfg.video, rng),
-      gcc_(cfg.gcc),
-      nada_(cfg.nada),
-      scream_(cfg.scream) {}
+      gcc_(cfg.gcc) {}
 
 RtpSender::~RtpSender() {
   sim_.cancel(frame_timer_);
@@ -24,14 +22,7 @@ RtpSender::~RtpSender() {
 
 void RtpSender::start() { on_frame_tick(); }
 
-double RtpSender::target_rate_bps() const {
-  switch (cfg_.rate_controller) {
-    case RtpCca::kGcc: return gcc_.target_rate_bps();
-    case RtpCca::kNada: return nada_.target_rate_bps();
-    case RtpCca::kScream: return scream_.target_rate_bps();
-  }
-  return gcc_.target_rate_bps();
-}
+double RtpSender::target_rate_bps() const { return gcc_.target_rate_bps(); }
 
 void RtpSender::on_frame_tick() {
   // All of the previous frame's paced sends have fired (their offsets are
@@ -186,17 +177,7 @@ void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
   }
   twcc_loss_base_ = max_seq + 1;
 
-  switch (cfg_.rate_controller) {
-    case RtpCca::kGcc:
-      gcc_.on_feedback(obs, sim_.now());
-      break;
-    case RtpCca::kNada:
-      nada_.on_feedback(obs, last_loss_fraction_, sim_.now());
-      break;
-    case RtpCca::kScream:
-      scream_.on_feedback(obs, last_loss_fraction_, sim_.now());
-      break;
-  }
+  gcc_.on_feedback(obs, sim_.now());
 }
 
 void RtpSender::handle_nack(const net::RtcpNack& nack) {

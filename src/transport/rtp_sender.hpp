@@ -3,15 +3,13 @@
 // feedback, §5.1/§5.3). Encodes frames at the CCA's target bitrate,
 // packetises them into RTP packets carrying TWCC sequence numbers, keeps a
 // send history for TWCC reconstruction and NACK retransmission, and feeds
-// TWCC reports into GCC (or NADA).
+// TWCC reports into GCC.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cca/gcc.hpp"
-#include "cca/nada.hpp"
-#include "cca/scream.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
 #include "stats/windowed.hpp"
@@ -27,9 +25,6 @@ using net::PacketHandler;
 using sim::Duration;
 using sim::TimePoint;
 
-/// Which rate controller drives the encoder.
-enum class RtpCca : std::uint8_t { kGcc, kNada, kScream };
-
 /// RTP sender: video pipeline + congestion control.
 class RtpSender {
  public:
@@ -39,9 +34,6 @@ class RtpSender {
     std::uint32_t header_bytes = 40;  ///< IP+UDP+RTP overhead
     rtc::VideoConfig video{};
     cca::Gcc::Config gcc{};
-    cca::Nada::Config nada{};
-    cca::Scream::Config scream{};
-    RtpCca rate_controller = RtpCca::kGcc;
     std::size_t history_packets = 2048;  ///< NACK retransmission depth
     Duration pacing_span = Duration::millis(5);  ///< frame burst spread
     /// Retransmissions may use at most this fraction of the target rate
@@ -107,8 +99,6 @@ class RtpSender {
 
   rtc::VideoEncoder encoder_;
   cca::Gcc gcc_;
-  cca::Nada nada_;
-  cca::Scream scream_;
 
   std::uint16_t next_rtp_seq_ = 0;
   std::uint16_t next_twcc_seq_ = 0;

@@ -196,7 +196,7 @@ TEST(AttribUnit, ExportMetricsPublishesStageHistograms) {
 
 TEST(AttribIntegration, FingerprintUnchangedByAttribution) {
   const auto spec = load_dense_spec();
-  std::vector<app::SpecSweepPoint> grid{{spec.name, spec, spec.seed}};
+  std::vector<app::SpecPoint> grid{{spec.name, spec, spec.seed}};
 
   const auto off = app::run_spec_sweep(grid, {.threads = 1, .attrib = false});
   const auto on = app::run_spec_sweep(grid, {.threads = 1, .attrib = true});
@@ -236,9 +236,9 @@ TEST(AttribIntegration, TraceRoundTripReproducesAggregate) {
   obs::set_tracing_enabled(true);
   obs::set_attrib_enabled(true);
 
-  const auto cfg = app::golden_scenario_config("rtp_zhuge_single");
-  ASSERT_TRUE(cfg.has_value());
-  const app::ScenarioResult live = app::run_scenario(*cfg);
+  const auto spec = app::golden_scenario_spec("rtp_zhuge_single");
+  ASSERT_TRUE(spec.has_value());
+  const app::MultiStationResult live = app::run_multi_station(*spec);
   ASSERT_FALSE(live.attrib.empty());
 
   std::ostringstream jsonl;

@@ -1,5 +1,5 @@
 // Unit tests for the congestion-control algorithms: CUBIC, Copa, BBR,
-// the ABC sender, GCC, and NADA.
+// the ABC sender, and GCC.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,6 @@
 #include "cca/copa.hpp"
 #include "cca/cubic.hpp"
 #include "cca/gcc.hpp"
-#include "cca/nada.hpp"
-#include "cca/scream.hpp"
 
 namespace zhuge::cca {
 namespace {
@@ -233,106 +231,6 @@ TEST(Gcc, TargetRespectsBounds) {
   }
   EXPECT_LE(g.target_rate_bps(), 1e6);
   EXPECT_GE(g.target_rate_bps(), 200e3);
-}
-
-TEST(Nada, RampsUpWhenUncongested) {
-  Nada n;
-  const double start = n.target_rate_bps();
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 30; ++w) {
-    n.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                  at(w * 100 + 100));
-  }
-  EXPECT_GT(n.target_rate_bps(), 2.0 * start);
-}
-
-TEST(Nada, BacksOffUnderQueuingDelay) {
-  Nada n;
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 30; ++w) {
-    n.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                  at(w * 100 + 100));
-  }
-  const double before = n.target_rate_bps();
-  for (int w = 30; w < 60; ++w) {
-    n.on_feedback(feedback_window(w * 100, 10, 150.0, 0.0, seq), 0.0,
-                  at(w * 100 + 100));
-  }
-  EXPECT_LT(n.target_rate_bps(), before);
-}
-
-TEST(Nada, LossPenaltyReducesRate) {
-  Nada n;
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 30; ++w) {
-    n.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                  at(w * 100 + 100));
-  }
-  const double before = n.target_rate_bps();
-  for (int w = 30; w < 40; ++w) {
-    n.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.2,
-                  at(w * 100 + 100));
-  }
-  EXPECT_LT(n.target_rate_bps(), before);
-}
-
-TEST(Scream, RampsUpBelowDelayTarget) {
-  Scream sc;
-  const double start = sc.target_rate_bps();
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 60; ++w) {
-    // 20 ms OWD, constant: queuing delay ~0 << 60 ms target.
-    sc.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                   at(w * 100 + 100));
-  }
-  EXPECT_GT(sc.target_rate_bps(), 2.0 * start);
-}
-
-TEST(Scream, BacksOffAboveDelayTarget) {
-  Scream sc;
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 60; ++w) {
-    sc.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                   at(w * 100 + 100));
-  }
-  const double before = sc.target_rate_bps();
-  // Queuing delay jumps 150 ms above the base: well past the 60 ms target.
-  for (int w = 60; w < 90; ++w) {
-    sc.on_feedback(feedback_window(w * 100, 10, 170.0, 0.0, seq), 0.0,
-                   at(w * 100 + 100));
-  }
-  EXPECT_LT(sc.target_rate_bps(), 0.5 * before);
-}
-
-TEST(Scream, LossEpisodeCutsOnce) {
-  Scream sc;
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 60; ++w) {
-    sc.on_feedback(feedback_window(w * 100, 10, 20.0, 0.0, seq), 0.0,
-                   at(w * 100 + 100));
-  }
-  const double before = sc.target_rate_bps();
-  sc.on_feedback(feedback_window(6000, 10, 20.0, 0.0, seq), 0.3, at(6100));
-  const double after_one = sc.target_rate_bps();
-  EXPECT_LT(after_one, before);
-  // Continued loss within the same episode must not keep cutting 0.8x
-  // per feedback (that would collapse to the floor in under a second).
-  sc.on_feedback(feedback_window(6100, 10, 20.0, 0.0, seq), 0.3, at(6200));
-  EXPECT_GT(sc.target_rate_bps(), 0.7 * after_one);
-}
-
-TEST(Scream, BaseDelayTracksRouteChange) {
-  Scream sc;
-  std::uint16_t seq = 0;
-  for (int w = 0; w < 30; ++w) {
-    sc.on_feedback(feedback_window(w * 100, 10, 120.0, 0.0, seq), 0.0,
-                   at(w * 100 + 100));
-  }
-  // A constant 120 ms OWD is a *base* delay, not queuing delay: SCReAM
-  // must still be growing (base tracked to ~120 ms).
-  EXPECT_NEAR(sc.base_owd_ms(), 120.0, 15.0);
-  const double rate_long_path = sc.target_rate_bps();
-  EXPECT_GT(rate_long_path, 1e6);
 }
 
 TEST(Names, AreStable) {

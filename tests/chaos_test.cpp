@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "app/chaos.hpp"
 #include "app/scenario.hpp"
+#include "app/sweep.hpp"
 #include "obs/invariants.hpp"
 
 namespace zhuge::app {
@@ -76,20 +78,19 @@ TEST(Chaos, ClockJumpsRecover) {
 }
 
 TEST(Chaos, FaultyRunsAreDeterministic) {
-  // Same (config, seed) must give a bit-identical faulty run: the fault
+  // Same (spec, seed) must give a bit-identical faulty run: the fault
   // substreams may not perturb (or be perturbed by) the rest of the sim.
   ChaosCase chosen;
   for (const ChaosCase& c : standard_chaos_suite(kSeed)) {
     if (c.name == "wan_burst_loss") chosen = c;
   }
-  const ScenarioResult a = run_scenario(chosen.config);
-  const ScenarioResult b = run_scenario(chosen.config);
+  const MultiStationResult a = run_multi_station(chosen.spec);
+  const MultiStationResult b = run_multi_station(chosen.spec);
+  EXPECT_GT(a.fault_drops, 0u);
+  EXPECT_EQ(multi_result_fingerprint(a), multi_result_fingerprint(b));
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.fault_drops, b.fault_drops);
-  EXPECT_EQ(a.qdisc_drops, b.qdisc_drops);
-  EXPECT_EQ(a.robustness.degrades, b.robustness.degrades);
-  EXPECT_EQ(a.robustness.flushed_acks, b.robustness.flushed_acks);
-  EXPECT_DOUBLE_EQ(a.primary().goodput_bps, b.primary().goodput_bps);
+  EXPECT_DOUBLE_EQ(a.flows.front().goodput_bps, b.flows.front().goodput_bps);
 }
 
 TEST(Chaos, CleanRunUnperturbedByFaultPlanScaffolding) {
@@ -99,15 +100,14 @@ TEST(Chaos, CleanRunUnperturbedByFaultPlanScaffolding) {
   for (const ChaosCase& c : standard_chaos_suite(kSeed)) {
     if (c.name == "downlink_blackout") chosen = c;
   }
-  ScenarioConfig clean = chosen.config;
-  clean.faults = {};
-  const ScenarioResult a = run_scenario(clean);
-  ScenarioConfig still_clean = chosen.config;
-  still_clean.faults = {};
-  still_clean.faults.downlink_wan.loss_prob = 0.0;  // explicit no-op
-  const ScenarioResult b = run_scenario(still_clean);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_DOUBLE_EQ(a.primary().goodput_bps, b.primary().goodput_bps);
+  ScenarioSpec clean = chosen.spec;
+  clean.faults = nullptr;
+  fault::FaultPlan noop;
+  noop.downlink_wan.loss_prob = 0.0;  // explicit no-op
+  ScenarioSpec still_clean = chosen.spec;
+  still_clean.faults = std::make_shared<const fault::FaultPlan>(noop);
+  EXPECT_EQ(multi_result_fingerprint(run_multi_station(clean)),
+            multi_result_fingerprint(run_multi_station(still_clean)));
 }
 
 }  // namespace

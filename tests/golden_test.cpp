@@ -69,7 +69,7 @@ TEST(Golden, CompareReportsFingerprintAndHeadlineDrift) {
 }
 
 TEST(Golden, UnknownScenarioRejected) {
-  EXPECT_FALSE(golden_scenario_config("nope").has_value());
+  EXPECT_FALSE(golden_scenario_spec("nope").has_value());
   EXPECT_FALSE(compute_golden("nope").has_value());
 }
 

@@ -11,6 +11,7 @@
 #include "app/scenario.hpp"
 #include "app/spec.hpp"
 #include "app/sweep.hpp"
+#include "obs/metrics.hpp"
 
 namespace zhuge::app {
 namespace {
@@ -198,6 +199,19 @@ TEST(MultiStation, Dense64StationSweepSerialEqualsEightThreads) {
   std::uint64_t total_quiesced = 0;
   for (const auto& run : parallel) total_quiesced += run.result.quiesced_drops;
   EXPECT_GT(total_quiesced, 0u);
+}
+
+TEST(MultiStation, FingerprintIndependentOfMetricsSwitch) {
+  // Observability must not reach the hashed state: with metrics on, the
+  // run may publish gauges but must not reorder the samples it returns.
+  const ScenarioSpec spec = small_spec();
+  const bool was = obs::metrics_enabled();
+  obs::set_metrics_enabled(false);
+  const auto off = run_multi_station(spec);
+  obs::set_metrics_enabled(true);
+  const auto on = run_multi_station(spec);
+  obs::set_metrics_enabled(was);
+  EXPECT_EQ(multi_result_fingerprint(off), multi_result_fingerprint(on));
 }
 
 TEST(MultiStation, SpecSweepMetricsExport) {

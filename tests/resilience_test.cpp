@@ -298,7 +298,7 @@ ScenarioSpec faulted_spec() {
       { "kind": "rtp_gcc", "station": 0, "zhuge": true },
       { "kind": "tcp_cubic", "station": 1, "zhuge": true }
     ],
-    "feedback_faults": {
+    "faults": {
       "ap_feedback": { "dup_prob": 0.2, "reorder_prob": 0.2,
                        "reorder_delay_ms": 8 },
       "uplink_rtcp": { "loss_prob": 0.3, "start_s": 3, "end_s": 5 }
@@ -311,7 +311,7 @@ ScenarioSpec faulted_spec() {
 // bit-identical runs on the dense 64-station churn acceptance spec.
 TEST(ResilienceEquivalence, PassThroughMatchesZhugeOffOnDenseChurn) {
   ScenarioSpec pass = dense_spec();
-  pass.zhuge_initial_ladder = obs::LadderLevel::kPassThrough;
+  pass.zhuge.watchdog.initial_level = obs::LadderLevel::kPassThrough;
   ScenarioSpec off = dense_spec();
   off.ap_mode = ApMode::kNone;
   const ObsFreeze freeze;
@@ -338,8 +338,7 @@ TEST(ResilienceDeterminism, FeedbackFaultsDivergeAcrossSeeds) {
 
 TEST(ResilienceDeterminism, FeedbackFaultsActuallyPerturbTheRun) {
   ScenarioSpec clean = faulted_spec();
-  clean.ap_feedback_fault = fault::InjectorConfig{};
-  clean.uplink_rtcp_fault = fault::InjectorConfig{};
+  clean.faults = nullptr;
   const ObsFreeze freeze;
   const auto faulted = run_multi_station(faulted_spec());
   const auto unfaulted = run_multi_station(clean);

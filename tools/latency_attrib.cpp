@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t base_seed = seed_set ? seed : spec->seed;
 
-  std::vector<app::SpecSweepPoint> grid;
+  std::vector<app::SpecPoint> grid;
   if (n_seeds > 0) {
     std::vector<std::uint64_t> seeds;
     for (std::uint64_t s = 1; s <= n_seeds; ++s) seeds.push_back(s);

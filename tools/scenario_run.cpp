@@ -95,7 +95,7 @@ int run_attrib_golden(const std::string& dir, bool update) {
   return 1;
 }
 
-void print_run(const zhuge::app::SpecSweepRun& run) {
+void print_run(const zhuge::app::SpecRun& run) {
   const auto& r = run.result;
   std::printf(
       "%-24s fp=%016llx rtt_p50=%7.1fms rtt_p99=%7.1fms "
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   }
 
   // Build the grid: one point for --seed/spec seed, or seeds 1..N.
-  std::vector<app::SpecSweepPoint> grid;
+  std::vector<app::SpecPoint> grid;
   if (n_seeds > 0) {
     std::vector<std::uint64_t> seeds;
     for (std::uint64_t s = 1; s <= n_seeds; ++s) seeds.push_back(s);
