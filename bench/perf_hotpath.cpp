@@ -163,6 +163,70 @@ void BM_SimCancelRescheduleChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCancelRescheduleChurn);
 
+/// The event queue as dense_64sta_churn loads it: ~300 live
+/// self-rescheduling events (40% of them re-arm more than 10 ms out, the
+/// rest within 10 ms) plus a population of re-armable timers whose
+/// cancel/re-arm leaves stale entries behind, so that about 45% of the
+/// heap is stale — the shape a profile of that run shows (~560 entries,
+/// ~300 live). Delays come from a fixed xorshift stream, so every run
+/// sees the same event sequence. `stale_share` reports the measured
+/// stale fraction of the heap.
+struct DenseHoldLoad {
+  static constexpr int kHolds = 300;
+  static constexpr std::size_t kTimers = 32;
+  sim::Simulator simu;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  std::vector<sim::EventId> timers = std::vector<sim::EventId>(kTimers, 0);
+  std::uint64_t timer_fires = 0;
+
+  std::uint64_t next() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  }
+  void hold() {
+    const std::uint64_t r = next();
+    const auto spread = static_cast<std::int64_t>(r >> 40);
+    simu.schedule_after((r & 0xFF) < 102 ? Duration::micros(10'000 + spread % 90'000)
+                                         : Duration::micros(10 + spread % 9'990),
+                        [this] { hold(); });
+    if (((r >> 8) & 0xFF) >= 56) return;  // 22% of holds re-arm a timer
+    const std::size_t k = (r >> 16) % kTimers;
+    simu.cancel(timers[k]);
+    timers[k] = simu.schedule_after(
+        Duration::millis(20 + static_cast<std::int64_t>((r >> 24) % 180)),
+        [this, k] {
+          timers[k] = 0;
+          ++timer_fires;
+        });
+  }
+};
+
+void BM_SimDenseHold(benchmark::State& state) {
+  DenseHoldLoad load;
+  for (int i = 0; i < DenseHoldLoad::kHolds; ++i) {
+    load.simu.schedule_after(Duration::micros(i), [&load] { load.hold(); });
+  }
+  for (int i = 0; i < 200'000; ++i) load.simu.step();  // reach steady state
+  double stale = 0.0;
+  std::uint64_t samples = 0;
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    load.simu.step();
+    if ((++n & 0x3FF) == 0) {
+      stale += 1.0 - static_cast<double>(load.simu.pending()) /
+                         static_cast<double>(load.simu.queue_size());
+      ++samples;
+    }
+  }
+  benchmark::DoNotOptimize(load.timer_fires);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["stale_share"] = samples > 0 ? stale / static_cast<double>(samples) : 0.0;
+  state.counters["heap_entries"] = static_cast<double>(load.simu.queue_size());
+}
+BENCHMARK(BM_SimDenseHold);
+
 // ---- measurement primitives ---------------------------------------------
 
 /// The per-packet Fortune Teller path: one departure record plus one
@@ -260,14 +324,14 @@ void BM_RtpMediaLoop(benchmark::State& state) {
   cfg.gcc.max_rate_bps = 20e6;
   std::unique_ptr<transport::RtpReceiver> rx;
   transport::RtpSender tx(simu, rng, net::FlowId{1, 2, 10, 20, 17}, cfg, uids,
-                          [&simu, &rx](net::Packet p) {
+                          [&simu, &rx](net::Packet&& p) {
                             simu.schedule_after(
                                 Duration::millis(10),
                                 [&rx, p = std::move(p)] { rx->on_rtp(p); });
                           });
   rx = std::make_unique<transport::RtpReceiver>(
       simu, transport::RtpReceiver::Config{}, uids,
-      [&simu, &tx](net::Packet p) {
+      [&simu, &tx](net::Packet&& p) {
         simu.schedule_after(Duration::millis(10),
                             [&tx, p = std::move(p)] { tx.on_rtcp(p); });
       },

@@ -119,7 +119,7 @@ std::size_t AccessPoint::active_station_count() const {
   return n;
 }
 
-void AccessPoint::send_feedback(Packet p) {
+void AccessPoint::send_feedback(Packet&& p) {
   if (feedback_fault_hook_) {
     feedback_fault_hook_(std::move(p));
   } else {
@@ -135,7 +135,7 @@ void AccessPoint::register_rtc_flow(const net::FlowId& flow) {
     zhuge_flows_.emplace(
         flow, std::make_unique<core::ZhugeFlow>(
                   sim_, rng_, flow, cfg_.zhuge,
-                  [this](Packet p) { send_feedback(std::move(p)); }));
+                  [this](Packet&& p) { send_feedback(std::move(p)); }));
   } else if (cfg_.mode == ApMode::kFastAck) {
     fastack_flows_.emplace(flow,
                            std::make_unique<baseline::FastAck>(cfg_.fastack));
@@ -190,7 +190,7 @@ void AccessPoint::restart_optimizer() {
       zhuge_flows_.emplace(
           flow, std::make_unique<core::ZhugeFlow>(
                     sim_, rng_, flow, cfg_.zhuge,
-                    [this](Packet p) { send_feedback(std::move(p)); }));
+                    [this](Packet&& p) { send_feedback(std::move(p)); }));
     } else if (cfg_.mode == ApMode::kFastAck) {
       fastack_flows_.emplace(flow,
                              std::make_unique<baseline::FastAck>(cfg_.fastack));
@@ -251,7 +251,7 @@ Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
                                 std::max(rate, 1e3));
 }
 
-void AccessPoint::from_wan(Packet p) {
+void AccessPoint::from_wan(Packet&& p) {
   const TimePoint now = sim_.now();
   ZHUGE_METRIC_INC("ap.downlink_packets");
   const auto it = stations_.find(p.flow.dst_ip);
@@ -321,7 +321,7 @@ void AccessPoint::on_wireless_delivered(const Packet& p, TimePoint now) {
   }
 }
 
-void AccessPoint::from_client(Packet p) {
+void AccessPoint::from_client(Packet&& p) {
   // FastAck: suppress the client's own pure ACKs for optimised flows.
   if (cfg_.mode == ApMode::kFastAck &&
       fastack_flows_.count(p.flow.reversed()) > 0 &&

@@ -105,10 +105,10 @@ class AccessPoint {
 
   /// Downlink entry: a packet arrives from the WAN (Ethernet port) and is
   /// routed to its station.
-  void from_wan(Packet p);
+  void from_wan(Packet&& p);
 
   /// Uplink entry: a packet arrives from the client over wireless.
-  void from_client(Packet p);
+  void from_client(Packet&& p);
 
   /// Interpose on the AP->sender *rewritten feedback* path: everything a
   /// ZhugeFlow emits towards the WAN (released OOB delay-token ACKs,
@@ -181,12 +181,12 @@ class AccessPoint {
     std::unique_ptr<wireless::CellularLink> cell;
     bool active = true;
 
-    bool offer(Packet p) {
+    bool offer(Packet&& p) {
       return wifi != nullptr ? wifi->offer(std::move(p)) : cell->offer(std::move(p));
     }
   };
 
-  void send_feedback(Packet p);
+  void send_feedback(Packet&& p);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
   void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
                           TimePoint now);

@@ -90,9 +90,9 @@ class MultiScenario {
   void sample_series();
   void reroll_mcs();
   void set_station_mcs(int station, int mcs);
-  void client_send_uplink(int station, Packet p);
-  void server_receive(Packet p);
-  void client_receive(Packet p);
+  void client_send_uplink(int station, Packet&& p);
+  void server_receive(Packet&& p);
+  void client_receive(Packet&& p);
   void handle_delivery_metrics(const Packet& p, MFlow& f);
 
   [[nodiscard]] static std::uint32_t station_ip(int station) {
@@ -168,21 +168,21 @@ void MultiScenario::build_injectors() {
     return inj;
   };
   namespace ss = sim::substreams;
-  const PacketHandler to_ap = [this](Packet p) { ap_->from_client(std::move(p)); };
+  const PacketHandler to_ap = [this](Packet&& p) { ap_->from_client(std::move(p)); };
   inj_downlink_wan_ =
       make(plan.downlink_wan, sim::Rng(seed_, ss::kFaultDownlinkWan), false,
-           [this](Packet p) { ap_->from_wan(std::move(p)); });
+           [this](Packet&& p) { ap_->from_wan(std::move(p)); });
   inj_uplink_wireless_ = make(plan.uplink_wireless,
                               sim::Rng(seed_, ss::kFaultUplinkWireless), false, to_ap);
   inj_downlink_wireless_ =
       make(plan.downlink_wireless, sim::Rng(seed_, ss::kFaultDownlinkWireless),
-           false, [this](Packet p) { client_receive(std::move(p)); });
+           false, [this](Packet&& p) { client_receive(std::move(p)); });
   inj_uplink_wan_ =
       make(plan.uplink_wan, sim::Rng(seed_, ss::kFaultUplinkWan), false,
-           [this](Packet p) { server_receive(std::move(p)); });
+           [this](Packet&& p) { server_receive(std::move(p)); });
   inj_ap_feedback_ =
       make(plan.ap_feedback, sim::Rng(seed_, ss::kFaultApFeedback), true,
-           [this](Packet p) { wan_up_->send(std::move(p)); });
+           [this](Packet&& p) { wan_up_->send(std::move(p)); });
   // Client uplink chain: a survivor of the feedback-only RTCP fault still
   // crosses whatever uplink-wireless impairment the plan also configures.
   const PacketHandler after_rtcp =
@@ -212,7 +212,7 @@ void MultiScenario::build() {
   wan_cfg.rate_bps = spec_.wan_rate_mbps * 1e6;
   wan_cfg.prop_delay = Duration::from_seconds(spec_.wan_one_way_ms / 1e3);
   wan_up_ = std::make_unique<net::PointToPointLink>(
-      sim_, wan_cfg, [this](Packet p) { server_receive(std::move(p)); });
+      sim_, wan_cfg, [this](Packet&& p) { server_receive(std::move(p)); });
   if (inj_uplink_wan_) wan_up_->set_fault_hook(inj_uplink_wan_->as_handler());
 
   AccessPoint::Config apcfg;
@@ -222,8 +222,8 @@ void MultiScenario::build() {
       sim_, *rng_, *medium_, apcfg,
       inj_downlink_wireless_
           ? inj_downlink_wireless_->as_handler()
-          : PacketHandler([this](Packet p) { client_receive(std::move(p)); }),
-      [this](Packet p) { wan_up_->send(std::move(p)); });
+          : PacketHandler([this](Packet&& p) { client_receive(std::move(p)); }),
+      [this](Packet&& p) { wan_up_->send(std::move(p)); });
   // AP-rewritten-feedback fault boundary: everything the optimiser emits
   // towards the WAN (released OOB delay-token ACKs, AP-built TWCC,
   // forwarded client RTCP of optimised flows) detours through this
@@ -232,7 +232,7 @@ void MultiScenario::build() {
 
   // Servers -> AP wired downlink.
   wan_down_ = std::make_unique<net::PointToPointLink>(
-      sim_, wan_cfg, [this](Packet p) { ap_->from_wan(std::move(p)); });
+      sim_, wan_cfg, [this](Packet&& p) { ap_->from_wan(std::move(p)); });
   if (inj_downlink_wan_) wan_down_->set_fault_hook(inj_downlink_wan_->as_handler());
 
   for (int i = 0; i < n_stations; ++i) build_station(i);
@@ -429,19 +429,19 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     scfg.gcc.max_rate_bps = video.max_bitrate_bps;
     f->rtp_sender = std::make_unique<transport::RtpSender>(
         sim_, *rng_, f->flow, scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
     transport::RtpReceiver::Config rcfg;
     rcfg.ssrc = scfg.ssrc;
     f->rtp_receiver = std::make_unique<transport::RtpReceiver>(
         sim_, rcfg, uids_,
-        [this, station](Packet p) { client_send_uplink(station, std::move(p)); },
+        [this, station](Packet&& p) { client_send_uplink(station, std::move(p)); },
         f->frame_stats);
     f->rtp_sender->start();
   } else {
     transport::TcpSender::Config scfg;
     f->tcp_sender = std::make_unique<transport::TcpSender>(
         sim_, f->flow, make_tcp_cca(ev.kind), scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
     // The per-packet network RTT of a TCP flow is what a server-side
     // capture measures: data departure to ACK arrival. Zhuge's held ACKs
     // shift this curve forward (paper Fig. 10) without double-counting.
@@ -472,7 +472,7 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     transport::TcpReceiver::Config rcfg;
     f->tcp_receiver = std::make_unique<transport::TcpReceiver>(
         sim_, rcfg, uids_,
-        [this, station](Packet p) { client_send_uplink(station, std::move(p)); },
+        [this, station](Packet&& p) { client_send_uplink(station, std::move(p)); },
         std::move(on_frame));
     start_tcp_source(*f);
   }
@@ -606,7 +606,7 @@ void MultiScenario::sample_series() {
   sim_.schedule_after(Duration::millis(50), [this] { sample_series(); });
 }
 
-void MultiScenario::client_send_uplink(int station, Packet p) {
+void MultiScenario::client_send_uplink(int station, Packet&& p) {
   UplinkPath& up = uplinks_[static_cast<std::size_t>(station)];
   if (up.wifi != nullptr) {
     up.wifi->offer(std::move(p));
@@ -615,7 +615,7 @@ void MultiScenario::client_send_uplink(int station, Packet p) {
   }
 }
 
-void MultiScenario::server_receive(Packet p) {
+void MultiScenario::server_receive(Packet&& p) {
   const auto it = by_flow_.find(p.flow.reversed());
   if (it == by_flow_.end()) {
     ++result_.late_packets;
@@ -670,7 +670,7 @@ void MultiScenario::handle_delivery_metrics(const Packet& p, MFlow& f) {
   }
 }
 
-void MultiScenario::client_receive(Packet p) {
+void MultiScenario::client_receive(Packet&& p) {
   const auto it = by_flow_.find(p.flow);
   if (it == by_flow_.end()) {
     ++result_.late_packets;

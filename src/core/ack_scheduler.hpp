@@ -47,7 +47,7 @@ class AckScheduler {
   /// long as callers never pass a `release` before the previous one —
   /// which the order-preserving floor in the updater guarantees (and the
   /// feedback.ack_order invariant checks).
-  void hold(net::Packet p, TimePoint release) {
+  void hold(net::Packet&& p, TimePoint release) {
     const TimePoint now = sim_.now();
     if (release < now) release = now;
     ZHUGE_INVARIANT(now, "feedback.ack_order",

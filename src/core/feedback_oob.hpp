@@ -158,7 +158,7 @@ class OobFeedbackUpdater {
   }
 
   /// Full-mode entry: compute the hold and enqueue the packet for release.
-  void schedule_feedback(net::Packet p, TimePoint now) {
+  void schedule_feedback(net::Packet&& p, TimePoint now) {
     const Duration actual = ack_delay(now);
     scheduler_->hold(std::move(p), now + actual);
   }
@@ -167,7 +167,7 @@ class OobFeedbackUpdater {
   /// order-preserving floor only. No sampling, no token consumption, no
   /// RNG draw — feedback order stays intact across the level change but
   /// no new delay is ever added.
-  void schedule_feedback_floor(net::Packet p, TimePoint now) {
+  void schedule_feedback_floor(net::Packet&& p, TimePoint now) {
     const TimePoint last = scheduler_->last_release(now);
     const Duration floor = last > now ? last - now : Duration::zero();
     last_sent_time_ = now + floor;

@@ -211,7 +211,7 @@ class ZhugeFlow {
   /// Returns the action taken (for the AP's counters). Intervention
   /// strictly weakens as the ladder level rises; at PassThrough everything
   /// passes untouched (fail-open).
-  UplinkAction handle_uplink(net::Packet p) {
+  UplinkAction handle_uplink(net::Packet&& p) {
     touch_uplink();
     if (level_ == obs::LadderLevel::kPassThrough) {
       send_feedback_(std::move(p));

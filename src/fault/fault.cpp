@@ -9,7 +9,7 @@ Injector::Injector(sim::Simulator& simulator, sim::Rng rng, InjectorConfig cfg,
                    net::PacketHandler sink)
     : sim_(simulator), rng_(rng), cfg_(std::move(cfg)), sink_(std::move(sink)) {}
 
-void Injector::handle(net::Packet p) {
+void Injector::handle(net::Packet&& p) {
   const TimePoint now = sim_.now();
 
   if (cfg_.only_feedback && !is_feedback(p)) {
@@ -62,7 +62,7 @@ void Injector::handle(net::Packet p) {
   if (probabilistic_active && cfg_.dup_prob > 0.0 && rng_.chance(cfg_.dup_prob)) {
     ++duplicated_;
     ZHUGE_METRIC_INC("fault.duplicated");
-    deliver(p, extra);  // copy; the original continues below
+    deliver(net::Packet(p), extra);  // a copy; the original continues below
   }
 
   if (probabilistic_active && cfg_.reorder_prob > 0.0 &&
@@ -84,7 +84,7 @@ void Injector::handle(net::Packet p) {
   deliver(std::move(p), extra);
 }
 
-void Injector::deliver(net::Packet p, Duration extra) {
+void Injector::deliver(net::Packet&& p, Duration extra) {
   ++passed_;
   if (extra <= Duration::zero()) {
     sink_(std::move(p));

@@ -114,11 +114,11 @@ class Injector {
            net::PacketHandler sink);
 
   /// Run one packet through the fault pipeline.
-  void handle(net::Packet p);
+  void handle(net::Packet&& p);
 
   /// Adapter for wiring into PacketHandler slots.
   [[nodiscard]] net::PacketHandler as_handler() {
-    return [this](net::Packet p) { handle(std::move(p)); };
+    return [this](net::Packet&& p) { handle(std::move(p)); };
   }
 
   // Counters (tests / chaos reporting).
@@ -148,7 +148,7 @@ class Injector {
     return false;
   }
 
-  void deliver(net::Packet p, Duration extra);
+  void deliver(net::Packet&& p, Duration extra);
 
   sim::Simulator& sim_;
   sim::Rng rng_;

@@ -12,9 +12,10 @@
 // two ~200-byte memcpys into the event engine's callback nodes per hop.
 // In-flight packets now park once in a sim::Pool and the two events carry
 // only {this, slot index}: the event nodes stay within one cache line of
-// payload and the Packet is touched exactly twice (move in at send, move
-// out at delivery). Timing, ordering, and RNG draw order are unchanged —
-// the golden fingerprint suites pin that.
+// payload. The Packet is moved once, into the pool at send; at delivery it
+// is handed to the sink by rvalue reference straight from its slot, and
+// only a consumer that parks it moves it again. Timing, ordering, and RNG
+// draw order are unchanged — the golden fingerprint suites pin that.
 
 #include <cstdint>
 #include <deque>
@@ -47,7 +48,7 @@ class PointToPointLink {
 
   /// Offer a packet to the link. Returns false if the buffer overflowed
   /// (packet dropped).
-  bool send(Packet p) {
+  bool send(Packet&& p) {
     if (cfg_.buffer_bytes >= 0 &&
         queued_bytes_ + p.size_bytes > cfg_.buffer_bytes) {
       ++drops_;
@@ -114,12 +115,15 @@ class PointToPointLink {
           rng_->uniform(0.0, cfg_.jitter_max.to_seconds()));
     }
     sim_.schedule_after(extra, [this, idx] {
-      Packet p = pool_.take(idx);
+      // Hand the parked packet off in place; a consumer that keeps it
+      // moves it out, and the slot is freed once the handler returns.
+      Packet& p = pool_.at(idx);
       if (fault_hook_) {
         fault_hook_(std::move(p));
       } else if (sink_) {
         sink_(std::move(p));
       }
+      pool_.release(idx);
     });
     transmit_next();
   }

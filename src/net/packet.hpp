@@ -148,8 +148,12 @@ struct Packet {
 };
 
 /// Anything that consumes packets. std::function keeps wiring flexible;
-/// components hand out handlers bound to member functions.
-using PacketHandler = std::function<void(Packet)>;
+/// components hand out handlers bound to member functions. The packet is
+/// handed off by rvalue reference: a hop through a handler moves nothing,
+/// and the consumer moves the packet only where it parks it (a queue, a
+/// pool slot). Sinks are `[](Packet&& p)` lambdas; to keep a packet the
+/// caller still needs, pass an explicit copy (`Packet(p)`).
+using PacketHandler = std::function<void(Packet&&)>;
 
 /// Monotonically increasing packet uid source (one per simulation).
 class PacketUidSource {

@@ -44,7 +44,7 @@ class CoDel : public Qdisc {
  public:
   explicit CoDel(CoDelConfig cfg = {}) : Qdisc("queue.codel"), cfg_(cfg) {}
 
-  bool enqueue(Packet p, TimePoint now) override {
+  bool enqueue(Packet&& p, TimePoint now) override {
     if (bytes_ + p.size_bytes > cfg_.limit_bytes) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");

@@ -14,7 +14,7 @@ class DropTailFifo : public Qdisc {
   explicit DropTailFifo(std::int64_t limit_bytes)
       : Qdisc("queue.fifo"), limit_bytes_(limit_bytes) {}
 
-  bool enqueue(Packet p, TimePoint now) override {
+  bool enqueue(Packet&& p, TimePoint now) override {
     if (limit_bytes_ >= 0 && bytes_ + p.size_bytes > limit_bytes_) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");

@@ -28,7 +28,7 @@ class FqCoDel : public Qdisc {
   FqCoDel() : FqCoDel(Config{}) {}
   explicit FqCoDel(Config cfg) : Qdisc("queue.fq_codel"), cfg_(cfg) {}
 
-  bool enqueue(Packet p, TimePoint now) override {
+  bool enqueue(Packet&& p, TimePoint now) override {
     if (total_bytes_ + p.size_bytes > cfg_.total_limit_bytes) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");

@@ -34,7 +34,7 @@ class Qdisc {
 
   /// Offer a packet. Returns false when the packet was dropped at enqueue
   /// time (tail drop); CoDel-style head drops happen inside dequeue().
-  virtual bool enqueue(Packet p, TimePoint now) = 0;
+  virtual bool enqueue(Packet&& p, TimePoint now) = 0;
 
   /// Remove the next packet chosen by the discipline, or nullopt if empty.
   virtual std::optional<Packet> dequeue(TimePoint now) = 0;

@@ -11,9 +11,11 @@
 // recycle their heap capacity (a Packet slot that once held a TWCC vector
 // keeps that vector's buffer for the next tenant).
 //
-// Same recycling idiom as the Simulator's callback-node pool: deque-backed
-// (addresses stable under growth) with a LIFO free list, so the pool grows
-// to the peak concurrent-resident count and then stops allocating.
+// Same recycling idiom as the Simulator's callback-node pool: address-stable
+// storage (here a deque) with a LIFO free list, so the pool grows to the
+// peak concurrent-resident count and then stops allocating. A resident
+// object may be handed off in place (`std::move(pool.at(i))`, then
+// release(i)) when the consumer decides whether to keep it.
 //
 // Not thread-safe, like everything else in sim/: one pool per logical
 // timeline.

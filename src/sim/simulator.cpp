@@ -1,22 +1,37 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace zhuge::sim {
 
+void Simulator::fail_admit(std::int64_t t_ns) const {
+  if (t_ns < 0) {
+    throw std::out_of_range("Simulator: event time " + std::to_string(t_ns) +
+                            " ns is negative (TimePoint overflow?)");
+  }
+  throw std::length_error("Simulator: event serial " + std::to_string(next_seq_) +
+                          " exceeds the 40-bit bound of one run");
+}
+
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = pool_[slot].next_free;
+    free_head_ = node(slot).next_free;
     return slot;
   }
-  pool_.emplace_back();
-  return static_cast<std::uint32_t>(pool_.size() - 1);
+  if (pool_size_ >= kMaxPending) {
+    throw std::length_error("Simulator: more than 2^24 events pending at once");
+  }
+  if ((pool_size_ & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<Node[]>(std::size_t{kChunkMask} + 1));
+  }
+  return pool_size_++;
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  Node& n = pool_[slot];
+  Node& n = node(slot);
   ++n.generation;  // invalidate any EventId still pointing at this slot
   if (n.generation == 0) {
     // Generation wrapped: every id this slot ever issued is about to
@@ -32,72 +47,81 @@ void Simulator::release_slot(std::uint32_t slot) {
 }
 
 // ---- 4-ary heap ------------------------------------------------------------
-// Children of i are 4i+1..4i+4. Scheduling patterns make the two sides
-// asymmetric: a freshly pushed event usually has a *later* time than most
-// of the heap (timers re-arm into the future), so sift-up almost always
-// terminates after one comparison, while pop pays the full descent — which
-// the wider fan-out halves relative to a binary heap.
+// Physical layout: the root at kRoot = 3, children of p at 4p-8 .. 4p-5,
+// parent of c at c/4 + 2. Every sibling group is one aligned 64-byte line,
+// and every slot of the last group past the end holds kMaxKey, so a sift
+// step always reads four keys. A freshly pushed event usually has a
+// *later* time than most of the heap (timers re-arm into the future), so
+// sift-up almost always stops after one compare; pop pays the full descent,
+// which the 4-way fan-out halves relative to a binary heap.
 
-void Simulator::heap_push(const QEntry& e) {
-  heap_.push_back(e);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+void Simulator::heap_push(Key k) {
+  std::size_t c = kRoot + size_;
+  if (c >= heap_.size()) heap_.resize((c & ~std::size_t{3}) + 4, kMaxKey);
+  ++size_;
+  Key* const h = heap_.data();
+  while (c > kRoot) {
+    const std::size_t parent = (c >> 2) + 2;
+    if (!(k < h[parent])) break;
+    h[c] = h[parent];
+    c = parent;
   }
-  heap_[i] = e;
+  h[c] = k;
 }
 
-void Simulator::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const QEntry* const h = heap_.data();
-  const QEntry e = h[i];
+// Index (0..3) and value of the smallest of g[0..3], without branches: the
+// pair-wise winners, then the final, each picked with masks. Written with
+// ?: the compiler emits jumps, which mispredict about half the time on heap
+// keys; picking only the index and reloading the value serialises each
+// level on a dependent load.
+std::size_t Simulator::min_of_4(const Key* g, Key& m) {
+  const auto lo = [](Key k) { return static_cast<std::uint64_t>(k); };
+  const auto hi = [](Key k) { return static_cast<std::uint64_t>(k >> 64); };
+  const Key a = g[0], b = g[1], c = g[2], d = g[3];
+  const std::uint64_t take_b = -static_cast<std::uint64_t>(b < a);
+  const std::uint64_t take_d = -static_cast<std::uint64_t>(d < c);
+  const Key m1 = (Key{hi(a) ^ ((hi(a) ^ hi(b)) & take_b)} << 64) |
+                 (lo(a) ^ ((lo(a) ^ lo(b)) & take_b));
+  const Key m2 = (Key{hi(c) ^ ((hi(c) ^ hi(d)) & take_d)} << 64) |
+                 (lo(c) ^ ((lo(c) ^ lo(d)) & take_d));
+  const std::uint64_t take_2 = -static_cast<std::uint64_t>(m2 < m1);
+  m = m1 ^ ((m1 ^ m2) & ((Key{take_2} << 64) | take_2));
+  const std::size_t i1 = take_b & 1;
+  const std::size_t i2 = 2 + (take_d & 1);
+  return i1 ^ ((i1 ^ i2) & take_2);
+}
+
+void Simulator::sift_down(std::size_t p, Key k) {
+  Key* const h = heap_.data();
+  const std::size_t end = kRoot + size_;
   for (;;) {
-    const std::size_t first = (i << 2) + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    // Straight-line min-of-4 for full sibling groups; the generic loop
-    // below is only the boundary case. (Kept explicit: a variable-trip
-    // inner loop here gets unrolled into slower code at -O3.)
-    if (n - first >= 4) {
-      if (earlier(h[first + 1], h[best])) best = first + 1;
-      if (earlier(h[first + 2], h[best])) best = first + 2;
-      if (earlier(h[first + 3], h[best])) best = first + 3;
-    } else {
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (earlier(h[c], h[best])) best = c;
-      }
-    }
-    if (!earlier(h[best], e)) break;
-    heap_[i] = h[best];
-    i = best;
+    const std::size_t first = 4 * p - 8;
+    if (first >= end) break;
+    Key m;
+    const std::size_t i = min_of_4(h + first, m);
+    if (!(m < k)) break;
+    h[p] = m;
+    p = first + i;
   }
-  heap_[i] = e;
+  h[p] = k;
 }
 
-void Simulator::heap_pop_front() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (heap_.size() > 1) sift_down(0);
-}
-
-void Simulator::rebuild_heap() {
-  if (heap_.size() < 2) return;
-  for (std::size_t i = (heap_.size() - 2) >> 2; i != static_cast<std::size_t>(-1); --i) {
-    sift_down(i);
-  }
+void Simulator::pop_root() {
+  --size_;
+  const std::size_t last = kRoot + size_;
+  const Key k = heap_[last];
+  heap_[last] = kMaxKey;
+  if (size_ != 0) sift_down(kRoot, k);
 }
 
 // ---- scheduling ------------------------------------------------------------
 
-EventId Simulator::enqueue(TimePoint t, std::uint32_t slot, Node& n) {
-  if (t < now_) t = now_;
+EventId Simulator::enqueue(std::int64_t t_ns, std::uint32_t slot, Node& n) {
   n.seq = next_seq_++;
   ++scheduled_;
   ++pending_count_;
-  heap_push(QEntry{(n.seq << kSlotBits) | slot, t.count_ns()});
+  heap_push((Key{static_cast<std::uint64_t>(t_ns)} << 64) | (n.seq << kSlotBits) |
+            slot);
   return make_id(n.generation, slot);
 }
 
@@ -105,8 +129,8 @@ bool Simulator::cancel(EventId id) {
   const std::uint32_t low = static_cast<std::uint32_t>(id);
   if (low == 0) return false;
   const std::uint32_t slot = low - 1;
-  if (slot >= pool_.size()) return false;
-  Node& n = pool_[slot];
+  if (slot >= pool_size_) return false;
+  Node& n = node(slot);
   if (n.seq == 0 || n.generation != static_cast<std::uint32_t>(id >> 32)) {
     return false;  // already fired, already cancelled, or recycled slot
   }
@@ -124,27 +148,40 @@ void Simulator::maybe_compact() {
   // stale entries behind. Sweep them out when they outnumber live ones
   // 4:1 so the heap stays O(pending) even over billion-event runs; the
   // floor of 64 keeps tiny queues from compacting constantly.
-  if (heap_.size() <= 64 || heap_.size() <= 4 * pending_count_) return;
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const QEntry& e) { return !live(e); }),
-              heap_.end());
-  rebuild_heap();
+  if (size_ <= 64 || size_ <= 4 * pending_count_) return;
+  const std::size_t end = kRoot + size_;
+  std::size_t out = kRoot;
+  for (std::size_t i = kRoot; i < end; ++i) {
+    if (live(heap_[i])) heap_[out++] = heap_[i];
+  }
+  for (std::size_t i = out; i < end; ++i) heap_[i] = kMaxKey;
+  size_ = out - kRoot;
+  // Bottom-up rebuild: sift every internal node, last parent first.
+  if (size_ < 2) return;
+  for (std::size_t p = ((out - 1) >> 2) + 2; p >= kRoot; --p) sift_down(p, heap_[p]);
 }
 
-bool Simulator::step() {
-  while (!heap_.empty()) {
-    const QEntry e = heap_.front();
-    heap_pop_front();
-    const std::uint32_t slot = static_cast<std::uint32_t>(e.seqslot & kSlotMask);
-    Node& n = pool_[slot];
-    if (n.seq != (e.seqslot >> kSlotBits)) continue;  // cancelled; stale
+// ---- firing ----------------------------------------------------------------
+
+bool Simulator::fire_next(Key limit) {
+  while (size_ != 0) {
+    const Key top = heap_[kRoot];
+    const auto seqslot = static_cast<std::uint64_t>(top);
+    const auto slot = static_cast<std::uint32_t>(seqslot & kSlotMask);
+    Node& n = node(slot);
+    if (n.seq != (seqslot >> kSlotBits)) {  // cancelled; stale
+      pop_root();
+      continue;
+    }
+    if (top > limit) return false;
+    pop_root();
     n.seq = 0;
     --pending_count_;
-    now_ = TimePoint{e.t_ns};
+    now_ = TimePoint{static_cast<std::int64_t>(top >> 64)};
     ++executed_;
-    // Run the callback in place: the pool is a deque, so nested
-    // schedule_at() growing it cannot move this node, and the slot is
-    // only released (and thus reusable) after the callback returns.
+    // Run the callback in place: pool chunks never move, so nested
+    // schedule_at() growing the pool cannot move this node, and the slot
+    // is only released (and thus reusable) after the callback returns.
     // operator() consumes the callable (invoke + destroy, one dispatch).
     n.fn();
     release_slot(slot);
@@ -155,17 +192,18 @@ bool Simulator::step() {
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && step()) {
+  while (!stopped_ && fire_next(kMaxKey)) {
   }
 }
 
 void Simulator::run_until(TimePoint end) {
   stopped_ = false;
-  while (!stopped_) {
-    // Peek past stale (cancelled) entries without firing anything late.
-    while (!heap_.empty() && !live(heap_.front())) heap_pop_front();
-    if (heap_.empty() || heap_.front().t_ns > end.count_ns()) break;
-    step();
+  // Every key at time `end` is <= (end << 64 | all-ones): fire up to there.
+  const Key limit = end.count_ns() < 0
+                        ? Key{0}
+                        : (Key{static_cast<std::uint64_t>(end.count_ns())} << 64) |
+                              ~std::uint64_t{0};
+  while (!stopped_ && fire_next(limit)) {
   }
   if (now_ < end) now_ = end;
 }

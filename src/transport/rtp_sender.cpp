@@ -76,7 +76,7 @@ void RtpSender::on_frame_tick() {
       sim_.schedule_after(encoder_.frame_interval(), [this] { on_frame_tick(); });
 }
 
-void RtpSender::send_packet(Packet p, Duration offset) {
+void RtpSender::send_packet(Packet&& p, Duration offset) {
   // Record send history at the *scheduled* departure time.
   const TimePoint departure = sim_.now() + offset;
   twcc_history_.push_back() = {departure, p.size_bytes};
@@ -96,9 +96,11 @@ void RtpSender::send_packet(Packet p, Duration offset) {
   } else {
     const sim::Pool<Packet>::Index idx = paced_pool_.put(std::move(p));
     pacing_timers_.push_back(sim_.schedule_after(offset, [this, idx] {
-      Packet pkt = paced_pool_.take(idx);
+      // Hand the parked packet off in place; the slot is freed after.
+      Packet& pkt = paced_pool_.at(idx);
       pkt.sent_time = sim_.now();
       out_(std::move(pkt));
+      paced_pool_.release(idx);
     }));
   }
 }

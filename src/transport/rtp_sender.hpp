@@ -86,7 +86,7 @@ class RtpSender {
 
  private:
   void on_frame_tick();
-  void send_packet(Packet p, Duration offset);
+  void send_packet(Packet&& p, Duration offset);
   void handle_twcc(const net::TwccFeedback& fb);
   void handle_nack(const net::RtcpNack& nack);
 

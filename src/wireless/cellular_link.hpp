@@ -44,7 +44,7 @@ class CellularLink {
 
   /// Enqueue for the next scheduling opportunity. Returns false when the
   /// qdisc tail-dropped the packet.
-  bool offer(Packet p) {
+  bool offer(Packet&& p) {
     p.ap_enqueue_time = sim_.now();
     const bool accepted = qdisc_.enqueue(std::move(p), sim_.now());
     if (!ticking_) {

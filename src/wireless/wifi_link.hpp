@@ -58,7 +58,7 @@ class WifiLink {
 
   /// Enqueue a packet for wireless transmission. Returns false when the
   /// qdisc tail-dropped it.
-  bool offer(Packet p) {
+  bool offer(Packet&& p) {
     p.ap_enqueue_time = sim_.now();
     const bool accepted = qdisc_.enqueue(std::move(p), sim_.now());
     kick();
@@ -124,7 +124,7 @@ class WifiLink {
       if (!p.has_value()) break;  // AQM head-dropped everything pending
       if (on_dequeue_) on_dequeue_(*p, now);
       bytes += p->size_bytes;
-      frame_.push_back(Mpdu{std::move(*p), 0});
+      frame_.emplace_back(std::move(*p), 0);
     }
 
     // First transmission attempt for every MPDU not already stamped (fresh

@@ -8,12 +8,18 @@
 //    and random retreats;
 //  * synthetic ABW traces — seed-determinism, class rate envelopes, and
 //    rate_at() piecewise/sample-and-hold consistency (the eval matrix's
-//    trace axis leans on all three).
+//    trace axis leans on all three);
+//  * Simulator — fires in exactly the (time, scheduling order) sequence of
+//    an ordered-set reference model under random schedules, cancels,
+//    steps, bounded runs and stops.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/ack_scheduler.hpp"
@@ -160,7 +166,7 @@ TEST(PropAckScheduler, NeverReordersUnderRandomHoldsAndRetreats) {
     sched.flush();
 
     ASSERT_EQ(released.size(), static_cast<std::size_t>(holds));
-    // Release order must equal hold order — uids were issued 1..N.
+    // Release order must equal hold order — uids were minted 1..N.
     EXPECT_TRUE(std::is_sorted(released.begin(), released.end()))
         << "feedback reordered";
   });
@@ -254,6 +260,151 @@ TEST(PropSyntheticTrace, RateAtMatchesSampleAndHold) {
       ASSERT_EQ(t.rate_at(at), t.rate_at(TimePoint{ns + span_ns}));
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Simulator event order
+// ---------------------------------------------------------------------------
+
+// The engine promises strict (time, scheduling order) firing, so a
+// std::set of (t_ns, serial) pairs is a complete reference model. Each
+// event checks, as it fires, that it is the model's head: any priority
+// queue that breaks a tie, loses a cancel, resurrects a stale entry or
+// mis-orders after compaction fails here at the first wrong event.
+TEST(PropSimulator, FiringOrderMatchesOrderedSetModel) {
+  std::uint64_t compactions = 0;  // cancels that swept the queue
+  prop::for_all(prop::Config{.iterations = 60}, [&compactions](sim::Rng& rng, int) {
+    using Key = std::pair<std::int64_t, std::uint64_t>;  // (t_ns, serial)
+    sim::Simulator simu;
+    std::set<Key> model;
+    std::vector<std::pair<sim::EventId, Key>> minted;  // every id ever handed out
+    std::uint64_t next_serial = 0;
+    std::int64_t model_now = 0;
+    bool stop_requested = false;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+
+    // Tie-heavy delays: most land on an already-used nanosecond.
+    const auto delay = [&rng]() -> std::int64_t {
+      switch (rng.uniform_int(8)) {
+        case 0: case 1: case 2: return 0;
+        case 3: return 1;
+        case 4: return 2;
+        case 5: return 1'000;
+        case 6: return static_cast<std::int64_t>(rng.uniform_int(50'000));
+        default: return 10'000'000 + static_cast<std::int64_t>(rng.uniform_int(1'000));
+      }
+    };
+
+    std::function<void(std::int64_t, int)> schedule = [&](std::int64_t t, int depth) {
+      const bool child = depth < 3 && rng.chance(0.3);
+      const std::int64_t child_delay = child ? delay() : 0;
+      const bool stops = rng.chance(0.03);
+      const Key key{std::max(t, model_now), next_serial++};
+      const sim::EventId id = simu.schedule_at(
+          TimePoint::zero() + Duration::nanos(t),
+          [&, key, child, child_delay, stops, depth] {
+            if (model.empty() || *model.begin() != key) {
+              ADD_FAILURE() << "fired (" << key.first << ", " << key.second
+                            << ") but the model's head is "
+                            << (model.empty() ? std::string("empty")
+                                              : std::to_string(model.begin()->first) + ", " +
+                                                    std::to_string(model.begin()->second));
+            }
+            model.erase(key);
+            model_now = key.first;
+            EXPECT_EQ(simu.now().count_ns(), key.first);
+            ++fired;
+            if (child) schedule(key.first + child_delay, depth + 1);
+            if (stops) {
+              stop_requested = true;
+              simu.stop();
+            }
+          });
+      model.insert(key);
+      minted.emplace_back(id, key);
+    };
+
+    const auto check_state = [&] {
+      EXPECT_EQ(simu.pending(), model.size());
+      EXPECT_EQ(simu.now().count_ns(), model_now);
+    };
+
+    for (int op = 0; op < 400 && !::testing::Test::HasFailure(); ++op) {
+      const std::uint32_t pick = rng.uniform_int(100);
+      if (pick < 35) {
+        // Some requests land in the past and must clamp to now.
+        schedule(model_now + delay() - (rng.chance(0.1) ? 5 : 0), 0);
+      } else if (pick < 55) {
+        if (rng.chance(0.05)) {
+          EXPECT_FALSE(simu.cancel(0));  // never minted
+        } else if (!minted.empty()) {
+          // Live, already fired, already cancelled, or a handle whose
+          // slot a newer event now occupies: only a live one cancels.
+          const auto& [id, key] = minted[rng.uniform_int(static_cast<std::uint32_t>(minted.size()))];
+          const bool live = model.count(key) > 0;
+          EXPECT_EQ(simu.cancel(id), live);
+          if (live) {
+            model.erase(key);
+            ++cancelled;
+            EXPECT_LE(simu.queue_size(), 4 * simu.pending() + 64);
+          }
+        }
+      } else if (pick < 67) {
+        stop_requested = false;
+        EXPECT_EQ(simu.step(), !model.empty());
+      } else if (pick < 82) {
+        const std::int64_t end = model_now + delay();
+        stop_requested = false;
+        simu.run_until(TimePoint::zero() + Duration::nanos(end));
+        model_now = std::max(model_now, end);
+        if (!stop_requested && !model.empty()) {
+          EXPECT_GT(model.begin()->first, end);
+        }
+        // Schedule between the boundary and the head the engine peeked.
+        if (!model.empty() && model.begin()->first > model_now) {
+          const auto gap = static_cast<std::uint32_t>(
+              std::min<std::int64_t>(model.begin()->first - model_now, 1 << 30));
+          for (int i = 0; i < 3; ++i) schedule(model_now + rng.uniform_int(gap), 0);
+        }
+      } else if (pick < 85) {
+        stop_requested = false;
+        simu.run();
+        if (!stop_requested) {
+          EXPECT_TRUE(model.empty());
+        }
+      } else {
+        // Cancel churn: far-future timers that almost all die pending,
+        // enough of them to push stale entries past the 4:1 compaction
+        // trigger.
+        const std::size_t first = minted.size();
+        for (int i = 0; i < 120; ++i) schedule(model_now + 1'000'000'000 + i % 7, 0);
+        for (std::size_t i = first; i < minted.size(); ++i) {
+          if (rng.chance(0.9) && model.count(minted[i].second) > 0) {
+            const std::size_t before = simu.queue_size();
+            EXPECT_TRUE(simu.cancel(minted[i].first));
+            if (simu.queue_size() + 1 < before) ++compactions;
+            model.erase(minted[i].second);
+            ++cancelled;
+            EXPECT_LE(simu.queue_size(), 4 * simu.pending() + 64);
+          }
+        }
+      }
+      check_state();
+    }
+
+    // Drain: whatever stops along the way, everything left fires in order
+    // and the stale entries go with it.
+    do {
+      simu.run();
+    } while (simu.pending() > 0 && !::testing::Test::HasFailure());
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(fired + cancelled, next_serial);
+    EXPECT_EQ(simu.events_executed(), fired);
+    EXPECT_EQ(simu.events_cancelled(), cancelled);
+    EXPECT_EQ(simu.queue_size(), 0u);
+  });
+  EXPECT_GT(compactions, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -297,6 +298,26 @@ TEST(Simulator, GenerationWraparoundNeverRevalidatesAncientId) {
   EXPECT_FALSE(sim.cancel(ancient_id));
   sim.run();
   EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, SerialBoundFailsLoudly) {
+  // A queue entry packs a 40-bit event serial over a 24-bit slot. Past
+  // 2^40 - 1 the serial would spill into the slot bits and alias another
+  // event's order and liveness, so scheduling must throw instead. The
+  // test hook jumps the serial rather than scheduling 2^40 real events.
+  Simulator sim;
+  sim.set_next_serial_for_test(Simulator::kMaxSerial - 1);
+  std::vector<int> order;
+  sim.schedule_after(1_ms, [&] { order.push_back(1); });
+  sim.schedule_after(1_ms, [&] { order.push_back(2); });  // the last legal serial
+  EXPECT_THROW(sim.schedule_after(1_ms, [&] { order.push_back(3); }),
+               std::length_error);
+  EXPECT_EQ(sim.pending(), 2u);  // the refused event left no trace
+  EXPECT_EQ(sim.events_scheduled(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // the top serials still order FIFO
+  EXPECT_THROW(sim.schedule_after(1_ms, [] {}), std::length_error);
+  EXPECT_EQ(sim.pool_slots(), 2u);
 }
 
 TEST(Callback, TypicalEventClosuresStayInline) {
