@@ -68,6 +68,8 @@ bool mechanism_acts_on(ApMode mechanism, EvalCca cca) {
   return false;
 }
 
+}  // namespace
+
 EvalCell run_eval_cell(const EvalCellSpec& cs) {
   const MultiStationResult r = run_multi_station(cs.scenario);
 
@@ -105,6 +107,8 @@ EvalCell run_eval_cell(const EvalCellSpec& cs) {
   c.fingerprint = eval_cell_fingerprint(c);
   return c;
 }
+
+namespace {
 
 /// Axis-point key ("W1/gcc/d4") the headline comparisons pair cells by.
 std::string point_key(const EvalCell& c) {

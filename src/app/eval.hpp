@@ -140,6 +140,11 @@ struct EvalMatrixResult {
   std::uint64_t fingerprint = 0;      ///< chained cell fingerprints
 };
 
+/// Run one cell and judge it. `result_fingerprint` is the
+/// multi_result_fingerprint of the cell's run, the same hash any other
+/// caller of that run computes.
+[[nodiscard]] EvalCell run_eval_cell(const EvalCellSpec& cs);
+
 /// Run every cell on the indexed pool (obs frozen) and chain the cell
 /// fingerprints serially in grid order. Bit-identical for any `threads`.
 [[nodiscard]] EvalMatrixResult run_eval_matrix(

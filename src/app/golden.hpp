@@ -6,9 +6,9 @@
 // plus a handful of headline metrics. The fingerprint catches ANY
 // behavioural drift — one packet scheduled one microsecond differently
 // anywhere in the stack changes the hash — while the stored headline
-// metrics let the drift report say what moved, not just that something
-// did. Records live in tests/golden/*.json and are refreshed with
-// `scenario_run --update-golden` when a change is intentional.
+// metrics say what moved, and pin what the hash leaves out (the engine's
+// events_executed). Records live in tests/golden/*.json and are refreshed
+// with `scenario_run --update-golden` when a change is intentional.
 
 #include <cstdint>
 #include <map>
@@ -26,8 +26,8 @@ struct GoldenRecord {
   std::string name;
   std::uint64_t seed = 1;
   std::uint64_t fingerprint = 0;
-  /// Headline metrics captured when the record was made (diagnostics for
-  /// drift reports; the fingerprint alone decides pass/fail).
+  /// Headline metrics captured when the record was made; each must match
+  /// exactly, like the fingerprint.
   std::map<std::string, double> headline;
 };
 
@@ -41,14 +41,16 @@ struct GoldenRecord {
 [[nodiscard]] std::optional<ScenarioSpec> golden_scenario_spec(
     const std::string& name);
 
-/// Run a canonical scenario (under an ObsFreeze, so the fingerprint is
-/// what a parallel sweep would produce) and build its record.
+/// Run a canonical scenario and build its record. The fingerprint is the
+/// one a sweep, an eval cell or any reader order would produce: it hashes
+/// behaviour only, so neither the obs switches nor quantile reads move it.
 [[nodiscard]] std::optional<GoldenRecord> compute_golden(
     const std::string& name);
 
 /// Compare two records. Empty result = match; otherwise one
-/// human-readable line per mismatch (fingerprint first, then any
-/// headline metric whose value moved).
+/// human-readable line per mismatch (fingerprint first, then every
+/// headline metric that moved, is missing or is new), whether or not the
+/// fingerprint matched.
 [[nodiscard]] std::vector<std::string> compare_golden(
     const GoldenRecord& expected, const GoldenRecord& actual);
 

@@ -401,6 +401,7 @@ void MultiScenario::arrive(const FlowEvent& ev) {
   if (spec_.series && ev.index == 0) series_flow_ = fp;
   f->frame_stats.set_observer([this, fp](TimePoint capture, TimePoint decode) {
     const double delay_ms = (decode - capture).to_millis();
+    // Kept apart from the per-flow frame_delay_ms, which has no warmup cut.
     if (decode >= warmup_end_) result_.agg_frame_delay_ms.add(delay_ms);
     if (fp == series_flow_) result_.series.frame_delay_ms.record(decode, delay_ms);
   });
@@ -446,10 +447,7 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     // capture measures: data departure to ACK arrival. Zhuge's held ACKs
     // shift this curve forward (paper Fig. 10) without double-counting.
     f->tcp_sender->set_rtt_observer([this, fp](Duration rtt, TimePoint now) {
-      if (now >= warmup_end_) {
-        fp->network_rtt_ms.add(rtt.to_millis());
-        result_.agg_network_rtt_ms.add(rtt.to_millis());
-      }
+      if (now >= warmup_end_) fp->network_rtt_ms.add(rtt.to_millis());
       if (fp == series_flow_) result_.series.rtt_ms.record(now, rtt.to_millis());
     });
     transport::TcpReceiver::FrameCallback on_frame;
@@ -649,9 +647,7 @@ void MultiScenario::handle_delivery_metrics(const Packet& p, MFlow& f) {
   if (f.rtp_sender != nullptr) {
     // RTP network RTT: downlink OWD plus the latest measured uplink OWD
     // (TCP flows record sender-side RTT samples instead).
-    const double rtt_ms = down_ms + f.last_uplink_owd_ms;
-    f.network_rtt_ms.add(rtt_ms);
-    result_.agg_network_rtt_ms.add(rtt_ms);
+    f.network_rtt_ms.add(down_ms + f.last_uplink_owd_ms);
   }
   if (p.predicted_delay_ms >= 0.0) {
     const double actual_ms = (now - p.ap_enqueue_time).to_millis();
@@ -709,6 +705,15 @@ MultiStationResult MultiScenario::run() {
     sim_.cancel(f->tick_id);
     finalize_flow(*f);
   }
+  // Each RTT sample is stored once, per flow; the aggregate is their union.
+  std::size_t rtt_samples = 0;
+  for (const MultiFlowResult& fr : result_.flows) {
+    rtt_samples += fr.network_rtt_ms.count();
+  }
+  result_.agg_network_rtt_ms.reserve(rtt_samples);
+  for (const MultiFlowResult& fr : result_.flows) {
+    result_.agg_network_rtt_ms.add_all(fr.network_rtt_ms);
+  }
 
   const int n_stations = spec_.station_count();
   for (int i = 0; i < n_stations; ++i) {
@@ -725,10 +730,7 @@ MultiStationResult MultiScenario::run() {
   result_.invariant_violations =
       obs::invariants().total() - invariants_at_start_;
 
-  // Run-summary gauges. Distribution quantiles are deliberately absent:
-  // a quantile sorts its samples in place, which would make the hashed
-  // sample order depend on the metrics switch (export_spec_sweep_metrics
-  // publishes them after fingerprinting instead).
+  // Run-summary gauges.
   ZHUGE_METRIC_SET("mstation.flows_total", double(result_.flows.size()));
   ZHUGE_METRIC_SET("mstation.qdisc_drops", double(result_.qdisc_drops));
   ZHUGE_METRIC_SET("mstation.events_executed", double(result_.events_executed));

@@ -45,13 +45,14 @@ struct StationResult {
 
 /// Everything a run produces. Every simulated field feeds
 /// multi_result_fingerprint, so each is part of the bit-identity contract;
-/// only the observability outputs `attrib` and `ladder_log` stay out.
+/// only the observability outputs `attrib` and `ladder_log` and the
+/// engine bookkeeping `events_executed` stay out.
 struct MultiStationResult {
   std::string name;
   std::uint64_t seed = 0;
   std::vector<MultiFlowResult> flows;     ///< one per scheduled flow
   std::vector<StationResult> stations;    ///< station index order
-  stats::Distribution agg_network_rtt_ms; ///< all flows, post-warmup
+  stats::Distribution agg_network_rtt_ms; ///< every flow's network_rtt_ms
   stats::Distribution agg_frame_delay_ms;
   stats::Distribution prediction_error_ms;
   stats::TimeSeries active_flows;         ///< concurrency, sampled 100 ms
@@ -60,7 +61,7 @@ struct MultiStationResult {
   std::uint64_t late_packets = 0;         ///< arrived after their flow left
   std::uint64_t qdisc_drops = 0;          ///< sum over stations
   std::uint64_t quiesced_drops = 0;       ///< black-holed at left stations
-  std::uint64_t events_executed = 0;
+  std::uint64_t events_executed = 0;      ///< bookkeeping; not hashed
   std::uint64_t flushed_acks_at_end = 0;
   std::uint64_t stranded_acks = 0;
   std::uint64_t invariant_violations = 0;

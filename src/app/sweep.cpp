@@ -47,7 +47,8 @@ ObsFreeze::~ObsFreeze() {
 
 std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   // Field order mirrors the MultiStationResult declaration; every simulated
-  // output participates so the hash IS the bit-identity contract.
+  // output participates so the hash IS the bit-identity contract. The
+  // event count is how the engine got there, not what it produced.
   Fnv f;
   f.u64(r.seed);
   f.u64(r.flows.size());
@@ -81,7 +82,6 @@ std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   f.u64(r.late_packets);
   f.u64(r.qdisc_drops);
   f.u64(r.quiesced_drops);
-  f.u64(r.events_executed);
   f.u64(r.flushed_acks_at_end);
   f.u64(r.stranded_acks);
   f.u64(r.invariant_violations);

@@ -45,9 +45,31 @@ struct Fnv {
   void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
+  /// splitmix64's finaliser: a bijection that spreads every input bit
+  /// over the whole word before the commutative folds in dist().
+  static constexpr std::uint64_t mix64(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+  /// A Distribution enters as the multiset of its samples, because the
+  /// order of samples() is unspecified (any read may sort them in place):
+  /// the count, then a wrapping sum and a rotate-xor of each sample's
+  /// mixed bit pattern. Both folds commute, so no read before or after
+  /// hashing moves the digest; the sum sees duplicate pairs that the xor
+  /// cancels; each sample is still bit-exact, so -0.0 vs 0.0 differ.
   void dist(const stats::Distribution& d) {
+    std::uint64_t sum = 0;
+    std::uint64_t rx = 0;
+    for (const double v : d.samples()) {
+      const std::uint64_t m = mix64(std::bit_cast<std::uint64_t>(v));
+      sum += m;
+      rx ^= std::rotl(m, 32);
+    }
     u64(d.count());
-    for (const double v : d.samples()) f64(v);
+    u64(sum);
+    u64(rx);
   }
   void series(const stats::TimeSeries& s) {
     u64(s.points().size());
@@ -100,10 +122,10 @@ struct SweepOptions {
 /// RAII freeze of the process-global obs switches (metrics, tracing,
 /// invariant counting): all three are forced off at construction and the
 /// previous switch states restored at destruction. Every parallel runner
-/// holds one for the duration of its pool — the registries are shared and
-/// unsynchronized — and anything computing fingerprints (golden records,
-/// tests) holds one so a run observes the same global state serially or
-/// under a pool. Non-copyable, non-movable.
+/// holds one for the duration of its pool, because the registries are
+/// shared and unsynchronized. Fingerprints do not need one: no switch
+/// changes a simulated output, and no read changes a hash.
+/// Non-copyable, non-movable.
 class ObsFreeze {
  public:
   ObsFreeze();
@@ -138,11 +160,14 @@ struct SpecRun {
 };
 
 /// FNV-1a64 over the bit patterns of every simulated field of `r`:
-/// per-flow and per-station outputs, aggregate distributions, the
-/// concurrency series, all scalar counters, the fault counters and the
-/// flow-0 series. Only the observability outputs (attrib, ladder_log) are
-/// left out. The golden-trace suite stores these hashes, so adding a
-/// field here intentionally invalidates goldens.
+/// per-flow and per-station outputs, aggregate distributions (each as a
+/// sample multiset, see Fnv::dist), the concurrency series, the scalar
+/// counters, the fault counters and the flow-0 series. Behaviour only:
+/// the observability outputs (attrib, ladder_log) and the engine's
+/// bookkeeping (events_executed, pinned as a golden headline instead) are
+/// left out, and no Distribution read before or after the call moves it.
+/// The golden-trace suite stores these hashes, so adding a field here
+/// intentionally invalidates goldens.
 [[nodiscard]] std::uint64_t multi_result_fingerprint(const MultiStationResult& r);
 
 /// Run every grid point on `opts.threads` workers with the obs switches

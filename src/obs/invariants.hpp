@@ -98,10 +98,10 @@ class InvariantChecker {
 /// Default-on in Debug builds so every ctest run checks the properties;
 /// default-off in Release so the hot paths pay one predictable branch.
 #ifndef NDEBUG
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze before any run, never result-affecting
+// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
 inline bool g_invariants_enabled = true;
 #else
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze before any run, never result-affecting
+// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
 inline bool g_invariants_enabled = false;
 #endif
 

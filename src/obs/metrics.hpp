@@ -212,7 +212,7 @@ class Registry {
 
 /// Runtime switch read on every instrumented hot path; off by default so an
 /// uninstrumented run pays one predictable branch per hook.
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze before any run, never result-affecting
+// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
 inline bool g_metrics_enabled = false;
 
 [[nodiscard]] inline bool metrics_enabled() { return g_metrics_enabled; }

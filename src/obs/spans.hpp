@@ -88,7 +88,7 @@ struct FrameSpan {
 
 /// Runtime switch read by every span stamp; off by default and frozen off
 /// by app::ObsFreeze alongside the other obs switches.
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze before any run, never result-affecting
+// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
 inline bool g_attrib_enabled = false;
 
 [[nodiscard]] inline bool attrib_enabled() { return g_attrib_enabled; }

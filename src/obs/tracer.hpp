@@ -106,7 +106,7 @@ class Tracer {
 
 // ---- global instance + runtime switch ------------------------------------
 
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze before any run, never result-affecting
+// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
 inline bool g_tracing_enabled = false;
 
 [[nodiscard]] inline bool tracing_enabled() { return g_tracing_enabled; }

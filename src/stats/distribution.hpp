@@ -11,13 +11,23 @@
 namespace zhuge::stats {
 
 /// Accumulates double samples; answers quantile / tail-ratio queries.
-/// Sorting is lazy and cached.
+/// Sorting is lazy and cached: the order-statistic reads sort the samples
+/// in place, so a Distribution is a multiset and its sample order is
+/// never part of its value.
 class Distribution {
  public:
   void add(double v) {
     samples_.push_back(v);
     sorted_ = false;
   }
+
+  /// Add every sample of `other` (the multiset union).
+  void add_all(const Distribution& other) {
+    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    if (!other.empty()) sorted_ = false;
+  }
+
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
@@ -78,6 +88,8 @@ class Distribution {
   /// Complementary CDF value at x: P(sample > x).
   [[nodiscard]] double ccdf(double x) const { return ratio_above(x); }
 
+  /// Every sample, in unspecified order (insertion order until the first
+  /// order-statistic read, sorted after it).
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
  private:

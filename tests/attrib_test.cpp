@@ -13,6 +13,8 @@
 #include "app/sweep.hpp"
 #include "obs/attrib.hpp"
 #include "obs/export.hpp"
+#include "obs/invariants.hpp"
+#include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace_reader.hpp"
 #include "obs/tracer.hpp"
@@ -198,18 +200,31 @@ TEST(AttribIntegration, FingerprintUnchangedByAttribution) {
   const auto spec = load_dense_spec();
   std::vector<app::SpecPoint> grid{{spec.name, spec, spec.seed}};
 
+  // "off": a sweep, which forces every obs switch off.
   const auto off = app::run_spec_sweep(grid, {.threads = 1, .attrib = false});
-  const auto on = app::run_spec_sweep(grid, {.threads = 1, .attrib = true});
   ASSERT_EQ(off.size(), 1u);
-  ASSERT_EQ(on.size(), 1u);
 
-  // The attribution sink is pure observation: the 64-bit fingerprint over
-  // every numeric result field is bit-identical with the switch on.
-  EXPECT_EQ(off.front().fingerprint, on.front().fingerprint);
+  // "on": a bare run with attribution, metrics, tracing and invariant
+  // checks all on (a small trace ring: only the switch matters here).
+  ObsGuard guard;
+  const app::ObsFreeze restore_switches;
+  const std::size_t ring = obs::tracer().capacity();
+  obs::tracer().set_capacity(1u << 14);
+  obs::set_attrib_enabled(true);
+  obs::set_metrics_enabled(true);
+  obs::set_tracing_enabled(true);
+  obs::set_invariants_enabled(true);
+  const app::MultiStationResult on = app::run_multi_station(spec);
+  obs::tracer().set_capacity(ring);
+
+  // Every obs sink is pure observation: the 64-bit fingerprint over every
+  // simulated result field is bit-identical with all of them on.
+  EXPECT_EQ(off.front().fingerprint, app::multi_result_fingerprint(on));
+  EXPECT_EQ(on.invariant_violations, 0u);
   EXPECT_TRUE(off.front().result.attrib.empty());
-  EXPECT_FALSE(on.front().result.attrib.empty());
-  EXPECT_GT(on.front().result.attrib.packets(), 0u);
-  EXPECT_GT(on.front().result.attrib.frames(), 0u);
+  EXPECT_FALSE(on.attrib.empty());
+  EXPECT_GT(on.attrib.packets(), 0u);
+  EXPECT_GT(on.attrib.frames(), 0u);
 }
 
 TEST(AttribIntegration, StageCdfsIdenticalAcrossThreadCounts) {

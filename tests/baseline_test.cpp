@@ -189,10 +189,10 @@ struct MechanismPin {
 };
 
 constexpr MechanismPin kMechanismPins[] = {
-    {app::ApMode::kNone, "vanilla", 0x9cf75a18dc09e18full},
-    {app::ApMode::kZhuge, "zhuge", 0x85c0955d4bef0a92ull},
-    {app::ApMode::kFastAck, "fastack", 0xa4d009155353be9cull},
-    {app::ApMode::kAbc, "abc", 0x0ff8908347294ee5ull},
+    {app::ApMode::kNone, "vanilla", 0x22f6b803c32af640ull},
+    {app::ApMode::kZhuge, "zhuge", 0xdb6dfb12b48652e7ull},
+    {app::ApMode::kFastAck, "fastack", 0x133a211dc3f40566ull},
+    {app::ApMode::kAbc, "abc", 0x7f0644ef4be6857cull},
 };
 
 TEST(BaselineIntegration, EachMechanismRunsCleanWithPinnedFingerprint) {

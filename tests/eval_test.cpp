@@ -1,8 +1,9 @@
 // Evaluation-matrix suite (src/app/eval.*): cell-count completeness (no
 // silently skipped cells), CDF monotonicity of every verdict, report
 // round-trips (JSON full-inverse, CSV bit-exact spot checks), serial vs
-// 4-thread verdict-fingerprint identity, strict EvalSpec rejection of the
-// known-bad fixtures, and the shipped example spec.
+// 4-thread verdict-fingerprint identity, a cell's result fingerprint equal
+// to its bare run's, strict EvalSpec rejection of the known-bad fixtures,
+// and the shipped example spec.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,16 @@ TEST(EvalMatrix, SerialAndFourThreadVerdictsAreBitIdentical) {
   EXPECT_EQ(serial.fingerprint, threaded.fingerprint);
   // And the memoised suite result (2 threads) agrees too.
   EXPECT_EQ(small_result().fingerprint, serial.fingerprint);
+}
+
+TEST(EvalMatrix, CellResultFingerprintIsTheRunFingerprint) {
+  // A cell reads its quantiles before hashing, a golden hashes first; one
+  // run must still have one fingerprint.
+  for (const EvalCellSpec& cs : expand_eval_matrix(small_spec())) {
+    SCOPED_TRACE(cs.name);
+    EXPECT_EQ(run_eval_cell(cs).result_fingerprint,
+              multi_result_fingerprint(run_multi_station(cs.scenario)));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -68,6 +68,26 @@ TEST(Golden, CompareReportsFingerprintAndHeadlineDrift) {
   EXPECT_NE(diffs[1].find("rtt_p50_ms"), std::string::npos);
 }
 
+TEST(Golden, CompareReportsHeadlineDriftUnderAMatchingFingerprint) {
+  // events_executed is pinned only as a headline (the fingerprint hashes
+  // behaviour, not engine bookkeeping), so its drift alone must fail.
+  GoldenRecord a;
+  a.name = "x";
+  a.fingerprint = 7;
+  a.headline["events_executed"] = 35645.0;
+  GoldenRecord b = a;
+  b.headline["events_executed"] = 35646.0;
+  const auto diffs = compare_golden(a, b);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_NE(diffs[0].find("events_executed"), std::string::npos);
+
+  // A headline that appears or disappears is a difference too.
+  GoldenRecord c = a;
+  c.headline["frames_decoded"] = 600.0;
+  EXPECT_EQ(compare_golden(a, c).size(), 1u);
+  EXPECT_EQ(compare_golden(c, a).size(), 1u);
+}
+
 TEST(Golden, UnknownScenarioRejected) {
   EXPECT_FALSE(golden_scenario_spec("nope").has_value());
   EXPECT_FALSE(compute_golden("nope").has_value());

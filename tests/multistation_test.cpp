@@ -83,7 +83,6 @@ ScenarioSpec dense_spec() {
 
 TEST(MultiStation, RepeatRunsBitIdentical) {
   const ScenarioSpec spec = small_spec();
-  const ObsFreeze freeze;
   const auto a = run_multi_station(spec);
   const auto b = run_multi_station(spec);
   EXPECT_EQ(multi_result_fingerprint(a), multi_result_fingerprint(b));
@@ -92,7 +91,6 @@ TEST(MultiStation, RepeatRunsBitIdentical) {
 
 TEST(MultiStation, SeedChangesOutcome) {
   const ScenarioSpec spec = small_spec();
-  const ObsFreeze freeze;
   const auto a = run_multi_station(spec, 5);
   const auto b = run_multi_station(spec, 6);
   EXPECT_NE(multi_result_fingerprint(a), multi_result_fingerprint(b));
@@ -100,7 +98,6 @@ TEST(MultiStation, SeedChangesOutcome) {
 
 TEST(MultiStation, ChurnBookkeepingConsistent) {
   const ScenarioSpec spec = small_spec();
-  const ObsFreeze freeze;
   const auto r = run_multi_station(spec);
 
   // Every scheduled flow arrived; departures are the flows whose window
@@ -127,7 +124,6 @@ TEST(MultiStation, ChurnBookkeepingConsistent) {
 
 TEST(MultiStation, PerStationAccounting) {
   const ScenarioSpec spec = small_spec();
-  const ObsFreeze freeze;
   const auto r = run_multi_station(spec);
   ASSERT_EQ(r.stations.size(), 3u);
   for (const auto& st : r.stations) {
@@ -155,7 +151,6 @@ TEST(MultiStation, StationQuiesceBlackholesTraffic) {
       { "kind": "rtp_gcc", "station": 1, "zhuge": true }
     ]
   })");
-  const ObsFreeze freeze;
   const auto r = run_multi_station(spec);
   // The sender keeps pushing at the quiesced station for 6 s; the AP must
   // black-hole those packets rather than queue or crash.
@@ -168,7 +163,6 @@ TEST(MultiStation, StationQuiesceBlackholesTraffic) {
 
 TEST(MultiStation, ApModeChangesOutcome) {
   ScenarioSpec spec = small_spec();
-  const ObsFreeze freeze;
   spec.ap_mode = ApMode::kZhuge;
   const auto zhuge = run_multi_station(spec);
   spec.ap_mode = ApMode::kNone;

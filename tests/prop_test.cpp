@@ -11,7 +11,9 @@
 //    trace axis leans on all three);
 //  * Simulator — fires in exactly the (time, scheduling order) sequence of
 //    an ordered-set reference model under random schedules, cancels,
-//    steps, bounded runs and stops.
+//    steps, bounded runs and stops;
+//  * multi_result_fingerprint — no sequence of Distribution reads moves
+//    it, so every caller hashes a run alike whatever it read first.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "app/scenario.hpp"
+#include "app/sweep.hpp"
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
 #include "net/packet.hpp"
@@ -405,6 +409,60 @@ TEST(PropSimulator, FiringOrderMatchesOrderedSetModel) {
     EXPECT_EQ(simu.queue_size(), 0u);
   });
   EXPECT_GT(compactions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Result fingerprint vs. Distribution reads
+// ---------------------------------------------------------------------------
+
+/// Two stations, a Zhuge RTP flow and a TCP flow that leaves mid-run:
+/// every per-flow and aggregate distribution gets samples.
+app::ScenarioSpec short_mixed_spec() {
+  app::ScenarioSpec spec;
+  spec.name = "read_order";
+  spec.duration_s = 4.0;
+  spec.warmup_s = 1.0;
+  spec.ap_mode = app::ApMode::kZhuge;
+  spec.stations = {app::StationGroupSpec{}};
+  spec.stations.front().count = 2;
+  app::SpecFlow rtp;
+  rtp.zhuge = true;
+  app::SpecFlow tcp;
+  tcp.kind = app::SpecFlowKind::kTcpCubic;
+  tcp.station = 1;
+  tcp.stop_s = 3.0;
+  spec.flows = {rtp, tcp};
+  return spec;
+}
+
+TEST(PropFingerprint, DistributionReadsNeverMoveIt) {
+  const app::MultiStationResult run = app::run_multi_station(short_mixed_spec());
+  const std::uint64_t want = app::multi_result_fingerprint(run);
+  prop::for_all({.iterations = 40}, [&](sim::Rng& rng, int) {
+    app::MultiStationResult r = run;  // fresh, unread sample order
+    std::vector<const stats::Distribution*> dists = {
+        &r.agg_network_rtt_ms, &r.agg_frame_delay_ms, &r.prediction_error_ms};
+    for (const auto& f : r.flows) {
+      dists.insert(dists.end(),
+                   {&f.network_rtt_ms, &f.downlink_owd_ms, &f.frame_delay_ms});
+    }
+    const int reads = 1 + static_cast<int>(rng.uniform_int(12));
+    for (int i = 0; i < reads; ++i) {
+      const stats::Distribution& d = *dists[rng.uniform_int(
+          static_cast<std::uint32_t>(dists.size()))];
+      const double x = rng.uniform(0.0, 100.0);
+      switch (rng.uniform_int(7)) {
+        case 0: (void)d.quantile(rng.uniform()); break;
+        case 1: (void)d.min(); break;
+        case 2: (void)d.max(); break;
+        case 3: (void)d.ratio_above(x); break;
+        case 4: (void)d.ratio_below(x); break;
+        case 5: (void)d.ccdf(x); break;
+        default: (void)d.mean(); break;
+      }
+    }
+    EXPECT_EQ(app::multi_result_fingerprint(r), want);
+  });
 }
 
 }  // namespace

@@ -314,7 +314,6 @@ TEST(ResilienceEquivalence, PassThroughMatchesZhugeOffOnDenseChurn) {
   pass.zhuge.watchdog.initial_level = obs::LadderLevel::kPassThrough;
   ScenarioSpec off = dense_spec();
   off.ap_mode = ApMode::kNone;
-  const ObsFreeze freeze;
   const auto a = run_multi_station(pass);
   const auto b = run_multi_station(off);
   EXPECT_EQ(multi_result_fingerprint(a), multi_result_fingerprint(b));
@@ -322,7 +321,6 @@ TEST(ResilienceEquivalence, PassThroughMatchesZhugeOffOnDenseChurn) {
 
 TEST(ResilienceDeterminism, FeedbackFaultsBitIdenticalAcrossRepeats) {
   const ScenarioSpec spec = faulted_spec();
-  const ObsFreeze freeze;
   const auto a = run_multi_station(spec);
   const auto b = run_multi_station(spec);
   EXPECT_EQ(multi_result_fingerprint(a), multi_result_fingerprint(b));
@@ -330,7 +328,6 @@ TEST(ResilienceDeterminism, FeedbackFaultsBitIdenticalAcrossRepeats) {
 
 TEST(ResilienceDeterminism, FeedbackFaultsDivergeAcrossSeeds) {
   const ScenarioSpec spec = faulted_spec();
-  const ObsFreeze freeze;
   const auto a = run_multi_station(spec, 3);
   const auto b = run_multi_station(spec, 4);
   EXPECT_NE(multi_result_fingerprint(a), multi_result_fingerprint(b));
@@ -339,7 +336,6 @@ TEST(ResilienceDeterminism, FeedbackFaultsDivergeAcrossSeeds) {
 TEST(ResilienceDeterminism, FeedbackFaultsActuallyPerturbTheRun) {
   ScenarioSpec clean = faulted_spec();
   clean.faults = nullptr;
-  const ObsFreeze freeze;
   const auto faulted = run_multi_station(faulted_spec());
   const auto unfaulted = run_multi_station(clean);
   EXPECT_NE(multi_result_fingerprint(faulted),

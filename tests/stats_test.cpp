@@ -1,13 +1,17 @@
 // Unit tests for the statistics primitives: windowed estimators, offline
-// distributions, and the time-series degradation metrics.
+// distributions (and their order-free fingerprint digest), and the
+// time-series degradation metrics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
+#include "app/sweep.hpp"
 #include "sim/random.hpp"
 #include "stats/distribution.hpp"
 #include "stats/timeseries.hpp"
@@ -329,6 +333,36 @@ TEST(Distribution, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(d.quantile(0.5), 5.0);
   d.add(1.0);  // must re-sort lazily
   EXPECT_DOUBLE_EQ(d.min(), 1.0);
+}
+
+TEST(Distribution, FingerprintDigestIsTheSampleMultiset) {
+  // Reads sort a Distribution in place, so app::Fnv::dist must see only
+  // the multiset: every permutation hashes alike, any one bit does not.
+  const auto digest = [](const std::vector<double>& xs) {
+    Distribution d;
+    for (const double x : xs) d.add(x);
+    app::Fnv f;
+    f.dist(d);
+    return f.h;
+  };
+  std::vector<double> xs = {-1.0, 0.0, 1e-9, 3.5, 3.5, 7.25, 42.0};
+  const std::uint64_t base = digest(xs);
+  int permutations = 0;
+  do {
+    ASSERT_EQ(digest(xs), base) << "permutation " << permutations;
+    ++permutations;
+  } while (std::next_permutation(xs.begin(), xs.end()));
+  EXPECT_EQ(permutations, 2520);  // 7! / 2! (3.5 appears twice)
+
+  std::vector<double> changed = xs;
+  changed[6] = std::nextafter(42.0, 43.0);
+  EXPECT_NE(digest(changed), base);
+  std::vector<double> negative_zero = xs;
+  negative_zero[1] = -0.0;
+  EXPECT_NE(digest(negative_zero), base);
+  // Duplicate pairs cancel in the xor fold but not in the sum.
+  EXPECT_NE(digest({1.0, 1.0}), digest({2.0, 2.0}));
+  EXPECT_NE(digest({}), digest({0.0}));
 }
 
 TEST(Heatmap2D, BinsAreLogSpacedAndRowNormalised) {
