@@ -384,15 +384,9 @@ ChaosMatrixResult run_chaos_matrix(const std::vector<ChaosCase>& cases,
                                    unsigned threads) {
   ChaosMatrixResult out;
   out.verdicts.resize(cases.size());
-  {
-    // The obs registries (metrics, tracer, invariants, attrib) are shared
-    // and unsynchronized; freeze them exactly like the sweep pools do so
-    // a run observes the same global state serially or under the pool.
-    ObsFreeze freeze;
-    run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
-      out.verdicts[i] = run_chaos_case(cases[i]);
-    });
-  }
+  run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
+    out.verdicts[i] = run_chaos_case(cases[i]);
+  });
   // Aggregation is serial and in grid order regardless of which worker
   // finished first, so the fingerprint and the SLO rows are stable.
   Fnv chain;

@@ -6,7 +6,8 @@
 // healthy run. A case passes when, after the fault clears:
 //   * flow 0's goodput is back within tolerance of its pre-fault level,
 //   * no feedback packet was stranded inside Zhuge state, and
-//   * no runtime invariant (obs/invariants.hpp) was violated.
+//   * no runtime invariant (obs/invariants.hpp) was violated — checked
+//     whenever the setting is on, in a serial run or on the pool alike.
 // Cases that starve the uplink additionally assert the watchdog actually
 // failed open (a watchdog that never fires is indistinguishable from no
 // watchdog). Lives in src/app (not src/fault) because verdicts are
@@ -112,10 +113,11 @@ struct ChaosMatrixResult {
 /// the SLO numbers derived from it are covered here.
 [[nodiscard]] std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v);
 
-/// Run `cases` on `threads` workers (app::run_indexed_pool; obs switches
-/// frozen for the duration, so runtime invariant checking is off — the
-/// serial standard suite keeps that gate). Verdicts land in grid order and
-/// are bit-identical for any thread count.
+/// Run `cases` on `threads` workers (app::run_indexed_pool). Runtime
+/// invariants are checked whenever the setting is on, inside the pool as
+/// in a serial run: each case's verdict counts its own violations, and
+/// the merged checker lands in the caller's obs context in grid order.
+/// Verdicts land in grid order and are bit-identical for any thread count.
 [[nodiscard]] ChaosMatrixResult run_chaos_matrix(
     const std::vector<ChaosCase>& cases, unsigned threads);
 

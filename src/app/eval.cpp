@@ -366,11 +366,8 @@ EvalMatrixResult run_eval_matrix(const std::vector<EvalCellSpec>& cells,
                                  unsigned threads) {
   EvalMatrixResult out;
   out.cells.resize(cells.size());
-  {
-    const ObsFreeze freeze;
-    run_indexed_pool(cells.size(), threads,
-                     [&](std::size_t i) { out.cells[i] = run_eval_cell(cells[i]); });
-  }
+  run_indexed_pool(cells.size(), threads,
+                   [&](std::size_t i) { out.cells[i] = run_eval_cell(cells[i]); });
   // Chain serially in grid order: the matrix fingerprint is independent of
   // worker count and completion order by construction.
   Fnv chain;

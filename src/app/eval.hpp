@@ -145,8 +145,10 @@ struct EvalMatrixResult {
 /// caller of that run computes.
 [[nodiscard]] EvalCell run_eval_cell(const EvalCellSpec& cs);
 
-/// Run every cell on the indexed pool (obs frozen) and chain the cell
-/// fingerprints serially in grid order. Bit-identical for any `threads`.
+/// Run every cell on the indexed pool and chain the cell fingerprints
+/// serially in grid order. Bit-identical for any `threads`; each cell's
+/// obs records (invariant violations included, when the setting is on)
+/// merge into the caller's obs context in grid order.
 [[nodiscard]] EvalMatrixResult run_eval_matrix(
     const std::vector<EvalCellSpec>& cells, unsigned threads);
 

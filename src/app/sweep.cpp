@@ -7,9 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/invariants.hpp"
-#include "obs/tracer.hpp"
-
 namespace zhuge::app {
 
 namespace {
@@ -26,24 +23,6 @@ double wall_since(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
-
-ObsFreeze::ObsFreeze()
-    : metrics_was_(obs::metrics_enabled()),
-      tracing_was_(obs::tracing_enabled()),
-      invariants_was_(obs::invariants_enabled()),
-      attrib_was_(obs::attrib_enabled()) {
-  obs::set_metrics_enabled(false);
-  obs::set_tracing_enabled(false);
-  obs::set_invariants_enabled(false);
-  obs::set_attrib_enabled(false);
-}
-
-ObsFreeze::~ObsFreeze() {
-  obs::set_metrics_enabled(metrics_was_);
-  obs::set_tracing_enabled(tracing_was_);
-  obs::set_invariants_enabled(invariants_was_);
-  obs::set_attrib_enabled(attrib_was_);
-}
 
 std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   // Field order mirrors the MultiStationResult declaration; every simulated
@@ -120,12 +99,9 @@ std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
 }
 
 std::vector<SpecRun> run_spec_sweep(std::vector<SpecPoint> grid,
-                                         const SweepOptions& opts) {
+                                    unsigned threads) {
   std::vector<SpecRun> runs(grid.size());
-  if (grid.empty()) return runs;
-  const ObsFreeze freeze;
-  if (opts.attrib) obs::set_attrib_enabled(true);
-  run_indexed_pool(grid.size(), opts.threads, [&grid, &runs](std::size_t i) {
+  run_indexed_pool(grid.size(), threads, [&grid, &runs](std::size_t i) {
     // zlint-allow(banned-api): wall-clock throughput probe only.
     const auto t0 = std::chrono::steady_clock::now();
     const SpecPoint& p = grid[i];

@@ -9,12 +9,13 @@
 // 8 threads — a property the test suite asserts via result fingerprints.
 //
 // Thread-safety contract: the only process-global mutable state the
-// scenario layer touches is the obs layer (metrics registry, tracer,
-// invariant counter). run_spec_sweep() turns all three off for the
-// duration of the sweep and restores the switches afterwards, so
-// concurrent runs never race on them; per-run headline metrics are
-// aggregated *after* the parallel phase, serially and in grid order, via
-// export_spec_sweep_metrics().
+// scenario layer touches is the obs layer. Its settings (what to record)
+// change only outside a pool; its sinks (where records go) are per index:
+// run_indexed_pool() gives each grid index its own obs::Context and
+// merges them into the caller's context serially, in grid order, after
+// the join. Runs therefore record metrics, traces and invariant
+// violations exactly as they would serially, and leave bit-identical
+// sinks for any thread count.
 
 #include <atomic>
 #include <bit>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "app/scenario.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 
 namespace zhuge::app {
@@ -84,61 +86,45 @@ struct Fnv {
 /// atomic counter; serial on the calling thread when threads <= 1. Each
 /// index is claimed exactly once, so `fn` needs no internal locking as
 /// long as distinct indices touch distinct state. Every parallel runner
-/// in the app layer (sweeps, spec sweeps, the chaos matrix) goes through
-/// this one pool so the bit-identity argument is made in one place.
+/// in the app layer (spec sweeps, the eval and chaos matrices) goes
+/// through this one pool so the bit-identity argument is made in one place.
+///
+/// Each index records into its own obs::Context (trace ring sized like the
+/// caller's), installed on whichever thread runs it; after the last index
+/// the contexts are merged into the caller's current context in grid
+/// order. The serial path does the same, so `threads=1` and `threads=8`
+/// leave the caller's sinks bit-identical.
 template <typename Fn>
 void run_indexed_pool(std::size_t n, unsigned threads, Fn&& fn) {
+  obs::Context& caller = obs::current();
+  std::vector<obs::Context> sinks;
+  sinks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) sinks.emplace_back(caller.tracer.capacity());
+  const auto run = [&sinks, &fn](std::size_t i) {
+    const obs::ContextScope scope(sinks[i]);
+    fn(i);
+  };
+
   const std::size_t n_workers = std::min<std::size_t>(std::max(1u, threads), n);
   if (n_workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+    for (std::size_t i = 0; i < n; ++i) run(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    pool.reserve(n_workers);
+    for (std::size_t w = 0; w < n_workers; ++w) {
+      pool.emplace_back([&] {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= n) return;
+          run(i);
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
+  for (const obs::Context& sink : sinks) caller.merge(sink);
 }
-
-struct SweepOptions {
-  /// Worker threads; 0 or 1 runs the grid serially on the calling thread.
-  unsigned threads = 1;
-  /// Enable per-stage latency attribution during the sweep. ObsFreeze
-  /// forces the attrib switch off like every other obs switch; this opt-in
-  /// re-enables it for the pool. Safe under any thread count: the switch
-  /// is written once before workers start, and each run records into its
-  /// own result-local obs::Attribution (no shared mutable state).
-  bool attrib = false;
-};
-
-/// RAII freeze of the process-global obs switches (metrics, tracing,
-/// invariant counting): all three are forced off at construction and the
-/// previous switch states restored at destruction. Every parallel runner
-/// holds one for the duration of its pool, because the registries are
-/// shared and unsynchronized. Fingerprints do not need one: no switch
-/// changes a simulated output, and no read changes a hash.
-/// Non-copyable, non-movable.
-class ObsFreeze {
- public:
-  ObsFreeze();
-  ~ObsFreeze();
-  ObsFreeze(const ObsFreeze&) = delete;
-  ObsFreeze& operator=(const ObsFreeze&) = delete;
-
- private:
-  bool metrics_was_;
-  bool tracing_was_;
-  bool invariants_was_;
-  bool attrib_was_;
-};
 
 /// One grid point: a labelled spec plus the seed to run it under (`seed`
 /// overrides `spec.seed`, so a seed axis crosses onto a spec axis without
@@ -170,11 +156,12 @@ struct SpecRun {
 /// intentionally invalidates goldens.
 [[nodiscard]] std::uint64_t multi_result_fingerprint(const MultiStationResult& r);
 
-/// Run every grid point on `opts.threads` workers with the obs switches
-/// frozen, returning per-run results in grid order (regardless of
-/// completion order). Deterministic per point for any thread count.
-[[nodiscard]] std::vector<SpecRun> run_spec_sweep(
-    std::vector<SpecPoint> grid, const SweepOptions& opts = {});
+/// Run every grid point on `threads` workers (0 or 1: serially on the
+/// calling thread), returning per-run results in grid order (regardless of
+/// completion order). Deterministic per point for any thread count; obs
+/// records merge into the caller's context as run_indexed_pool describes.
+[[nodiscard]] std::vector<SpecRun> run_spec_sweep(std::vector<SpecPoint> grid,
+                                                  unsigned threads);
 
 /// One spec across many seeds, named "<spec.name>/s<seed>".
 [[nodiscard]] std::vector<SpecPoint> cross_spec_seeds(

@@ -4,7 +4,8 @@
 //
 // Components declare invariants at their hot paths with ZHUGE_INVARIANT;
 // a violated invariant is recorded (name, first-violation detail, count)
-// in a process-global checker that tests and the chaos harness read back.
+// in the current obs::Context's checker (obs/context.hpp), which tests,
+// the chaos harness and the pooled runners read back.
 // Recording instead of crashing matters for chaos runs: a fault sweep
 // wants to finish the scenario and report *every* property that broke,
 // not die on the first one.
@@ -21,12 +22,13 @@
 //   queue.nonnegative_bytes   - qdisc byte accounting never underflows
 //   link.nonnegative_bytes    - wired-link buffer accounting likewise
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/settings.hpp"
 #include "sim/time.hpp"
 
 namespace zhuge::obs {
@@ -83,6 +85,22 @@ class InvariantChecker {
     return out;
   }
 
+  /// Fold `other` in after the violations already held: totals and
+  /// per-name counts add; a name new to this checker keeps `other`'s
+  /// first occurrence, within the same kMaxDistinct bound as report().
+  void merge(const InvariantChecker& other) {
+    total_ += other.total_;
+    for (const auto& v : other.violations_) {
+      const auto mine = std::find_if(violations_.begin(), violations_.end(),
+                                     [&](const Violation& m) { return m.name == v.name; });
+      if (mine != violations_.end()) {
+        mine->count += v.count;
+      } else if (violations_.size() < kMaxDistinct) {
+        violations_.push_back(v);
+      }
+    }
+  }
+
   void clear() {
     total_ = 0;
     violations_.clear();
@@ -93,27 +111,9 @@ class InvariantChecker {
   std::vector<Violation> violations_;
 };
 
-// ---- global instance + runtime switch ------------------------------------
-
-/// Default-on in Debug builds so every ctest run checks the properties;
-/// default-off in Release so the hot paths pay one predictable branch.
-#ifndef NDEBUG
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
-inline bool g_invariants_enabled = true;
-#else
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
-inline bool g_invariants_enabled = false;
-#endif
-
-[[nodiscard]] inline bool invariants_enabled() { return g_invariants_enabled; }
-inline void set_invariants_enabled(bool on) { g_invariants_enabled = on; }
-
-/// Process-global checker used by the ZHUGE_INVARIANT macro.
-inline InvariantChecker& invariants() {
-  // zlint-allow(shared-mutable-state): reviewed obs singleton; check counter only, reset between runs, never feeds back into results
-  static InvariantChecker c;
-  return c;
-}
+/// The current context's checker (obs/context.hpp), used by the
+/// ZHUGE_INVARIANT macro.
+InvariantChecker& invariants();
 
 }  // namespace zhuge::obs
 

@@ -1,7 +1,7 @@
 #pragma once
 // Metrics registry: named counters, gauges, and log-bucket histograms.
 //
-// Components record into the process-global registry through the
+// Components record into the current obs::Context's registry through the
 // ZHUGE_METRIC_* macros below, which compile to nothing when
 // ZHUGE_OBS_ENABLED is 0 and cost a single cold-bool branch when the
 // runtime switch is off. The registry itself is an ordinary object, so
@@ -20,6 +20,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/settings.hpp"
 
 namespace zhuge::obs {
 
@@ -189,6 +191,22 @@ class Registry {
     return histograms_;
   }
 
+  /// Fold `other` in after the records already held: counters add,
+  /// gauges take `other`'s value (the later write), histograms merge
+  /// bucket-exactly (Histogram::merge).
+  void merge(const Registry& other) {
+    for (const auto& [name, c] : other.counters_) counter(name).inc(c.value());
+    for (const auto& [name, g] : other.gauges_) gauge(name).set(g.value());
+    for (const auto& [name, h] : other.histograms_) {
+      const auto it = histograms_.find(name);
+      if (it == histograms_.end()) {
+        histograms_.emplace(name, h);
+      } else {
+        it->second.merge(h);
+      }
+    }
+  }
+
   void clear() {
     counters_.clear();
     gauges_.clear();
@@ -208,30 +226,11 @@ class Registry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
-// ---- global instance + runtime switch ------------------------------------
-
-/// Runtime switch read on every instrumented hot path; off by default so an
-/// uninstrumented run pays one predictable branch per hook.
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
-inline bool g_metrics_enabled = false;
-
-[[nodiscard]] inline bool metrics_enabled() { return g_metrics_enabled; }
-inline void set_metrics_enabled(bool on) { g_metrics_enabled = on; }
-
-/// Process-global registry used by the ZHUGE_METRIC_* macros.
-inline Registry& metrics() {
-  // zlint-allow(shared-mutable-state): reviewed obs singleton; sink only, reset between runs, never feeds back into results
-  static Registry r;
-  return r;
-}
+/// The current context's registry (obs/context.hpp), used by the
+/// ZHUGE_METRIC_* macros.
+Registry& metrics();
 
 }  // namespace zhuge::obs
-
-// Compile-time kill switch: build with -DZHUGE_OBS_ENABLED=0 to remove all
-// instrumentation (the acceptance bar for "zero-cost when disabled").
-#ifndef ZHUGE_OBS_ENABLED
-#define ZHUGE_OBS_ENABLED 1
-#endif
 
 #if ZHUGE_OBS_ENABLED
 #define ZHUGE_METRIC_INC(name)                                        \

@@ -7,7 +7,11 @@
 //   --attrib           enable latency-span stamping, so traces recorded
 //                      with --trace carry per-stage span records that
 //                      latency_attrib --trace can aggregate
-// and writes the requested files when it goes out of scope. With no flags,
+// and writes the requested files when it goes out of scope. The flags set
+// the process-wide obs settings (obs/settings.hpp); the files are written
+// from the calling thread's current context (obs/context.hpp), into which
+// pooled runs (app::run_indexed_pool) merge their records in grid order,
+// so a session covers serial and pooled runs alike. With no flags,
 // instrumentation stays disabled and the run is unchanged. Extracted from
 // bench/bench_util.hpp so examples and tools emit metrics exactly the
 // same way the figure benches do.
@@ -18,7 +22,7 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/spans.hpp"
+#include "obs/settings.hpp"
 #include "obs/tracer.hpp"
 
 namespace zhuge::obs {

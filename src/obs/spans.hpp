@@ -9,17 +9,18 @@
 // decode wait) are carried by FrameSpan, built by the RTP receiver when a
 // frame leaves the jitter buffer.
 //
-// Stamping follows the same discipline as every other obs hook: a
-// process-global runtime switch (`attrib_enabled`) that costs one cold
-// branch per stamp when off, forced off by app::ObsFreeze during parallel
-// sweeps unless the sweep explicitly re-enables it, and compiled out
-// entirely with -DZHUGE_OBS_ENABLED=0. Span fields are *never* read by
+// Stamping follows the same discipline as every other obs hook: one of
+// the process-wide obs settings (`attrib_enabled`, obs/settings.hpp) that
+// costs one cold branch per stamp when off, holds for serial and pooled
+// runs alike, and compiles out entirely with -DZHUGE_OBS_ENABLED=0. The
+// spans themselves ride in packets and the aggregate lives in each run's
+// result, so no stamp touches shared state. Span fields are *never* read by
 // protocol logic, so enabling attribution cannot change simulated
 // behaviour — the determinism suite pins result fingerprints on vs off.
 
 #include <cstdint>
 
-#include "obs/metrics.hpp"  // ZHUGE_OBS_ENABLED
+#include "obs/settings.hpp"
 #include "sim/time.hpp"
 
 namespace zhuge::obs {
@@ -83,16 +84,6 @@ struct FrameSpan {
   std::int64_t decode_ns = -1;       ///< released in-order to the decoder
   std::uint32_t packets = 0;
 };
-
-// ---- global runtime switch ------------------------------------------------
-
-/// Runtime switch read by every span stamp; off by default and frozen off
-/// by app::ObsFreeze alongside the other obs switches.
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
-inline bool g_attrib_enabled = false;
-
-[[nodiscard]] inline bool attrib_enabled() { return g_attrib_enabled; }
-inline void set_attrib_enabled(bool on) { g_attrib_enabled = on; }
 
 }  // namespace zhuge::obs
 

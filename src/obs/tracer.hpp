@@ -3,7 +3,8 @@
 // in an in-memory ring buffer, exportable as Chrome trace_event JSON (loads
 // in chrome://tracing and Perfetto), JSONL, and CSV (see obs/export.hpp).
 //
-// Recording goes through the ZHUGE_TRACE macro, which compiles away when
+// Recording goes through the ZHUGE_TRACE macro into the current
+// obs::Context's tracer (obs/context.hpp); the macro compiles away when
 // ZHUGE_OBS_ENABLED is 0 and otherwise costs one cold-bool branch until
 // set_tracing_enabled(true). Component/name/field-key strings must be
 // string literals (or otherwise outlive the tracer): events store the
@@ -14,8 +15,7 @@
 #include <initializer_list>
 #include <vector>
 
-#include "obs/invariants.hpp"
-#include "obs/metrics.hpp"  // ZHUGE_OBS_ENABLED
+#include "obs/settings.hpp"
 #include "sim/time.hpp"
 
 namespace zhuge::obs {
@@ -62,13 +62,15 @@ class Tracer {
       if (ev.n_fields >= TraceEvent::kMaxFields) break;
       ev.fields[ev.n_fields++] = f;
     }
-    ++recorded_;
-    if (events_.size() < capacity_) {
-      events_.push_back(ev);
-    } else if (capacity_ > 0) {
-      events_[head_] = ev;
-      head_ = (head_ + 1) % capacity_;
-    }
+    push(ev);
+  }
+
+  /// Append `other`'s events after the ones already held, as if they had
+  /// been recorded here: the ring keeps its capacity and wraps the same
+  /// way, and `other`'s overwritten events count as recorded-then-lost.
+  void append(const Tracer& other) {
+    recorded_ += other.overwritten();
+    other.for_each([this](const TraceEvent& ev) { push(ev); });
   }
 
   /// Events currently retained (<= capacity).
@@ -98,34 +100,30 @@ class Tracer {
   }
 
  private:
+  void push(const TraceEvent& ev) {
+    ++recorded_;
+    if (events_.size() < capacity_) {
+      events_.push_back(ev);
+    } else if (capacity_ > 0) {
+      events_[head_] = ev;
+      head_ = (head_ + 1) % capacity_;
+    }
+  }
+
   std::size_t capacity_;
   std::vector<TraceEvent> events_;
   std::size_t head_ = 0;  ///< index of the oldest event once wrapped
   std::uint64_t recorded_ = 0;
 };
 
-// ---- global instance + runtime switch ------------------------------------
+/// The current context's tracer (obs/context.hpp), used by the
+/// ZHUGE_TRACE macro.
+Tracer& tracer();
 
-// zlint-allow(shared-mutable-state): reviewed process-global obs switch; set once at startup, frozen by app::ObsFreeze around every pooled run, never result-affecting
-inline bool g_tracing_enabled = false;
-
-[[nodiscard]] inline bool tracing_enabled() { return g_tracing_enabled; }
-inline void set_tracing_enabled(bool on) { g_tracing_enabled = on; }
-
-/// Process-global tracer used by the ZHUGE_TRACE macro.
-inline Tracer& tracer() {
-  // zlint-allow(shared-mutable-state): reviewed obs singleton; sink only, reset between runs, never feeds back into results
-  static Tracer t;
-  return t;
-}
-
-/// Reset all global observability state (between scenario runs in one
-/// process, e.g. multi-seed benches that export per-run outputs).
-inline void reset() {
-  tracer().clear();
-  metrics().clear();
-  invariants().clear();
-}
+/// Clear the current context's metrics, trace and invariant records
+/// (between scenario runs in one process, e.g. multi-seed benches that
+/// export per-run outputs).
+void reset();
 
 }  // namespace zhuge::obs
 

@@ -71,9 +71,13 @@ void expect_attributions_identical(const obs::Attribution& a,
 
 /// Restores every obs switch the attribution machinery can flip.
 struct ObsGuard {
+  bool metrics = obs::metrics_enabled();
+  bool invariants = obs::invariants_enabled();
   ~ObsGuard() {
     obs::set_attrib_enabled(false);
     obs::set_tracing_enabled(false);
+    obs::set_metrics_enabled(metrics);
+    obs::set_invariants_enabled(invariants);
     obs::reset();
   }
 };
@@ -198,16 +202,17 @@ TEST(AttribUnit, ExportMetricsPublishesStageHistograms) {
 
 TEST(AttribIntegration, FingerprintUnchangedByAttribution) {
   const auto spec = load_dense_spec();
-  std::vector<app::SpecPoint> grid{{spec.name, spec, spec.seed}};
+  ObsGuard guard;
 
-  // "off": a sweep, which forces every obs switch off.
-  const auto off = app::run_spec_sweep(grid, {.threads = 1, .attrib = false});
-  ASSERT_EQ(off.size(), 1u);
+  // "off": a bare run with every obs switch explicitly off.
+  obs::set_attrib_enabled(false);
+  obs::set_metrics_enabled(false);
+  obs::set_tracing_enabled(false);
+  obs::set_invariants_enabled(false);
+  const app::MultiStationResult off = app::run_multi_station(spec);
 
   // "on": a bare run with attribution, metrics, tracing and invariant
   // checks all on (a small trace ring: only the switch matters here).
-  ObsGuard guard;
-  const app::ObsFreeze restore_switches;
   const std::size_t ring = obs::tracer().capacity();
   obs::tracer().set_capacity(1u << 14);
   obs::set_attrib_enabled(true);
@@ -219,9 +224,9 @@ TEST(AttribIntegration, FingerprintUnchangedByAttribution) {
 
   // Every obs sink is pure observation: the 64-bit fingerprint over every
   // simulated result field is bit-identical with all of them on.
-  EXPECT_EQ(off.front().fingerprint, app::multi_result_fingerprint(on));
+  EXPECT_EQ(app::multi_result_fingerprint(off), app::multi_result_fingerprint(on));
   EXPECT_EQ(on.invariant_violations, 0u);
-  EXPECT_TRUE(off.front().result.attrib.empty());
+  EXPECT_TRUE(off.attrib.empty());
   EXPECT_FALSE(on.attrib.empty());
   EXPECT_GT(on.attrib.packets(), 0u);
   EXPECT_GT(on.attrib.frames(), 0u);
@@ -231,8 +236,10 @@ TEST(AttribIntegration, StageCdfsIdenticalAcrossThreadCounts) {
   const auto spec = load_dense_spec();
   const auto grid = app::cross_spec_seeds(spec, {1, 2, 3});
 
-  const auto serial = app::run_spec_sweep(grid, {.threads = 1, .attrib = true});
-  const auto pooled = app::run_spec_sweep(grid, {.threads = 8, .attrib = true});
+  ObsGuard guard;
+  obs::set_attrib_enabled(true);
+  const auto serial = app::run_spec_sweep(grid, 1);
+  const auto pooled = app::run_spec_sweep(grid, 8);
   ASSERT_EQ(serial.size(), pooled.size());
 
   obs::Attribution serial_merged;
@@ -288,8 +295,9 @@ TEST(AttribIntegration, GoldenStageP95Anchor) {
   ASSERT_TRUE(expected.has_value()) << err;
 
   const auto spec = load_dense_spec();
-  const auto runs = app::run_spec_sweep({{spec.name, spec, spec.seed}},
-                                        {.threads = 1, .attrib = true});
+  ObsGuard guard;
+  obs::set_attrib_enabled(true);
+  const auto runs = app::run_spec_sweep({{spec.name, spec, spec.seed}}, 1);
   const auto actual = app::make_attrib_golden(expected->name, spec.seed,
                                               runs.front().result.attrib);
   const auto diffs = app::compare_attrib_golden(*expected, actual);

@@ -175,8 +175,8 @@ TEST(MultiStation, Dense64StationSweepSerialEqualsEightThreads) {
   // bit-identical between --threads 1 and --threads 8.
   const ScenarioSpec spec = dense_spec();
   const auto grid = cross_spec_seeds(spec, {1, 2, 3});
-  const auto parallel = run_spec_sweep(grid, {.threads = 8});
-  const auto serial = run_spec_sweep(grid, {.threads = 1});
+  const auto parallel = run_spec_sweep(grid, 8);
+  const auto serial = run_spec_sweep(grid, 1);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].fingerprint, serial[i].fingerprint)
@@ -210,7 +210,7 @@ TEST(MultiStation, FingerprintIndependentOfMetricsSwitch) {
 
 TEST(MultiStation, SpecSweepMetricsExport) {
   const ScenarioSpec spec = small_spec();
-  const auto runs = run_spec_sweep(cross_spec_seeds(spec, {1, 2}), {});
+  const auto runs = run_spec_sweep(cross_spec_seeds(spec, {1, 2}), 1);
   obs::Registry registry;
   export_spec_sweep_metrics(runs, registry);
   EXPECT_EQ(registry.counter("mssweep.total.runs").value(), 2u);

@@ -1,7 +1,7 @@
 // Unit tests for the observability layer: metrics registry, log-bucket
-// histograms, tracer enable/disable semantics, ring-buffer behaviour, and
-// exporter round-trips (Chrome trace JSON and JSONL back through the
-// trace reader).
+// histograms, tracer enable/disable semantics, ring-buffer behaviour,
+// merging run-local sinks, context routing, and exporter round-trips
+// (Chrome trace JSON and JSONL back through the trace reader).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_reader.hpp"
@@ -172,6 +173,121 @@ TEST(Tracer, FieldsBeyondMaxAreDropped) {
            {{"f0", 0}, {"f1", 1}, {"f2", 2}, {"f3", 3}, {"f4", 4},
             {"f5", 5}, {"f6", 6}, {"f7", 7}, {"f8", 8}, {"f9", 9}});
   EXPECT_EQ(t.at(0).n_fields, TraceEvent::kMaxFields);
+}
+
+// ---- merging run-local sinks (what app::run_indexed_pool does) ----------
+
+TEST(Merge, CountersAdd) {
+  Registry a;
+  Registry b;
+  a.counter("x").inc(3);
+  b.counter("x").inc(4);
+  b.counter("only_b").inc(1);
+  a.merge(b);
+  EXPECT_EQ(a.counter("x").value(), 7u);
+  EXPECT_EQ(a.counter("only_b").value(), 1u);
+}
+
+TEST(Merge, GaugesKeepTheLaterWrite) {
+  Registry merged;
+  Registry first;
+  Registry second;
+  first.gauge("depth").set(5.0);
+  first.gauge("only_first").set(1.0);
+  second.gauge("depth").set(2.0);
+  merged.merge(first);
+  merged.merge(second);
+  EXPECT_DOUBLE_EQ(merged.gauge("depth").value(), 2.0);  // grid order, not max
+  EXPECT_DOUBLE_EQ(merged.gauge("only_first").value(), 1.0);
+}
+
+TEST(Merge, HistogramsAreBucketExact) {
+  const HistogramSpec spec{.lo = 1.0, .hi = 1e4, .buckets_per_decade = 3};
+  Registry direct;
+  Registry a;
+  Registry b;
+  for (int i = 1; i <= 50; ++i) {
+    const double v = 3.7 * i;
+    direct.histogram("h", spec).observe(v);
+    (i % 3 == 0 ? a : b).histogram("h", spec).observe(v);
+  }
+  Registry merged;
+  merged.merge(a);
+  merged.merge(b);
+  const Histogram& m = merged.histograms().at("h");
+  const Histogram& d = direct.histograms().at("h");
+  EXPECT_EQ(m.spec().buckets_per_decade, 3);  // a new name keeps its layout
+  ASSERT_EQ(m.bucket_count(), d.bucket_count());
+  for (std::size_t i = 0; i < d.bucket_count(); ++i) {
+    EXPECT_EQ(m.bucket_value(i), d.bucket_value(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(m.count(), d.count());
+  EXPECT_DOUBLE_EQ(m.sum(), d.sum());
+  EXPECT_EQ(m.min(), d.min());
+  EXPECT_EQ(m.max(), d.max());
+}
+
+TEST(Merge, TracerAppendWrapsLikeRecording) {
+  const auto record = [](Tracer& t, int i) {
+    t.record(TimePoint::zero() + Duration::millis(i), "c", "e",
+             {{"i", static_cast<double>(i)}});
+  };
+  Tracer direct(4);
+  Tracer first(4);
+  Tracer second(4);  // wraps: 5 events into 4 slots
+  for (int i = 0; i < 3; ++i) record(first, i);
+  for (int i = 3; i < 8; ++i) record(second, i);
+  for (int i = 0; i < 8; ++i) record(direct, i);
+
+  Tracer merged(4);
+  merged.append(first);
+  merged.append(second);
+  EXPECT_EQ(merged.size(), direct.size());
+  EXPECT_EQ(merged.recorded(), direct.recorded());
+  EXPECT_EQ(merged.overwritten(), direct.overwritten());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(merged.at(i).t_ns, direct.at(i).t_ns) << i;
+  }
+  EXPECT_DOUBLE_EQ(merged.at(0).fields[0].value, 4.0);  // newest 4 of 8
+}
+
+TEST(Merge, InvariantsAddAndKeepFirstOccurrencesUpToTheCap) {
+  constexpr std::size_t kCap = InvariantChecker::kMaxDistinct;
+  InvariantChecker merged;
+  InvariantChecker first;
+  InvariantChecker second;
+  for (std::size_t i = 0; i + 1 < kCap; ++i) {
+    first.report(TimePoint::zero(), "inv." + std::to_string(i), "first");
+  }
+  second.report(TimePoint::zero(), "inv.0", "second");
+  second.report(TimePoint::zero(), "new.a", "second a");
+  second.report(TimePoint::zero(), "new.b", "second b");  // over the cap
+  merged.merge(first);
+  merged.merge(second);
+
+  EXPECT_EQ(merged.total(), first.total() + second.total());
+  ASSERT_EQ(merged.violations().size(), kCap);
+  EXPECT_EQ(merged.violations().front().detail, "first");  // earlier run wins
+  EXPECT_EQ(merged.count("inv.0"), 2u);
+  EXPECT_EQ(merged.violations().back().name, "new.a");
+  EXPECT_EQ(merged.count("new.b"), 0u);  // dropped, but still in total()
+}
+
+TEST(Context, ScopeRoutesHooksAndRestores) {
+  ObsStateGuard guard;
+  set_metrics_enabled(true);
+  Context run;
+  {
+    const ContextScope scope(run);
+    EXPECT_EQ(&current(), &run);
+    ZHUGE_METRIC_INC("scoped");
+  }
+  ZHUGE_METRIC_INC("outside");
+  EXPECT_NE(&current(), &run);
+  EXPECT_EQ(run.metrics.counter("scoped").value(), 1u);
+  EXPECT_EQ(run.metrics.counters().count("outside"), 0u);
+  EXPECT_EQ(metrics().counters().count("scoped"), 0u);
+  EXPECT_EQ(metrics().counter("outside").value(), 1u);
 }
 
 TEST(Export, ChromeTraceRoundTrip) {

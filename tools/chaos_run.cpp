@@ -5,12 +5,14 @@
 //             [--no-invariants] [--attrib] [-v]
 //
 // Default mode runs the 7-case standard suite (app::standard_chaos_suite)
-// serially with the runtime invariant checker enabled. --matrix switches
-// to the 24-case recovery-SLO chaos matrix (feedback-path fault kinds x
-// sender CCAs x channel profiles) on the parallel sweep pool; verdicts are
-// bit-identical for any --threads value, and --verify-serial proves it by
-// re-running serially and comparing matrix fingerprints. Exits non-zero
-// when any selected case fails — the same judgment the CI chaos jobs
+// serially. --matrix switches to the 24-case recovery-SLO chaos matrix
+// (feedback-path fault kinds x sender CCAs x channel profiles) on the
+// parallel sweep pool; verdicts are bit-identical for any --threads value,
+// and --verify-serial proves it by re-running serially and comparing
+// matrix fingerprints. Both modes run with the runtime invariant checker
+// enabled unless --no-invariants; the matrix prints the merged checker's
+// summary and fails when it is non-empty. Exits non-zero when any
+// selected case fails — the same judgment the CI chaos jobs
 // apply via tests/chaos_test.cpp and tests/resilience_test.cpp, packaged
 // for interactive use and for sweeping seeds.
 
@@ -48,8 +50,6 @@ void usage(const char* argv0) {
       "  --slo-report P   matrix only: write the recovery-SLO report to P\n"
       "                   (JSON when P ends in .json, text otherwise)\n"
       "  --no-invariants  leave the runtime invariant checker off\n"
-      "                   (standard suite only; the matrix always runs\n"
-      "                   with obs frozen)\n"
       "  --attrib         record latency attribution across the ran cases\n"
       "                   and print the merged budget report at the end\n"
       "                   (standard suite only)\n"
@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  zhuge::obs::set_invariants_enabled(invariants_on);
+
   if (matrix) {
     auto cases = zhuge::app::chaos_matrix(seed);
     if (!only.empty()) {
@@ -132,6 +134,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", json ? zhuge::app::verdict_json(v).c_str()
                                : zhuge::app::format_verdict(v).c_str());
     }
+    // The pool merged every case's checker into this thread's context.
+    const std::string inv = zhuge::obs::invariants().summary();
+    if (!inv.empty()) std::fprintf(stderr, "%s\n", inv.c_str());
 
     if (!slo_report.empty()) {
       std::ofstream out(slo_report);
@@ -149,7 +154,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    int rc = res.failed == 0 ? 0 : 1;
+    int rc = res.failed == 0 && inv.empty() ? 0 : 1;
     if (verify_serial && threads > 1) {
       const auto serial = zhuge::app::run_chaos_matrix(cases, 1);
       const bool same = serial.fingerprint == res.fingerprint;
@@ -174,7 +179,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  zhuge::obs::set_invariants_enabled(invariants_on);
   zhuge::obs::set_attrib_enabled(attrib);
   zhuge::obs::Attribution merged;
 

@@ -9,7 +9,9 @@
 // station densities) into multi-station scenarios on the indexed pool and
 // prints the figure-oriented report; the chained cell-verdict fingerprint
 // is bit-identical for any --threads value, which --verify-serial proves
-// by re-running serially. The golden modes pin the headline cells (Zhuge
+// by re-running serially. With runtime invariants on (a Debug build's
+// default) every cell is checked on the pool, and a non-empty merged
+// checker is printed and fails the run. The golden modes pin the headline cells (Zhuge
 // p95 frame delay < vanilla p95 on W1 and C1) — "does this repo still
 // match the paper" is `eval_run --check-golden`.
 
@@ -22,6 +24,7 @@
 
 #include "app/eval.hpp"
 #include "app/golden.hpp"
+#include "obs/invariants.hpp"
 
 namespace {
 
@@ -206,6 +209,8 @@ int main(int argc, char** argv) {
 
   const auto res = zhuge::app::run_eval_matrix(cells, threads);
   zhuge::app::write_eval_report_text(res, std::cout);
+  // The pool merged every cell's checker into this thread's context.
+  const std::string inv = zhuge::obs::invariants().summary();
 
   if (!report_path.empty()) {
     std::ofstream out(report_path);
@@ -229,6 +234,10 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
+  if (!inv.empty()) {
+    std::fprintf(stderr, "%s\n", inv.c_str());
+    rc = 1;
+  }
   if (verify_serial && threads > 1) {
     const auto serial = zhuge::app::run_eval_matrix(cells, 1);
     const bool same = serial.fingerprint == res.fingerprint;

@@ -22,6 +22,7 @@
 #include "app/spec.hpp"
 #include "app/sweep.hpp"
 #include "obs/attrib.hpp"
+#include "obs/spans.hpp"
 #include "obs/trace_reader.hpp"
 
 namespace {
@@ -153,8 +154,8 @@ int main(int argc, char** argv) {
   // Progress goes to stderr so `--format json > report.json` stays clean.
   std::fprintf(stderr, "attribution: %s, %zu run(s), %u thread(s)\n",
                spec->name.c_str(), grid.size(), threads);
-  const auto runs =
-      app::run_spec_sweep(grid, {.threads = threads, .attrib = true});
+  obs::set_attrib_enabled(true);
+  const auto runs = app::run_spec_sweep(grid, threads);
   for (const auto& run : runs) {
     std::fprintf(stderr, "%-24s fp=%016llx packets=%llu frames=%llu %6.2fs\n",
                  run.name.c_str(),

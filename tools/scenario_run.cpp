@@ -7,7 +7,9 @@
 //
 // A spec run is deterministic in (spec, seed): the printed fingerprint is
 // bit-identical across runs and across --threads values, which
-// --verify-serial asserts by re-running the grid serially. The golden
+// --verify-serial asserts by re-running the grid serially. With runtime
+// invariants on (a Debug build's default) every run is checked on the
+// pool, and a non-empty merged checker is printed and fails the run. The golden
 // modes regenerate / verify tests/golden/*.json (see src/app/golden.hpp).
 
 #include <cstdio>
@@ -24,7 +26,9 @@
 #include "app/sweep.hpp"
 #include "obs/attrib.hpp"
 #include "obs/export.hpp"
+#include "obs/invariants.hpp"
 #include "obs/metrics.hpp"
+#include "obs/spans.hpp"
 
 namespace {
 
@@ -66,8 +70,10 @@ int run_attrib_golden(const std::string& dir, bool update) {
     std::printf("golden: %-20s SKIP (%s)\n", kAttribGoldenName, err.c_str());
     return 0;
   }
-  const auto runs = zhuge::app::run_spec_sweep(
-      {{spec->name, *spec, spec->seed}}, {.threads = 1, .attrib = true});
+  zhuge::obs::set_attrib_enabled(true);
+  const auto runs =
+      zhuge::app::run_spec_sweep({{spec->name, *spec, spec->seed}}, 1);
+  zhuge::obs::set_attrib_enabled(false);
   const auto actual = zhuge::app::make_attrib_golden(
       kAttribGoldenName, spec->seed, runs.front().result.attrib);
   if (update) {
@@ -257,11 +263,17 @@ int main(int argc, char** argv) {
 
   std::printf("scenario: %s, %zu run(s), %u thread(s)\n", spec->name.c_str(),
               grid.size(), threads);
-  const auto runs =
-      app::run_spec_sweep(grid, {.threads = threads, .attrib = attrib});
+  obs::set_attrib_enabled(attrib);
+  const auto runs = app::run_spec_sweep(grid, threads);
   for (const auto& run : runs) print_run(run);
 
   int rc = 0;
+  // The pool merged every run's checker into this thread's context.
+  const std::string inv = obs::invariants().summary();
+  if (!inv.empty()) {
+    std::printf("%s\n", inv.c_str());
+    rc = 1;
+  }
   if (attrib) {
     obs::Attribution merged;
     for (const auto& run : runs) merged.merge(run.result.attrib);
@@ -280,8 +292,7 @@ int main(int argc, char** argv) {
     }
   }
   if (verify_serial) {
-    const auto serial =
-        app::run_spec_sweep(grid, {.threads = 1, .attrib = attrib});
+    const auto serial = app::run_spec_sweep(grid, 1);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       if (serial[i].fingerprint != runs[i].fingerprint) {
         std::printf("MISMATCH %s: parallel %016llx != serial %016llx\n",
