@@ -207,57 +207,6 @@ std::string format_verdict(const ChaosVerdict& v) {
   return line;
 }
 
-std::string verdict_json(const ChaosVerdict& v) {
-  const auto num = [](double d) { return Json::make_number(d); };
-  const auto cnt = [&num](std::uint64_t c) {
-    return num(static_cast<double>(c));
-  };
-  Json o = Json::make_object();
-  o.set("name", Json::make_string(v.name));
-  o.set("passed", Json::make_bool(v.passed));
-  if (!v.failure.empty()) o.set("failure", Json::make_string(v.failure));
-  o.set("pre_fault_goodput_bps", num(v.pre_fault_goodput_bps));
-  o.set("post_fault_goodput_bps", num(v.post_fault_goodput_bps));
-  o.set("recovery_ratio", num(v.recovery_ratio));
-  o.set("stranded_acks", cnt(v.stranded_acks));
-  o.set("invariant_violations", cnt(v.invariant_violations));
-  o.set("degrades", cnt(v.degrades));
-  o.set("reactivates", cnt(v.reactivates));
-  o.set("flushed_acks", cnt(v.flushed_acks));
-  o.set("fault_drops", cnt(v.fault_drops));
-
-  Json slo = Json::make_object();
-  slo.set("triggered", Json::make_bool(v.slo.triggered));
-  slo.set("recovered", Json::make_bool(v.slo.recovered));
-  slo.set("time_to_detect_ms", num(v.slo.time_to_detect_ms));
-  slo.set("time_to_recover_ms", num(v.slo.time_to_recover_ms));
-  Json dwell = Json::make_object();
-  for (std::size_t i = 0; i < obs::kLadderLevelCount; ++i) {
-    dwell.set(obs::ladder_level_name(static_cast<obs::LadderLevel>(i)),
-              num(v.slo.dwell_ms[i]));
-  }
-  slo.set("dwell_ms", std::move(dwell));
-  slo.set("deepest", Json::make_string(obs::ladder_level_name(v.slo.deepest)));
-  slo.set("escalations", cnt(v.slo.escalations));
-  slo.set("step_downs", cnt(v.slo.step_downs));
-  slo.set("frames_expected_in_transition",
-          cnt(v.slo.frames_expected_in_transition));
-  slo.set("frames_decoded_in_transition",
-          cnt(v.slo.frames_decoded_in_transition));
-  slo.set("frames_lost_in_transition", cnt(v.slo.frames_lost_in_transition));
-  slo.set("healthy_p95_ms", num(v.slo.healthy_p95_ms));
-  slo.set("post_recovery_p95_ms", num(v.slo.post_recovery_p95_ms));
-  slo.set("post_over_healthy_p95", num(v.slo.post_over_healthy_p95));
-  o.set("slo", std::move(slo));
-
-  // 64-bit hashes do not round-trip through a JSON double; hex string.
-  char fp[19];
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(chaos_verdict_fingerprint(v)));
-  o.set("fingerprint", Json::make_string(fp));
-  return o.dump();
-}
-
 // ---------------------------------------------------------------------------
 // Chaos matrix
 // ---------------------------------------------------------------------------
@@ -380,15 +329,9 @@ std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v) {
   return f.h;
 }
 
-ChaosMatrixResult run_chaos_matrix(const std::vector<ChaosCase>& cases,
-                                   unsigned threads) {
+ChaosMatrixResult chain_chaos_verdicts(std::vector<ChaosVerdict> verdicts) {
   ChaosMatrixResult out;
-  out.verdicts.resize(cases.size());
-  run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
-    out.verdicts[i] = run_chaos_case(cases[i]);
-  });
-  // Aggregation is serial and in grid order regardless of which worker
-  // finished first, so the fingerprint and the SLO rows are stable.
+  out.verdicts = std::move(verdicts);
   Fnv chain;
   for (const auto& v : out.verdicts) {
     chain.u64(chaos_verdict_fingerprint(v));
@@ -397,6 +340,17 @@ ChaosMatrixResult run_chaos_matrix(const std::vector<ChaosCase>& cases,
   }
   out.fingerprint = chain.h;
   return out;
+}
+
+ChaosMatrixResult run_chaos_matrix(const std::vector<ChaosCase>& cases,
+                                   unsigned threads) {
+  std::vector<ChaosVerdict> verdicts(cases.size());
+  run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
+    verdicts[i] = run_chaos_case(cases[i]);
+  });
+  // Aggregation is serial and in grid order regardless of which worker
+  // finished first, so the fingerprint and the SLO rows are stable.
+  return chain_chaos_verdicts(std::move(verdicts));
 }
 
 }  // namespace zhuge::app

@@ -78,11 +78,6 @@ struct ChaosVerdict {
 /// One-line human-readable verdict summary.
 [[nodiscard]] std::string format_verdict(const ChaosVerdict& v);
 
-/// One machine-readable verdict as a single-line JSON object (chaos_run
-/// --json): pass/fail, goodput numbers, robustness counters, and the full
-/// recovery SLO.
-[[nodiscard]] std::string verdict_json(const ChaosVerdict& v);
-
 // ---------------------------------------------------------------------------
 // Chaos matrix: feedback-path fault kinds x sender CCAs x channel profiles
 // ---------------------------------------------------------------------------
@@ -112,6 +107,12 @@ struct ChaosMatrixResult {
 /// fingerprint, which leaves the ladder log out as observability output;
 /// the SLO numbers derived from it are covered here.
 [[nodiscard]] std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v);
+
+/// Chain the verdict fingerprints and fill the SLO accumulator, serially
+/// in the given order. run_chaos_matrix ends here; chaos_run's standard
+/// suite, which runs its cases one by one, judges its verdicts the same way.
+[[nodiscard]] ChaosMatrixResult chain_chaos_verdicts(
+    std::vector<ChaosVerdict> verdicts);
 
 /// Run `cases` on `threads` workers (app::run_indexed_pool). Runtime
 /// invariants are checked whenever the setting is on, inside the pool as

@@ -15,9 +15,9 @@
 // as the chaos matrix.
 //
 // Headline comparisons (Zhuge p95 frame delay < vanilla p95 per trace
-// class) are derived from the cells and pinned as golden anchors under
-// the `repro` ctest label; tools/eval_run packages the whole thing as
-// "does this repo still match the paper" in one command.
+// class) are derived from the cells; two of them are pinned as golden
+// anchors (app/golden.hpp) under the `repro` ctest label. tools/eval_run
+// prints the text report and writes the run record (app/record.hpp).
 
 #include <cstdint>
 #include <iosfwd>
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "app/golden.hpp"
 #include "app/spec.hpp"
 #include "app/sweep.hpp"
 #include "trace/synthetic.hpp"
@@ -92,8 +91,8 @@ struct EvalCellSpec {
 /// changes).
 [[nodiscard]] std::vector<EvalCellSpec> expand_eval_matrix(const EvalSpec& spec);
 
-/// Frame-delay CDF decile grid (p10..p90), fixed so reports and their
-/// round-trips agree on the shape.
+/// Frame-delay CDF decile grid (p10..p90), fixed so every record of a cell
+/// has the same shape.
 inline constexpr int kEvalCdfDeciles = 9;
 
 /// One judged cell. All numeric fields are part of the cell fingerprint.
@@ -152,32 +151,8 @@ struct EvalMatrixResult {
 [[nodiscard]] EvalMatrixResult run_eval_matrix(
     const std::vector<EvalCellSpec>& cells, unsigned threads);
 
-// ---------------------------------------------------------------------------
-// Figure-oriented reports
-// ---------------------------------------------------------------------------
-
+/// The figure-oriented text report: one row per cell, then the headline
+/// comparisons.
 void write_eval_report_text(const EvalMatrixResult& res, std::ostream& out);
-/// CSV with %.17g doubles so every value round-trips bit-exactly.
-void write_eval_report_csv(const EvalMatrixResult& res, std::ostream& out);
-[[nodiscard]] Json eval_report_to_json(const EvalMatrixResult& res);
-/// Inverse of eval_report_to_json (fingerprints included), for round-trip
-/// tests and downstream tooling.
-[[nodiscard]] std::optional<EvalMatrixResult> eval_report_from_json(
-    const Json& j, std::string* err);
-
-// ---------------------------------------------------------------------------
-// Golden anchors (repro suite)
-// ---------------------------------------------------------------------------
-
-/// The pinned headline cells: Zhuge p95 frame delay < vanilla p95 on the
-/// W1 and C1 trace classes (GCC workload, anchor density).
-[[nodiscard]] std::vector<std::string> eval_golden_names();
-
-/// Run the two cells behind `name` ("eval_w1_gcc" / "eval_c1_gcc")
-/// serially and package them as a GoldenRecord: fingerprint = chained
-/// matrix fingerprint, headline = the p95 pair, the win verdict, and the
-/// delayed-frame ratios. nullopt for unknown names.
-[[nodiscard]] std::optional<GoldenRecord> compute_eval_golden(
-    const std::string& name);
 
 }  // namespace zhuge::app

@@ -1,102 +1,67 @@
 #pragma once
-// Golden-trace regression records.
+// Golden anchors: pinned run records.
 //
-// A golden record pins the full 64-bit result fingerprint (see
-// multi_result_fingerprint) of a canonical scenario at a fixed seed,
-// plus a handful of headline metrics. The fingerprint catches ANY
-// behavioural drift — one packet scheduled one microsecond differently
-// anywhere in the stack changes the hash — while the stored headline
-// metrics say what moved, and pin what the hash leaves out (the engine's
-// events_executed). Records live in tests/golden/*.json and are refreshed
-// with `scenario_run --update-golden` when a change is intentional.
+// A golden file (tests/golden/<name>.json) is the run record of a
+// canonical run (app/record.hpp) trimmed to {schema, name, seed,
+// fingerprint, headline}. The fingerprint catches ANY behavioural drift —
+// one packet scheduled one microsecond differently anywhere in the stack
+// changes the hash — while the headline says what moved and pins what the
+// hash leaves out (the engine's events_executed, the attribution stage
+// p95s). Every key is compared exactly. Records are refreshed with
+// `scenario_run --update-golden` when a change is intentional.
+//
+// The registry holds six anchors:
+//   rtp_zhuge_single — one RTP/GCC flow through a Zhuge AP, MCS-7 Wi-Fi
+//   tcp_mix          — TCP/BBR RTC flow + 2 CUBIC bulk competitors
+//   chaos_burst      — RTP/Zhuge under a 3 s Gilbert-Elliott WAN burst
+//   eval_w1_gcc      — the paper's headline claim (Zhuge p95 frame delay <
+//   eval_c1_gcc        vanilla p95) on the W1 / C1 trace classes, GCC at
+//                      4 stations; only blessed while the claim holds
+//   attrib_dense64   — examples/specs/dense_64sta_churn.json with latency
+//                      attribution on, pinning each stage's p95
 
-#include <cstdint>
-#include <map>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "app/spec.hpp"
-#include "app/sweep.hpp"
 
 namespace zhuge::app {
 
-/// One pinned scenario outcome.
-struct GoldenRecord {
-  std::string name;
-  std::uint64_t seed = 1;
-  std::uint64_t fingerprint = 0;
-  /// Headline metrics captured when the record was made; each must match
-  /// exactly, like the fingerprint.
-  std::map<std::string, double> headline;
-};
+/// The six anchor names, in check order.
+[[nodiscard]] std::vector<std::string> golden_names();
 
-/// Names of the canonical golden scenarios:
-///   rtp_zhuge_single — one RTP/GCC flow through a Zhuge AP, MCS-7 Wi-Fi
-///   tcp_mix          — TCP/BBR RTC flow + 2 CUBIC bulk competitors
-///   chaos_burst      — RTP/Zhuge under a 3 s Gilbert-Elliott WAN burst
-[[nodiscard]] std::vector<std::string> golden_scenario_names();
-
-/// The canonical spec behind a name; nullopt for unknown names.
+/// The spec behind a single-run scenario anchor (rtp_zhuge_single,
+/// tcp_mix, chaos_burst); nullopt for other names.
 [[nodiscard]] std::optional<ScenarioSpec> golden_scenario_spec(
     const std::string& name);
 
-/// Run a canonical scenario and build its record. The fingerprint is the
-/// one a sweep, an eval cell or any reader order would produce: it hashes
-/// behaviour only, so neither the obs switches nor quantile reads move it.
-[[nodiscard]] std::optional<GoldenRecord> compute_golden(
-    const std::string& name);
+/// Run an anchor and build its full run record. `spec_dir` holds the
+/// shipped example specs (attrib_dense64 reads one). nullopt with `*err`
+/// for an unknown name or an unreadable spec.
+[[nodiscard]] std::optional<Json> golden_run_record(const std::string& name,
+                                                    const std::string& spec_dir,
+                                                    std::string* err);
 
-/// Compare two records. Empty result = match; otherwise one
-/// human-readable line per mismatch (fingerprint first, then every
-/// headline metric that moved, is missing or is new), whether or not the
-/// fingerprint matched.
-[[nodiscard]] std::vector<std::string> compare_golden(
-    const GoldenRecord& expected, const GoldenRecord& actual);
+/// The golden subset of a record: {schema, name, seed, fingerprint,
+/// headline}.
+[[nodiscard]] Json trim_to_golden(const Json& record);
 
-/// (De)serialisation. Fingerprints are stored as 16-digit hex strings —
-/// a JSON number (double) cannot hold 64 bits exactly.
-[[nodiscard]] Json golden_to_json(const GoldenRecord& rec);
-[[nodiscard]] std::optional<GoldenRecord> golden_from_json(const Json& j,
-                                                           std::string* err);
-[[nodiscard]] std::optional<GoldenRecord> load_golden_file(
-    const std::string& path, std::string* err);
-/// Write a pretty-printed record; returns false on I/O failure.
-[[nodiscard]] bool write_golden_file(const std::string& path,
-                                     const GoldenRecord& rec);
+/// Compare two golden records exactly. Empty result = match; otherwise
+/// one human-readable line per mismatch (header fields first, then every
+/// headline key that moved, is missing or is new). Null headline values
+/// count as absent.
+[[nodiscard]] std::vector<std::string> compare_golden(const Json& expected,
+                                                      const Json& actual);
 
-// ---------------------------------------------------------------------------
-// Latency-attribution goldens
-// ---------------------------------------------------------------------------
-
-/// Pinned per-stage latency profile of a canonical scenario: the aggregate
-/// p95 of every stage that saw traffic, in microseconds. Unlike the full
-/// fingerprint, a drift report here names the *stage* that moved — "air
-/// p95 grew 40%" localises a regression the 64-bit hash can only detect.
-struct AttribGolden {
-  std::string name;
-  std::uint64_t seed = 1;
-  std::map<std::string, double> stage_p95_us;  ///< stage name -> p95 (us)
-};
-
-/// Build the record from a run's attribution aggregate.
-[[nodiscard]] AttribGolden make_attrib_golden(const std::string& name,
-                                              std::uint64_t seed,
-                                              const obs::Attribution& attrib);
-
-/// Compare with relative tolerance (default 1e-6 — the records are
-/// deterministic; the slack only absorbs JSON round-trip rounding). One
-/// human-readable line per drifting stage.
-[[nodiscard]] std::vector<std::string> compare_attrib_golden(
-    const AttribGolden& expected, const AttribGolden& actual,
-    double rel_tol = 1e-6);
-
-[[nodiscard]] Json attrib_golden_to_json(const AttribGolden& rec);
-[[nodiscard]] std::optional<AttribGolden> attrib_golden_from_json(
-    const Json& j, std::string* err);
-[[nodiscard]] std::optional<AttribGolden> load_attrib_golden_file(
-    const std::string& path, std::string* err);
-[[nodiscard]] bool write_attrib_golden_file(const std::string& path,
-                                            const AttribGolden& rec);
+/// The one check/update loop over the registry: re-run every anchor and
+/// compare it with `dir/<name>.json` (or, with `update`, write it). Eval
+/// anchors also fail — and are not written — unless Zhuge still wins.
+/// Prints one line per anchor to `out`; returns 0 when all pass, 1 on any
+/// drift, failed claim or unreadable golden, 2 when a write fails.
+[[nodiscard]] int check_goldens(const std::string& dir,
+                                const std::string& spec_dir, bool update,
+                                std::ostream& out);
 
 }  // namespace zhuge::app

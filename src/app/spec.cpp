@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -56,6 +57,12 @@ const Json* Json::find(std::string_view key) const {
   return it == obj_.end() ? nullptr : &it->second;
 }
 
+Json* Json::find(std::string_view key) {
+  if (kind_ != Kind::kObject) return nullptr;
+  const auto it = obj_.find(key);
+  return it == obj_.end() ? nullptr : &it->second;
+}
+
 Json& Json::set(const std::string& key, Json v) {
   kind_ = Kind::kObject;
   obj_[key] = std::move(v);
@@ -86,12 +93,18 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_number(std::string& out, double v) {
+  // JSON has no NaN or Inf (and casting them is undefined): write null.
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   // %.17g round-trips every finite double; integers print without a dot.
   char buf[32];
   // zlint-allow(float-equality): exact test for "is an integer value" —
-  // the round-trip cast is the idiomatic way to pick the %lld rendering.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // the round-trip cast is the idiomatic way to pick the %lld rendering,
+  // and the magnitude test before it keeps the cast defined.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -456,59 +469,57 @@ std::string quoted(std::string_view key) {
   return out;
 }
 
-/// Diagnostics and typed reads for one spec object. Every parser below
-/// walks its object's members once, dispatching each key to the field it
-/// sets; a key no branch claims is an error, so a typo cannot silently
-/// run a default. Messages read "line N: <path>: message", with the line
-/// of the offending value.
-class Reader {
+}  // namespace
+
+// Every message reads "line N: <path>: message", with the line of the
+// offending value (empty for built documents, which carry line 0).
+bool SpecReader::fail(const Json& at, const std::string& msg) {
+  if (err_ != nullptr) {
+    *err_ = at_line(at) + (path_.empty() ? "" : path_ + ": ") + msg;
+  }
+  return false;
+}
+
+bool SpecReader::unknown(std::string_view key, const Json& v) {
+  return fail(v, "unknown key " + quoted(key));
+}
+
+bool SpecReader::object(const Json& v) {
+  return v.is_object() || fail(v, "must be an object");
+}
+
+bool SpecReader::num(const Json& v, std::string_view key, double& out) {
+  if (v.kind() != Json::Kind::kNumber) return fail(v, quoted(key) + " must be a number");
+  out = v.number_or(out);
+  return true;
+}
+
+bool SpecReader::text(const Json& v, std::string_view key, std::string& out) {
+  if (v.kind() != Json::Kind::kString) return fail(v, quoted(key) + " must be a string");
+  out = v.string_or(out);
+  return true;
+}
+
+bool SpecReader::boolean(const Json& v, std::string_view key, bool& out) {
+  if (v.kind() != Json::Kind::kBool) {
+    return fail(v, quoted(key) + " must be true or false");
+  }
+  out = v.bool_or(out);
+  return true;
+}
+
+bool SpecReader::whole_in_range(double d, bool is_signed, int digits) {
+  const double bound = std::ldexp(1.0, digits);
+  // zlint-allow(float-equality): exact test for a whole number.
+  return std::trunc(d) == d && d < bound && d >= (is_signed ? -bound : 0.0);
+}
+
+namespace {
+
+/// Spec-only typed reads on top of SpecReader.
+class Reader : public SpecReader {
  public:
-  Reader(std::string path, std::string* err)
-      : path_(std::move(path)), err_(err) {}
-
-  bool fail(const Json& at, const std::string& msg) {
-    if (err_ != nullptr) {
-      *err_ = at_line(at) + (path_.empty() ? "" : path_ + ": ") + msg;
-    }
-    return false;
-  }
-
-  bool unknown(std::string_view key, const Json& v) {
-    return fail(v, "unknown key " + quoted(key));
-  }
-
-  bool object(const Json& v) { return v.is_object() || fail(v, "must be an object"); }
-
-  bool num(const Json& v, std::string_view key, double& out) {
-    if (v.kind() != Json::Kind::kNumber) return fail(v, quoted(key) + " must be a number");
-    out = v.number_or(out);
-    return true;
-  }
-
-  template <typename Int>
-  bool integer(const Json& v, std::string_view key, Int& out) {
-    double d = 0.0;
-    if (!num(v, key, d)) return false;
-    out = static_cast<Int>(d);
-    return true;
-  }
-
-  bool boolean(const Json& v, std::string_view key, bool& out) {
-    if (v.kind() != Json::Kind::kBool) {
-      return fail(v, quoted(key) + " must be true or false");
-    }
-    out = v.bool_or(out);
-    return true;
-  }
-
-  /// A string naming one of an enum's spellings.
-  template <typename T>
-  bool choice(const Json& v, std::string_view key,
-              bool (*parse)(const std::string&, T&), T& out,
-              const char* expected) {
-    if (v.kind() == Json::Kind::kString && parse(v.string_or(""), out)) return true;
-    return fail(v, std::string(key) + " must be " + expected);
-  }
+  using SpecReader::SpecReader;
 
   bool prob(const Json& v, std::string_view key, double& out) {
     if (!num(v, key, out)) return false;
@@ -523,10 +534,6 @@ class Reader {
     out = sim::Duration::from_seconds(ms / 1e3);
     return true;
   }
-
- private:
-  std::string path_;
-  std::string* err_;
 };
 
 sim::TimePoint at_s(double seconds) {
@@ -742,7 +749,10 @@ bool parse_station(const Json& sj, const std::string& path,
   for (const auto& [key, v] : sj.object()) {
     bool ok = true;
     if (key == "count") {
-      ok = r.integer(v, key, g.count) && (g.count >= 1 || r.fail(v, "count must be >= 1"));
+      // Bounded so that summing the groups' counts cannot overflow.
+      ok = r.integer(v, key, g.count) &&
+           ((g.count >= 1 && g.count <= 1024) ||
+            r.fail(v, "count must be in [1, 1024]"));
     } else if (key == "mcs") {
       ok = r.integer(v, key, g.mcs) &&
            ((g.mcs >= 0 && g.mcs <= 7) || r.fail(v, "mcs must be 0..7"));
@@ -871,8 +881,7 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
   for (const auto& [key, v] : doc->object()) {
     bool ok = true;
     if (key == "name") {
-      ok = v.kind() == Json::Kind::kString || r.fail(v, "\"name\" must be a string");
-      spec.name = v.string_or(spec.name);
+      ok = r.text(v, key, spec.name);
     } else if (key == "duration_s") {
       ok = r.num(v, key, spec.duration_s);
     } else if (key == "warmup_s") {

@@ -9,10 +9,12 @@
 // reproducible, diffable, and shareable.
 //
 // Specs are written in a small JSON subset (objects, arrays, strings,
-// numbers, bools, null; no external dependency). The same Json class is
-// reused by the golden-trace records.
+// numbers, bools, null; no external dependency). The same Json class and
+// strict SpecReader serve the eval specs and the run records
+// (app/record.hpp).
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -66,12 +68,14 @@ class Json {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(std::string_view key) const;
+  [[nodiscard]] Json* find(std::string_view key);
 
-  /// Mutators for building documents (golden records).
+  /// Mutators for building documents (run records).
   Json& set(const std::string& key, Json v);
   Json& push(Json v);
 
   /// Serialise. `indent` > 0 pretty-prints; doubles round-trip (%.17g).
+  /// JSON has no NaN or Inf: a non-finite number is written as null.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
   /// Parse `text`. On failure returns nullopt and sets `*err` (if non-null)
@@ -94,6 +98,53 @@ class Json {
   Object obj_;
 
   void dump_to(std::string& out, int indent, int depth) const;
+};
+
+/// Strict typed reads from one JSON object of outside input (scenario
+/// specs, eval specs, run records). Each read checks the value's kind and
+/// otherwise fails with "line N: <path>: message" in `*err`; integers must
+/// also be whole and fit the destination, so "seed": -1 or "count": 2.7
+/// is an error rather than a different scenario than the one written.
+class SpecReader {
+ public:
+  SpecReader(std::string path, std::string* err)
+      : path_(std::move(path)), err_(err) {}
+
+  bool fail(const Json& at, const std::string& msg);
+  bool unknown(std::string_view key, const Json& v);
+  bool object(const Json& v);
+  bool num(const Json& v, std::string_view key, double& out);
+  bool text(const Json& v, std::string_view key, std::string& out);
+  bool boolean(const Json& v, std::string_view key, bool& out);
+
+  template <typename Int>
+  bool integer(const Json& v, std::string_view key, Int& out) {
+    double d = 0.0;
+    if (!num(v, key, d)) return false;
+    if (!whole_in_range(d, std::numeric_limits<Int>::is_signed,
+                        std::numeric_limits<Int>::digits)) {
+      return fail(v, "\"" + std::string(key) + "\" must be an integer in range");
+    }
+    out = static_cast<Int>(d);
+    return true;
+  }
+
+  /// A string naming one of an enum's spellings.
+  template <typename T>
+  bool choice(const Json& v, std::string_view key,
+              bool (*parse)(const std::string&, T&), T& out,
+              const char* expected) {
+    if (v.kind() == Json::Kind::kString && parse(v.string_or(""), out)) return true;
+    return fail(v, std::string(key) + " must be " + expected);
+  }
+
+ private:
+  /// `d` is whole and inside [-2^digits, 2^digits) (signed) or
+  /// [0, 2^digits) (unsigned), so the cast to the integer is exact.
+  static bool whole_in_range(double d, bool is_signed, int digits);
+
+  std::string path_;
+  std::string* err_;
 };
 
 // ---------------------------------------------------------------------------

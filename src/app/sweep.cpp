@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <utility>
 
@@ -23,6 +25,23 @@ double wall_since(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
+
+std::string to_hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::optional<std::uint64_t> parse_hex16(std::string_view s) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, 16);
+  if (s.empty() || s.size() > 16 || ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   // Field order mirrors the MultiStationResult declaration; every simulated
@@ -127,53 +146,6 @@ std::vector<SpecPoint> cross_spec_seeds(
     grid.push_back(std::move(p));
   }
   return grid;
-}
-
-void export_spec_sweep_metrics(const std::vector<SpecRun>& runs,
-                               obs::Registry& registry) {
-  std::uint64_t total_events = 0;
-  double total_wall = 0.0;
-  for (const auto& run : runs) {
-    const std::string base = "mssweep." + run.name + ".";
-    const auto& r = run.result;
-    if (r.agg_network_rtt_ms.count() > 0) {
-      registry.gauge(base + "rtt_p50_ms").set(r.agg_network_rtt_ms.quantile(0.50));
-      registry.gauge(base + "rtt_p99_ms").set(r.agg_network_rtt_ms.quantile(0.99));
-    }
-    if (r.agg_frame_delay_ms.count() > 0) {
-      registry.gauge(base + "frame_delay_p99_ms")
-          .set(r.agg_frame_delay_ms.quantile(0.99));
-    }
-    double peak = 0.0;
-    for (const auto& pt : r.active_flows.points()) peak = std::max(peak, pt.value);
-    registry.gauge(base + "active_flows_peak").set(peak);
-    registry.gauge(base + "wall_seconds").set(run.wall_seconds);
-    registry.counter(base + "events").inc(r.events_executed);
-    registry.counter(base + "arrivals").inc(r.arrivals);
-    registry.counter(base + "departures").inc(r.departures);
-    registry.counter(base + "qdisc_drops").inc(r.qdisc_drops);
-    registry.counter(base + "stranded_acks").inc(r.stranded_acks);
-    registry.counter(base + "invariant_violations").inc(r.invariant_violations);
-    // Per-stage latency columns (attrib sweeps only; empty otherwise).
-    if (!r.attrib.empty()) {
-      for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-        const auto stage = static_cast<obs::Stage>(s);
-        const obs::Histogram& h = r.attrib.all().stage(stage);
-        if (h.count() == 0) continue;
-        const std::string stage_base =
-            base + "stage." + obs::stage_name(stage) + ".";
-        registry.gauge(stage_base + "p50_us").set(h.quantile(0.50));
-        registry.gauge(stage_base + "p95_us").set(h.quantile(0.95));
-        registry.gauge(stage_base + "p99_us").set(h.quantile(0.99));
-        registry.counter(stage_base + "count").inc(h.count());
-      }
-    }
-    total_events += r.events_executed;
-    total_wall += run.wall_seconds;
-  }
-  registry.counter("mssweep.total.runs").inc(runs.size());
-  registry.counter("mssweep.total.events").inc(total_events);
-  registry.gauge("mssweep.total.wall_seconds").set(total_wall);
 }
 
 }  // namespace zhuge::app

@@ -20,13 +20,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "app/scenario.hpp"
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 
 namespace zhuge::app {
 
@@ -81,6 +82,12 @@ struct Fnv {
     }
   }
 };
+
+/// 16 lower-case hex digits: how a record stores a 64-bit fingerprint (a
+/// JSON number, a double, cannot hold 64 bits exactly).
+[[nodiscard]] std::string to_hex16(std::uint64_t v);
+/// Inverse of to_hex16; nullopt unless `s` is 1..16 hex digits.
+[[nodiscard]] std::optional<std::uint64_t> parse_hex16(std::string_view s);
 
 /// Run `fn(0..n-1)` on `threads` workers pulling indices from a shared
 /// atomic counter; serial on the calling thread when threads <= 1. Each
@@ -166,15 +173,5 @@ struct SpecRun {
 /// One spec across many seeds, named "<spec.name>/s<seed>".
 [[nodiscard]] std::vector<SpecPoint> cross_spec_seeds(
     const ScenarioSpec& spec, const std::vector<std::uint64_t>& seeds);
-
-/// Aggregate spec-sweep headline metrics, serially, in grid order:
-/// gauges `mssweep.<name>.{rtt_p50_ms,rtt_p99_ms,frame_delay_p99_ms,
-/// active_flows_peak,wall_seconds}`, counters `mssweep.<name>.{events,
-/// arrivals,departures,qdisc_drops,stranded_acks,invariant_violations}`,
-/// plus `mssweep.total.*`. Runs that recorded latency attribution
-/// additionally get `mssweep.<name>.stage.<stage>.{p50_us,p95_us,
-/// p99_us,count}` per populated stage.
-void export_spec_sweep_metrics(const std::vector<SpecRun>& runs,
-                               obs::Registry& registry);
 
 }  // namespace zhuge::app

@@ -25,21 +25,6 @@ double interval_us(std::int64_t a_ns, std::int64_t b_ns) {
   return static_cast<double>(b_ns - a_ns) / 1e3;
 }
 
-/// %.9g rendering shared with obs/export.cpp (JSON has no Inf/NaN).
-void write_number(std::ostream& out, double v) {
-  if (std::isnan(v)) {
-    out << "0";
-    return;
-  }
-  if (std::isinf(v)) {
-    out << (v > 0 ? "1e308" : "-1e308");
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out << buf;
-}
-
 }  // namespace
 
 void StageSet::merge(const StageSet& other) {
@@ -196,25 +181,6 @@ void Attribution::merge(const Attribution& other) {
   truncated_flows_ += other.truncated_flows_;
 }
 
-void Attribution::export_metrics(Registry& registry,
-                                 const std::string& prefix) const {
-  registry.counter(prefix + ".packets").inc(packets_);
-  registry.counter(prefix + ".frames").inc(frames_);
-  const auto emit = [&registry](const StageSet& set, const std::string& base) {
-    for (const Stage st : kAllStages) {
-      const Histogram& h = set.stage(st);
-      if (h.count() == 0) continue;
-      registry
-          .histogram(base + "." + stage_name(st) + "_us",
-                     StageSet::stage_spec())
-          .merge(h);
-    }
-  };
-  emit(all_, prefix);
-  if (!group(true).empty()) emit(group(true), prefix + ".zhuge_on");
-  if (!group(false).empty()) emit(group(false), prefix + ".zhuge_off");
-}
-
 // ---- report rendering -----------------------------------------------------
 
 namespace {
@@ -300,121 +266,6 @@ void write_attrib_report_text(const Attribution& a, std::ostream& out) {
       out << buf;
     }
   }
-}
-
-namespace {
-
-void csv_scope_rows(std::ostream& out, const std::string& scope,
-                    const StageSet& set) {
-  for (const Stage st : kAllStages) {
-    const Histogram& h = set.stage(st);
-    if (h.count() == 0) continue;
-    out << scope << ',' << stage_name(st) << ',' << h.count() << ',';
-    write_number(out, h.mean());
-    out << ',';
-    write_number(out, h.quantile(0.50));
-    out << ',';
-    write_number(out, h.quantile(0.90));
-    out << ',';
-    write_number(out, h.quantile(0.95));
-    out << ',';
-    write_number(out, h.quantile(0.99));
-    out << ',';
-    write_number(out, h.max());
-    out << '\n';
-  }
-}
-
-}  // namespace
-
-void write_attrib_report_csv(const Attribution& a, std::ostream& out) {
-  out << "scope,stage,count,mean_us,p50_us,p90_us,p95_us,p99_us,max_us\n";
-  csv_scope_rows(out, "all", a.all());
-  if (!a.group(true).empty()) csv_scope_rows(out, "zhuge_on", a.group(true));
-  if (!a.group(false).empty()) csv_scope_rows(out, "zhuge_off", a.group(false));
-  for (const auto& [key, set] : a.flows()) {
-    csv_scope_rows(out, "flow" + std::to_string(key), set);
-  }
-}
-
-namespace {
-
-void json_stage_object(std::ostream& out, const Histogram& h, bool with_cdf) {
-  out << "{\"count\": " << h.count() << ", \"mean\": ";
-  write_number(out, h.mean());
-  out << ", \"p50\": ";
-  write_number(out, h.quantile(0.50));
-  out << ", \"p95\": ";
-  write_number(out, h.quantile(0.95));
-  out << ", \"p99\": ";
-  write_number(out, h.quantile(0.99));
-  out << ", \"min\": ";
-  write_number(out, h.min());
-  out << ", \"max\": ";
-  write_number(out, h.max());
-  if (with_cdf) {
-    out << ", \"cdf\": [";
-    std::uint64_t cum = 0;
-    bool first = true;
-    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-      if (h.bucket_value(i) == 0) continue;
-      cum += h.bucket_value(i);
-      if (!first) out << ',';
-      first = false;
-      const double upper = std::isinf(h.bucket_upper(i)) ? h.max()
-                                                         : h.bucket_upper(i);
-      out << "{\"le_us\": ";
-      write_number(out, std::min(upper, h.max()));
-      out << ", \"f\": ";
-      write_number(out, static_cast<double>(cum) /
-                            static_cast<double>(h.count()));
-      out << '}';
-    }
-    out << ']';
-  }
-  out << '}';
-}
-
-void json_scope_object(std::ostream& out, const StageSet& set, bool with_cdf) {
-  out << '{';
-  bool first = true;
-  for (const Stage st : kAllStages) {
-    const Histogram& h = set.stage(st);
-    if (h.count() == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << "\n      \"" << stage_name(st) << "\": ";
-    json_stage_object(out, h, with_cdf);
-  }
-  out << "\n    }";
-}
-
-}  // namespace
-
-void write_attrib_report_json(const Attribution& a, std::ostream& out) {
-  out << "{\n  \"packets\": " << a.packets()
-      << ",\n  \"frames\": " << a.frames()
-      << ",\n  \"truncated_flows\": " << a.truncated_flows()
-      << ",\n  \"scopes\": {";
-  out << "\n    \"all\": ";
-  json_scope_object(out, a.all(), /*with_cdf=*/true);
-  if (!a.group(true).empty()) {
-    out << ",\n    \"zhuge_on\": ";
-    json_scope_object(out, a.group(true), /*with_cdf=*/false);
-  }
-  if (!a.group(false).empty()) {
-    out << ",\n    \"zhuge_off\": ";
-    json_scope_object(out, a.group(false), /*with_cdf=*/false);
-  }
-  out << "\n  },\n  \"flows\": {";
-  bool first = true;
-  for (const auto& [key, set] : a.flows()) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n    \"" << key << "\": ";
-    json_scope_object(out, set, /*with_cdf=*/false);
-  }
-  out << "\n  }\n}\n";
 }
 
 }  // namespace zhuge::obs

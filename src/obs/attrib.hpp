@@ -13,8 +13,8 @@
 // The same aggregator is fed two ways: live (record_packet/record_frame
 // called from the scenario engines at delivery/decode time) or offline
 // (add_trace_event replaying "span" records from a JSONL trace via
-// obs/trace_reader). tools/latency_attrib renders either into the
-// latency-budget report (text table + waterfall, CSV, JSON with CDFs).
+// obs/trace_reader). The text renderer below is the human view; the
+// machine view is the run record's "attrib" section (app/record.hpp).
 
 #include <array>
 #include <cstdint>
@@ -102,10 +102,6 @@ class Attribution {
     return by_flow_;
   }
 
-  /// Export per-stage histograms into a metrics registry under
-  /// `<prefix>.<stage>_us` (aggregate) and `<prefix>.<group>.<stage>_us`.
-  void export_metrics(Registry& registry, const std::string& prefix) const;
-
  private:
   [[nodiscard]] StageSet* flow_set(std::uint32_t flow_key);
 
@@ -124,13 +120,5 @@ class Attribution {
 /// stage), and a Zhuge-on vs Zhuge-off p95 comparison when both groups
 /// saw traffic.
 void write_attrib_report_text(const Attribution& a, std::ostream& out);
-
-/// CSV: one row per (scope, stage) with count/mean/p50/p90/p95/p99/max,
-/// scope in {all, zhuge_on, zhuge_off, flow<k>}.
-void write_attrib_report_csv(const Attribution& a, std::ostream& out);
-
-/// JSON: per-scope per-stage summary objects plus the full CDF (bucket
-/// upper edge -> cumulative fraction) for every aggregate stage.
-void write_attrib_report_json(const Attribution& a, std::ostream& out);
 
 }  // namespace zhuge::obs

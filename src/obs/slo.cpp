@@ -11,7 +11,7 @@ namespace zhuge::obs {
 
 namespace {
 
-/// %.9g rendering shared with obs/attrib.cpp (JSON has no Inf/NaN).
+/// %.9g rendering for the text report (no Inf/NaN in its columns).
 void write_number(std::ostream& out, double v) {
   if (std::isnan(v)) {
     out << "0";
@@ -41,35 +41,6 @@ HistogramSpec time_spec() { return HistogramSpec{1.0, 1e5, 20}; }
 HistogramSpec count_spec() { return HistogramSpec{0.1, 1e4, 10}; }
 /// p95 ratios: 0.01x .. 100x.
 HistogramSpec ratio_spec() { return HistogramSpec{0.01, 100.0, 20}; }
-
-void json_histogram(std::ostream& out, const Histogram& h) {
-  out << "{\"count\": " << h.count() << ", \"mean\": ";
-  write_number(out, h.mean());
-  out << ", \"p50\": ";
-  write_number(out, h.quantile(0.50));
-  out << ", \"p95\": ";
-  write_number(out, h.quantile(0.95));
-  out << ", \"max\": ";
-  write_number(out, h.max());
-  out << ", \"cdf\": [";
-  std::uint64_t cum = 0;
-  bool first = true;
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-    if (h.bucket_value(i) == 0) continue;
-    cum += h.bucket_value(i);
-    if (!first) out << ',';
-    first = false;
-    const double upper =
-        std::isinf(h.bucket_upper(i)) ? h.max() : h.bucket_upper(i);
-    out << "{\"le\": ";
-    write_number(out, std::min(upper, h.max()));
-    out << ", \"f\": ";
-    write_number(out,
-                 static_cast<double>(cum) / static_cast<double>(h.count()));
-    out << '}';
-  }
-  out << "]}";
-}
 
 }  // namespace
 
@@ -264,19 +235,6 @@ void SloAccumulator::merge(const SloAccumulator& other) {
   rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
 }
 
-void SloAccumulator::export_metrics(Registry& registry,
-                                    const std::string& prefix) const {
-  registry.counter(prefix + ".cases").inc(cases_);
-  registry.counter(prefix + ".triggered").inc(triggered_);
-  registry.counter(prefix + ".recovered").inc(recovered_);
-  registry.counter(prefix + ".unrecovered").inc(unrecovered());
-  registry.histogram(prefix + ".detect_ms", time_spec()).merge(detect_ms_);
-  registry.histogram(prefix + ".recover_ms", time_spec()).merge(recover_ms_);
-  registry.histogram(prefix + ".frames_lost", count_spec())
-      .merge(frames_lost_);
-  registry.histogram(prefix + ".p95_ratio", ratio_spec()).merge(p95_ratio_);
-}
-
 void write_slo_report_text(const SloAccumulator& a, std::ostream& out) {
   out << "recovery SLO: " << a.cases() << " case(s), " << a.triggered()
       << " triggered, " << a.recovered() << " recovered, " << a.unrecovered()
@@ -312,58 +270,6 @@ void write_slo_report_text(const SloAccumulator& a, std::ostream& out) {
   summary("recover_ms", a.recover_ms());
   summary("frames_lost", a.frames_lost());
   summary("p95_ratio", a.p95_ratio());
-}
-
-void write_slo_report_json(const SloAccumulator& a, std::ostream& out) {
-  out << "{\n  \"cases\": " << a.cases()
-      << ",\n  \"triggered\": " << a.triggered()
-      << ",\n  \"recovered\": " << a.recovered()
-      << ",\n  \"unrecovered\": " << a.unrecovered() << ",\n  \"rows\": [";
-  bool first = true;
-  for (const auto& row : a.rows()) {
-    const RecoverySlo& s = row.slo;
-    if (!first) out << ',';
-    first = false;
-    out << "\n    {\"case\": \"" << row.name << "\", \"triggered\": "
-        << (s.triggered ? "true" : "false")
-        << ", \"recovered\": " << (s.recovered ? "true" : "false")
-        << ", \"detect_ms\": ";
-    write_number(out, s.time_to_detect_ms);
-    out << ", \"recover_ms\": ";
-    write_number(out, s.time_to_recover_ms);
-    out << ", \"deepest\": \"" << ladder_level_name(s.deepest)
-        << "\", \"escalations\": " << s.escalations
-        << ", \"step_downs\": " << s.step_downs << ", \"dwell_ms\": {";
-    for (std::size_t i = 0; i < kLadderLevelCount; ++i) {
-      if (i != 0) out << ", ";
-      out << '"' << ladder_level_name(static_cast<LadderLevel>(i)) << "\": ";
-      write_number(out, s.dwell_ms[i]);
-    }
-    out << "}, \"frames_expected\": " << s.frames_expected_in_transition
-        << ", \"frames_decoded\": " << s.frames_decoded_in_transition
-        << ", \"frames_lost\": " << s.frames_lost_in_transition
-        << ", \"healthy_p95_ms\": ";
-    write_number(out, s.healthy_p95_ms);
-    out << ", \"post_recovery_p95_ms\": ";
-    write_number(out, s.post_recovery_p95_ms);
-    out << ", \"p95_ratio\": ";
-    write_number(out, s.post_over_healthy_p95);
-    out << '}';
-  }
-  out << "\n  ],\n  \"aggregate\": {";
-  const char* names[] = {"detect_ms", "recover_ms", "frames_lost",
-                         "p95_ratio"};
-  const Histogram* hs[] = {&a.detect_ms(), &a.recover_ms(), &a.frames_lost(),
-                           &a.p95_ratio()};
-  first = true;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (hs[i]->count() == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << "\n    \"" << names[i] << "\": ";
-    json_histogram(out, *hs[i]);
-  }
-  out << "\n  }\n}\n";
 }
 
 }  // namespace zhuge::obs

@@ -131,9 +131,6 @@ class SloAccumulator {
   };
   [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
 
-  /// Counters/gauges + CDF histograms under `<prefix>.` in a registry.
-  void export_metrics(Registry& registry, const std::string& prefix) const;
-
  private:
   std::uint64_t cases_ = 0;
   std::uint64_t triggered_ = 0;
@@ -148,9 +145,5 @@ class SloAccumulator {
 /// Human-readable recovery-SLO report: per-case table plus aggregate
 /// detect/recover distribution summaries.
 void write_slo_report_text(const SloAccumulator& a, std::ostream& out);
-
-/// JSON: per-case objects plus aggregate summaries with full CDFs
-/// (bucket upper edge -> cumulative fraction, as in the attrib report).
-void write_slo_report_json(const SloAccumulator& a, std::ostream& out);
 
 }  // namespace zhuge::obs

@@ -1,6 +1,7 @@
 // Latency-attribution suite: aggregation semantics, fingerprint
 // neutrality, thread-count determinism of the stage CDFs, trace
-// round-trip, report rendering, and the pinned per-stage golden anchor.
+// round-trip and the text report. The run record's "attrib" section is
+// checked in record_test, the attrib_dense64 golden anchor in golden_test.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@ namespace {
 
 using namespace zhuge;
 
-const std::string kGoldenDir = ZHUGE_GOLDEN_DIR;
 const std::string kSpecDir = ZHUGE_SPEC_DIR;
 
 app::ScenarioSpec load_dense_spec() {
@@ -157,7 +157,7 @@ TEST(AttribUnit, FrameSpanStages) {
   EXPECT_DOUBLE_EQ(a.all().stage(obs::Stage::kFrameE2e).sum(), 25000.0);
 }
 
-TEST(AttribUnit, ReportRenderers) {
+TEST(AttribUnit, TextReport) {
   obs::Attribution a;
   obs::PacketSpan span;
   span.paced_ns = 0;
@@ -172,32 +172,6 @@ TEST(AttribUnit, ReportRenderers) {
             std::string::npos);
   EXPECT_NE(text.str().find("budget waterfall"), std::string::npos);
   EXPECT_NE(text.str().find("zhuge_on vs zhuge_off"), std::string::npos);
-
-  std::ostringstream csv;
-  obs::write_attrib_report_csv(a, csv);
-  EXPECT_NE(csv.str().find("scope,stage,count,mean_us"), std::string::npos);
-  EXPECT_NE(csv.str().find("flow1,"), std::string::npos);
-
-  std::ostringstream json;
-  obs::write_attrib_report_json(a, json);
-  std::string err;
-  const auto parsed = app::Json::parse(json.str(), &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  const app::Json* scopes = parsed->find("scopes");
-  ASSERT_NE(scopes, nullptr);
-  ASSERT_NE(scopes->find("all"), nullptr);
-  ASSERT_NE(scopes->find("all")->find("e2e"), nullptr);
-}
-
-TEST(AttribUnit, ExportMetricsPublishesStageHistograms) {
-  obs::Attribution a;
-  obs::PacketSpan span;
-  a.record_packet(1, true, 0, 1000, 5000, span);
-  obs::Registry reg;
-  a.export_metrics(reg, "attrib");
-  EXPECT_EQ(reg.counters().at("attrib.packets").value(), 1u);
-  EXPECT_EQ(reg.histograms().at("attrib.e2e_us").count(), 1u);
-  EXPECT_EQ(reg.histograms().at("attrib.zhuge_on.wan_us").count(), 1u);
 }
 
 TEST(AttribIntegration, FingerprintUnchangedByAttribution) {
@@ -286,50 +260,6 @@ TEST(AttribIntegration, TraceRoundTripReproducesAggregate) {
                 1e-6 * std::max(1.0, lh.quantile(0.95)))
         << obs::stage_name(st);
   }
-}
-
-TEST(AttribIntegration, GoldenStageP95Anchor) {
-  std::string err;
-  const auto expected = app::load_attrib_golden_file(
-      kGoldenDir + "/attrib_dense64.json", &err);
-  ASSERT_TRUE(expected.has_value()) << err;
-
-  const auto spec = load_dense_spec();
-  ObsGuard guard;
-  obs::set_attrib_enabled(true);
-  const auto runs = app::run_spec_sweep({{spec.name, spec, spec.seed}}, 1);
-  const auto actual = app::make_attrib_golden(expected->name, spec.seed,
-                                              runs.front().result.attrib);
-  const auto diffs = app::compare_attrib_golden(*expected, actual);
-  for (const auto& d : diffs) ADD_FAILURE() << d;
-}
-
-TEST(AttribUnit, GoldenCompareNamesDriftingStage) {
-  app::AttribGolden expected;
-  expected.name = "x";
-  expected.stage_p95_us["ap_queue"] = 100.0;
-  expected.stage_p95_us["air"] = 50.0;
-  app::AttribGolden actual = expected;
-  actual.stage_p95_us["ap_queue"] = 150.0;
-  const auto diffs = app::compare_attrib_golden(expected, actual);
-  ASSERT_EQ(diffs.size(), 1u);
-  EXPECT_NE(diffs.front().find("ap_queue"), std::string::npos);
-  EXPECT_NE(diffs.front().find("+50.00%"), std::string::npos);
-}
-
-TEST(AttribUnit, GoldenJsonRoundTrip) {
-  app::AttribGolden rec;
-  rec.name = "rt";
-  rec.seed = 9;
-  rec.stage_p95_us["e2e"] = 50319.4377;
-  rec.stage_p95_us["wan"] = 20099.4571;
-  std::string err;
-  const auto back = app::attrib_golden_from_json(
-      app::attrib_golden_to_json(rec), &err);
-  ASSERT_TRUE(back.has_value()) << err;
-  EXPECT_EQ(back->name, rec.name);
-  EXPECT_EQ(back->seed, rec.seed);
-  EXPECT_TRUE(app::compare_attrib_golden(rec, *back).empty());
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Evaluation-matrix suite (src/app/eval.*): cell-count completeness (no
-// silently skipped cells), CDF monotonicity of every verdict, report
-// round-trips (JSON full-inverse, CSV bit-exact spot checks), serial vs
+// silently skipped cells), CDF monotonicity of every verdict, serial vs
 // 4-thread verdict-fingerprint identity, a cell's result fingerprint equal
 // to its bare run's, strict EvalSpec rejection of the known-bad fixtures,
-// and the shipped example spec.
+// and the shipped example specs. The run record of a matrix (every cell
+// field, bit-exact) is checked in record_test.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -157,94 +156,6 @@ TEST(EvalMatrix, CellResultFingerprintIsTheRunFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// Report round-trips
-// ---------------------------------------------------------------------------
-
-TEST(EvalReport, JsonRoundTripsEveryField) {
-  const auto& res = small_result();
-  const std::string text = eval_report_to_json(res).dump(2);
-  std::string err;
-  const auto parsed = Json::parse(text, &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  const auto back = eval_report_from_json(*parsed, &err);
-  ASSERT_TRUE(back.has_value()) << err;
-  EXPECT_EQ(back->fingerprint, res.fingerprint);
-  ASSERT_EQ(back->cells.size(), res.cells.size());
-  for (std::size_t i = 0; i < res.cells.size(); ++i) {
-    SCOPED_TRACE(res.cells[i].name);
-    const auto& a = res.cells[i];
-    const auto& b = back->cells[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.mechanism, b.mechanism);
-    EXPECT_EQ(a.cca, b.cca);
-    EXPECT_EQ(a.trace, b.trace);
-    EXPECT_EQ(a.density, b.density);
-    EXPECT_EQ(a.mechanism_active, b.mechanism_active);
-    ASSERT_EQ(a.frame_delay_cdf_ms.size(), b.frame_delay_cdf_ms.size());
-    for (std::size_t d = 0; d < a.frame_delay_cdf_ms.size(); ++d) {
-      EXPECT_EQ(a.frame_delay_cdf_ms[d], b.frame_delay_cdf_ms[d]);  // bitwise
-    }
-    EXPECT_EQ(a.frame_delay_p50_ms, b.frame_delay_p50_ms);
-    EXPECT_EQ(a.frame_delay_p95_ms, b.frame_delay_p95_ms);
-    EXPECT_EQ(a.frame_delay_p99_ms, b.frame_delay_p99_ms);
-    EXPECT_EQ(a.delayed_frame_ratio, b.delayed_frame_ratio);
-    EXPECT_EQ(a.stall_rate, b.stall_rate);
-    EXPECT_EQ(a.rtt_p50_ms, b.rtt_p50_ms);
-    EXPECT_EQ(a.rtt_p95_ms, b.rtt_p95_ms);
-    EXPECT_EQ(a.goodput_bps, b.goodput_bps);
-    EXPECT_EQ(a.frames_sent, b.frames_sent);
-    EXPECT_EQ(a.frames_decoded, b.frames_decoded);
-    EXPECT_EQ(a.result_fingerprint, b.result_fingerprint);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    // The reconstructed cell still fingerprint-checks: corruption anywhere
-    // in serialisation would break this.
-    EXPECT_EQ(eval_cell_fingerprint(b), b.fingerprint);
-  }
-  ASSERT_EQ(back->headline.size(), res.headline.size());
-  for (std::size_t i = 0; i < res.headline.size(); ++i) {
-    EXPECT_EQ(back->headline[i].name, res.headline[i].name);
-    EXPECT_EQ(back->headline[i].zhuge_p95_ms, res.headline[i].zhuge_p95_ms);
-    EXPECT_EQ(back->headline[i].vanilla_p95_ms, res.headline[i].vanilla_p95_ms);
-    EXPECT_EQ(back->headline[i].zhuge_wins, res.headline[i].zhuge_wins);
-  }
-}
-
-TEST(EvalReport, CsvIsCompleteAndBitExact) {
-  const auto& res = small_result();
-  std::ostringstream out;
-  write_eval_report_csv(res, out);
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  // Header fixes the column layout; count its columns.
-  const auto columns = [](const std::string& s) {
-    std::size_t n = 1;
-    for (char ch : s) n += ch == ',' ? 1 : 0;
-    return n;
-  };
-  const std::size_t width = columns(line);
-  ASSERT_TRUE(line.rfind("cell,", 0) == 0) << line;
-  std::vector<std::string> rows;
-  while (std::getline(in, line)) {
-    if (!line.empty()) rows.push_back(line);
-  }
-  // One row per cell, every row rectangular.
-  ASSERT_EQ(rows.size(), res.cells.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(columns(rows[i]), width) << rows[i];
-    // Row order is grid order; the first field is the cell name.
-    EXPECT_EQ(rows[i].substr(0, rows[i].find(',')), res.cells[i].name);
-    // %.17g bit-exactness spot check: field 7 is frame_delay_p50_ms.
-    std::istringstream row(rows[i]);
-    std::string field;
-    for (int f = 0; f < 7; ++f) ASSERT_TRUE(std::getline(row, field, ','));
-    EXPECT_EQ(std::strtod(field.c_str(), nullptr),
-              res.cells[i].frame_delay_p50_ms)
-        << rows[i];
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Strict EvalSpec parsing: fixtures pin the exact line-numbered messages
 // ---------------------------------------------------------------------------
 
@@ -259,6 +170,17 @@ const EvalFixtureCase kEvalFixtures[] = {
     {"eval_bad_mechanism.json",
      "line 6: mechanisms[] must be vanilla|zhuge|fastack|abc"},
     {"eval_unknown_key.json", "line 4: eval: unknown key \"tracess\""},
+    // Scalars go through the strict reader: a value of the wrong kind or
+    // a seed that is not a whole non-negative number is an error, never a
+    // silent default or a wrapped cast.
+    {"eval_duration_not_number.json",
+     "line 3: eval: \"duration_s\" must be a number"},
+    {"eval_fps_not_number.json", "line 3: eval: \"fps\" must be a number"},
+    {"eval_name_not_string.json", "line 2: eval: \"name\" must be a string"},
+    {"eval_seed_negative.json",
+     "line 3: eval: \"seed\" must be an integer in range"},
+    {"eval_density_fractional.json",
+     "line 3: densities[] must be integers in [1, 64]"},
 };
 
 TEST(EvalSpecFixtures, KnownBadSpecsFailWithPinnedMessages) {

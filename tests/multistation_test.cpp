@@ -208,15 +208,5 @@ TEST(MultiStation, FingerprintIndependentOfMetricsSwitch) {
   EXPECT_EQ(multi_result_fingerprint(off), multi_result_fingerprint(on));
 }
 
-TEST(MultiStation, SpecSweepMetricsExport) {
-  const ScenarioSpec spec = small_spec();
-  const auto runs = run_spec_sweep(cross_spec_seeds(spec, {1, 2}), 1);
-  obs::Registry registry;
-  export_spec_sweep_metrics(runs, registry);
-  EXPECT_EQ(registry.counter("mssweep.total.runs").value(), 2u);
-  EXPECT_GT(registry.counter("mssweep.small/s1.events").value(), 0u);
-  EXPECT_GT(registry.gauge("mssweep.small/s2.active_flows_peak").value(), 0.0);
-}
-
 }  // namespace
 }  // namespace zhuge::app

@@ -374,7 +374,7 @@ TEST(ResilienceMatrix, SerialAndParallelBitIdentical) {
 // exact values so any behavioural drift in the watchdog, the ladder, or
 // the SLO accounting is caught — not just "it still passes".
 // Regenerate after *justified* drift with:
-//   ./build/tools/chaos_run --matrix --case fb_loss/gcc/steady --json
+//   ./build/tools/chaos_run --matrix --case fb_loss/gcc/steady --record case.json
 TEST(ResilienceMatrix, RecoverySloGoldenAnchorFbLossGccSteady) {
   const auto cases = matrix_subset("fb_loss/gcc/steady");
   ASSERT_EQ(cases.size(), 1u);

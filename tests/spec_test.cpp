@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 
@@ -77,6 +78,49 @@ TEST(Json, RandomDoublesSurviveRoundTrip) {
     // %.17g + from_chars must round-trip doubles bit-exactly.
     EXPECT_EQ(back->find("v")->number_or(0), v);
   });
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNullAndParseBack) {
+  // JSON has no NaN or Inf: they are written as null (the cast the
+  // integer rendering uses would be undefined on them), so every dump
+  // parses again.
+  Json doc = Json::make_object();
+  doc.set("nan", Json::make_number(std::numeric_limits<double>::quiet_NaN()));
+  doc.set("inf", Json::make_number(std::numeric_limits<double>::infinity()));
+  doc.set("ninf", Json::make_number(-std::numeric_limits<double>::infinity()));
+  doc.set("big", Json::make_number(1e300));
+  for (const int indent : {0, 2}) {
+    const std::string text = doc.dump(indent);
+    std::string err;
+    const auto back = Json::parse(text, &err);
+    ASSERT_TRUE(back.has_value()) << err << "\n" << text;
+    EXPECT_EQ(back->find("nan")->kind(), Json::Kind::kNull);
+    EXPECT_EQ(back->find("inf")->kind(), Json::Kind::kNull);
+    EXPECT_EQ(back->find("ninf")->kind(), Json::Kind::kNull);
+    EXPECT_EQ(back->find("big")->number_or(0), 1e300);
+  }
+}
+
+TEST(Json, StrictIntegersRejectFractionsAndOutOfRange) {
+  const auto read = [](const char* text, auto& out) {
+    std::string err;
+    const auto j = Json::parse(text, &err);
+    EXPECT_TRUE(j.has_value()) << err;
+    SpecReader r("t", &err);
+    return r.integer(*j, "k", out);
+  };
+  std::uint64_t u = 0;
+  int i = 0;
+  EXPECT_TRUE(read("18446744073709549568", u));  // largest double below 2^64
+  EXPECT_FALSE(read("18446744073709551616", u));  // 2^64
+  EXPECT_FALSE(read("-1", u));
+  EXPECT_FALSE(read("2.5", u));
+  EXPECT_TRUE(read("-2147483648", i));
+  EXPECT_EQ(i, -2147483648);
+  EXPECT_FALSE(read("2147483648", i));
+  EXPECT_FALSE(read("7.9", i));
+  EXPECT_TRUE(read("1e3", i));
+  EXPECT_EQ(i, 1000);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +398,11 @@ TEST(ScenarioSpecParse, KnownBadFixturesRejectWithLineNumbers) {
        "line 5: stations[0].trace: unknown key \"at\""},
       {"flow_unknown_key.json", "line 6: flows[0]: unknown key \"zhgue\""},
       {"churn_unknown_key.json", "line 7: churn: unknown key \"mean_lifetme_s\""},
+      {"top_seed_negative.json", "line 3: \"seed\" must be an integer in range"},
+      {"station_count_fractional.json",
+       "line 4: stations[0]: \"count\" must be an integer in range"},
+      {"station_mcs_fractional.json",
+       "line 4: stations[0]: \"mcs\" must be an integer in range"},
       {"ladder_unknown_level.json",
        "line 5: zhuge_initial_ladder must be "
        "full|clamped_predict|hold_only|pass_through"},

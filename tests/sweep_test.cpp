@@ -1,6 +1,6 @@
 // Tests for the parallel sweep runner: serial vs multi-thread
 // bit-identity of per-run results and of the obs sinks the pool merges,
-// grid construction, fingerprint sensitivity, and metric aggregation.
+// grid construction and fingerprint sensitivity.
 
 #include <gtest/gtest.h>
 
@@ -238,22 +238,6 @@ TEST(Sweep, PooledRunsRecordLikeSerialRuns) {
   }
 }
 #endif  // ZHUGE_OBS_ENABLED
-
-TEST(Sweep, ExportAggregatesPerRunMetrics) {
-  const auto runs = run_spec_sweep(
-      cross_spec_seeds(
-          small_spec("steady", ApMode::kNone, SpecFlowKind::kRtpGcc, 6.0), {1, 2}),
-      2);
-
-  obs::Registry registry;
-  export_spec_sweep_metrics(runs, registry);
-  EXPECT_EQ(registry.counter("mssweep.total.runs").value(), 2u);
-  EXPECT_GT(registry.counter("mssweep.total.events").value(), 0u);
-  EXPECT_GT(registry.gauge("mssweep.steady/s1.frame_delay_p99_ms").value(), 0.0);
-  EXPECT_GT(registry.gauge("mssweep.steady/s2.rtt_p50_ms").value(), 0.0);
-  EXPECT_EQ(registry.counter("mssweep.steady/s1.events").value(),
-            runs[0].result.events_executed);
-}
 
 }  // namespace
 }  // namespace zhuge::app

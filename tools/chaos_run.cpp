@@ -1,7 +1,7 @@
 // chaos_run — run chaos suites and report recovery verdicts.
 //
-//   chaos_run [--matrix] [--seed N] [--case NAME]... [--list] [--json]
-//             [--threads N] [--verify-serial] [--slo-report PATH]
+//   chaos_run [--matrix] [--seed N] [--case NAME]... [--list]
+//             [--threads N] [--verify-serial] [--record PATH]
 //             [--no-invariants] [--attrib] [-v]
 //
 // Default mode runs the 7-case standard suite (app::standard_chaos_suite)
@@ -11,7 +11,11 @@
 // and --verify-serial proves it by re-running serially and comparing
 // matrix fingerprints. Both modes run with the runtime invariant checker
 // enabled unless --no-invariants; the matrix prints the merged checker's
-// summary and fails when it is non-empty. Exits non-zero when any
+// summary and fails when it is non-empty. Both modes print one verdict
+// line per case and the recovery-SLO report, and --record writes the run
+// record (app/record.hpp) with every verdict and the SLO aggregate CDFs;
+// the record's fingerprint chains the verdicts in case order. Exits
+// non-zero when any
 // selected case fails — the same judgment the CI chaos jobs
 // apply via tests/chaos_test.cpp and tests/resilience_test.cpp, packaged
 // for interactive use and for sweeping seeds.
@@ -19,12 +23,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "app/chaos.hpp"
+#include "app/record.hpp"
 #include "obs/attrib.hpp"
 #include "obs/invariants.hpp"
 #include "obs/slo.hpp"
@@ -34,8 +38,8 @@ namespace {
 
 void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--matrix] [--seed N] [--case NAME]... [--list] [--json]\n"
-      "          [--threads N] [--verify-serial] [--slo-report PATH]\n"
+      "usage: %s [--matrix] [--seed N] [--case NAME]... [--list]\n"
+      "          [--threads N] [--verify-serial] [--record PATH]\n"
       "          [--no-invariants] [--attrib] [-v]\n"
       "  --matrix         run the recovery-SLO chaos matrix instead of the\n"
       "                   standard suite\n"
@@ -43,12 +47,10 @@ void usage(const char* argv0) {
       "  --case NAME      run only cases whose name contains NAME\n"
       "                   (repeatable); default: all\n"
       "  --list           print the case names and exit\n"
-      "  --json           one JSON verdict object per line instead of text\n"
       "  --threads N      matrix worker threads (default 1; matrix only)\n"
       "  --verify-serial  matrix only: re-run serially and require the\n"
       "                   bit-identical verdict fingerprint\n"
-      "  --slo-report P   matrix only: write the recovery-SLO report to P\n"
-      "                   (JSON when P ends in .json, text otherwise)\n"
+      "  --record PATH    write the run record (JSON, app/record.hpp)\n"
       "  --no-invariants  leave the runtime invariant checker off\n"
       "  --attrib         record latency attribution across the ran cases\n"
       "                   and print the merged budget report at the end\n"
@@ -66,6 +68,21 @@ bool selected(const std::vector<std::string>& only, const std::string& name) {
   });
 }
 
+/// Write the run record when --record was given; false on I/O failure.
+bool write_chaos_record(const std::string& path, const std::string& name,
+                        std::uint64_t seed,
+                        const zhuge::app::ChaosMatrixResult& res,
+                        const zhuge::obs::Attribution* attrib) {
+  if (path.empty()) return true;
+  zhuge::app::Json record = zhuge::app::chaos_record(name, seed, res);
+  if (attrib != nullptr && !attrib->empty()) {
+    zhuge::app::add_attrib(record, *attrib);
+  }
+  if (zhuge::app::write_record(path, record)) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,10 +90,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> only;
   bool matrix = false;
   bool list = false;
-  bool json = false;
   unsigned threads = 1;
   bool verify_serial = false;
-  std::string slo_report;
+  std::string record_path;
   bool invariants_on = true;
   bool attrib = false;
   bool verbose = false;
@@ -91,14 +107,12 @@ int main(int argc, char** argv) {
       only.emplace_back(argv[++i]);
     } else if (arg == "--list") {
       list = true;
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--verify-serial") {
       verify_serial = true;
-    } else if (arg == "--slo-report" && i + 1 < argc) {
-      slo_report = argv[++i];
+    } else if (arg == "--record" && i + 1 < argc) {
+      record_path = argv[++i];
     } else if (arg == "--no-invariants") {
       invariants_on = false;
     } else if (arg == "--attrib") {
@@ -131,27 +145,16 @@ int main(int argc, char** argv) {
 
     const auto res = zhuge::app::run_chaos_matrix(cases, threads);
     for (const auto& v : res.verdicts) {
-      std::printf("%s\n", json ? zhuge::app::verdict_json(v).c_str()
-                               : zhuge::app::format_verdict(v).c_str());
+      std::printf("%s\n", zhuge::app::format_verdict(v).c_str());
     }
+    zhuge::obs::write_slo_report_text(res.slo, std::cout);
     // The pool merged every case's checker into this thread's context.
     const std::string inv = zhuge::obs::invariants().summary();
     if (!inv.empty()) std::fprintf(stderr, "%s\n", inv.c_str());
 
-    if (!slo_report.empty()) {
-      std::ofstream out(slo_report);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", slo_report.c_str());
-        return 2;
-      }
-      const bool as_json =
-          slo_report.size() >= 5 &&
-          slo_report.compare(slo_report.size() - 5, 5, ".json") == 0;
-      if (as_json) {
-        zhuge::obs::write_slo_report_json(res.slo, out);
-      } else {
-        zhuge::obs::write_slo_report_text(res.slo, out);
-      }
+    if (!write_chaos_record(record_path, "chaos_matrix", seed, res,
+                            nullptr)) {
+      return 2;
     }
 
     int rc = res.failed == 0 && inv.empty() ? 0 : 1;
@@ -182,33 +185,37 @@ int main(int argc, char** argv) {
   zhuge::obs::set_attrib_enabled(attrib);
   zhuge::obs::Attribution merged;
 
-  int ran = 0;
-  int failed = 0;
+  std::vector<zhuge::app::ChaosVerdict> verdicts;
   for (const auto& c : suite) {
     if (!selected(only, c.name)) continue;
     zhuge::obs::invariants().clear();
-    const auto v = zhuge::app::run_chaos_case(c, attrib ? &merged : nullptr);
-    ++ran;
-    std::printf("%s\n", json ? zhuge::app::verdict_json(v).c_str()
-                             : zhuge::app::format_verdict(v).c_str());
-    if (!v.passed) {
-      ++failed;
-      if (verbose) {
-        const std::string inv = zhuge::obs::invariants().summary();
-        if (!inv.empty()) std::printf("  %s\n", inv.c_str());
-      }
+    const auto& v = verdicts.emplace_back(
+        zhuge::app::run_chaos_case(c, attrib ? &merged : nullptr));
+    std::printf("%s\n", zhuge::app::format_verdict(v).c_str());
+    if (!v.passed && verbose) {
+      const std::string inv = zhuge::obs::invariants().summary();
+      if (!inv.empty()) std::printf("  %s\n", inv.c_str());
     }
   }
 
-  if (ran == 0) {
+  if (verdicts.empty()) {
     std::fprintf(stderr, "no matching case (try --list)\n");
     return 2;
   }
+  const auto res = zhuge::app::chain_chaos_verdicts(std::move(verdicts));
+  zhuge::obs::write_slo_report_text(res.slo, std::cout);
   if (attrib && !merged.empty()) {
     std::printf("\n");
     zhuge::obs::write_attrib_report_text(merged, std::cout);
   }
-  std::fprintf(stderr, "%d/%d cases passed (seed %llu)\n", ran - failed, ran,
-               static_cast<unsigned long long>(seed));
-  return failed == 0 ? 0 : 1;
+  if (!write_chaos_record(record_path, "standard_suite", seed, res,
+                          attrib ? &merged : nullptr)) {
+    return 2;
+  }
+  std::fprintf(stderr,
+               "%zu/%zu cases passed (seed %llu, fingerprint %016llx)\n",
+               res.verdicts.size() - static_cast<std::size_t>(res.failed),
+               res.verdicts.size(), static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(res.fingerprint));
+  return res.failed == 0 ? 0 : 1;
 }
