@@ -1,10 +1,7 @@
 #include "app/spec.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -13,357 +10,6 @@
 #include "sim/substreams.hpp"
 
 namespace zhuge::app {
-
-// ---------------------------------------------------------------------------
-// Json
-// ---------------------------------------------------------------------------
-
-Json Json::make_bool(bool b) {
-  Json j;
-  j.kind_ = Kind::kBool;
-  j.b_ = b;
-  return j;
-}
-
-Json Json::make_number(double v) {
-  Json j;
-  j.kind_ = Kind::kNumber;
-  j.num_ = v;
-  return j;
-}
-
-Json Json::make_string(std::string s) {
-  Json j;
-  j.kind_ = Kind::kString;
-  j.str_ = std::move(s);
-  return j;
-}
-
-Json Json::make_array() {
-  Json j;
-  j.kind_ = Kind::kArray;
-  return j;
-}
-
-Json Json::make_object() {
-  Json j;
-  j.kind_ = Kind::kObject;
-  return j;
-}
-
-const Json* Json::find(std::string_view key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  const auto it = obj_.find(key);
-  return it == obj_.end() ? nullptr : &it->second;
-}
-
-Json* Json::find(std::string_view key) {
-  if (kind_ != Kind::kObject) return nullptr;
-  const auto it = obj_.find(key);
-  return it == obj_.end() ? nullptr : &it->second;
-}
-
-Json& Json::set(const std::string& key, Json v) {
-  kind_ = Kind::kObject;
-  obj_[key] = std::move(v);
-  return *this;
-}
-
-Json& Json::push(Json v) {
-  kind_ = Kind::kArray;
-  arr_.push_back(std::move(v));
-  return *this;
-}
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  // JSON has no NaN or Inf (and casting them is undefined): write null.
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  // %.17g round-trips every finite double; integers print without a dot.
-  char buf[32];
-  // zlint-allow(float-equality): exact test for "is an integer value" —
-  // the round-trip cast is the idiomatic way to pick the %lld rendering,
-  // and the magnitude test before it keeps the cast defined.
-  if (std::abs(v) < 1e15 &&
-      v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
-}
-
-void append_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
-
-}  // namespace
-
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  switch (kind_) {
-    case Kind::kNull: out += "null"; return;
-    case Kind::kBool: out += b_ ? "true" : "false"; return;
-    case Kind::kNumber: append_number(out, num_); return;
-    case Kind::kString: append_escaped(out, str_); return;
-    case Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const auto& v : arr_) {
-        if (!first) out += indent > 0 ? "," : ", ";
-        first = false;
-        append_indent(out, indent, depth + 1);
-        v.dump_to(out, indent, depth + 1);
-      }
-      if (!arr_.empty()) append_indent(out, indent, depth);
-      out += ']';
-      return;
-    }
-    case Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [k, v] : obj_) {
-        if (!first) out += indent > 0 ? "," : ", ";
-        first = false;
-        append_indent(out, indent, depth + 1);
-        append_escaped(out, k);
-        out += ": ";
-        v.dump_to(out, indent, depth + 1);
-      }
-      if (!obj_.empty()) append_indent(out, indent, depth);
-      out += '}';
-      return;
-    }
-  }
-}
-
-std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  if (indent > 0) out += '\n';
-  return out;
-}
-
-namespace {
-
-/// Recursive-descent parser over the JSON subset. Tracks line numbers for
-/// the same path:line diagnostics the trace readers emit.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<Json> run(std::string* err) {
-    std::optional<Json> v = parse_value();
-    if (v.has_value()) {
-      skip_ws();
-      if (pos_ != text_.size()) {
-        fail("trailing content after document");
-        v.reset();
-      }
-    }
-    if (!v.has_value() && err != nullptr) *err = error_;
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  std::string error_;
-
-  void fail(const std::string& msg) {
-    if (error_.empty()) {
-      error_ = "line " + std::to_string(line_) + ": " + msg;
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool consume(char expected) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<Json> parse_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return std::nullopt;
-    }
-    // Stamp the line the value starts on: spec validation reuses it for
-    // "line N:" diagnostics on *semantic* errors (unknown key, range).
-    const int at = line_;
-    std::optional<Json> v = parse_value_here();
-    if (v.has_value()) v->set_line(at);
-    return v;
-  }
-
-  std::optional<Json> parse_value_here() {
-    const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s.has_value()) return std::nullopt;
-      return Json::make_string(std::move(*s));
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return Json{};
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return Json::make_bool(true);
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return Json::make_bool(false);
-    }
-    return parse_number();
-  }
-
-  std::optional<Json> parse_number() {
-    // JSON grammar checks from_chars is laxer about: the integer part is
-    // mandatory (no ".5"), and a leading zero may not be followed by
-    // another digit (no "01").
-    std::size_t p = pos_;
-    if (p < text_.size() && text_[p] == '-') ++p;
-    const auto is_digit = [this](std::size_t i) {
-      return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
-    };
-    if (!is_digit(p) || (text_[p] == '0' && is_digit(p + 1))) {
-      fail("invalid value");
-      return std::nullopt;
-    }
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    double v = 0.0;
-    // from_chars: locale-independent, exact round-trip.
-    const auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc{} || ptr == begin) {
-      fail("invalid value");
-      return std::nullopt;
-    }
-    pos_ += static_cast<std::size_t>(ptr - begin);
-    return Json::make_number(v);
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) {
-      fail("expected string");
-      return std::nullopt;
-    }
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\n') {
-        fail("unterminated string");
-        return std::nullopt;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        default:
-          fail(std::string("unsupported escape \\") + esc);
-          return std::nullopt;
-      }
-    }
-    fail("unterminated string");
-    return std::nullopt;
-  }
-
-  std::optional<Json> parse_array() {
-    consume('[');
-    Json arr = Json::make_array();
-    skip_ws();
-    if (consume(']')) return arr;
-    while (true) {
-      auto v = parse_value();
-      if (!v.has_value()) return std::nullopt;
-      arr.push(std::move(*v));
-      if (consume(',')) continue;
-      if (consume(']')) return arr;
-      fail("expected ',' or ']' in array");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<Json> parse_object() {
-    consume('{');
-    Json obj = Json::make_object();
-    skip_ws();
-    if (consume('}')) return obj;
-    while (true) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key.has_value()) return std::nullopt;
-      if (!consume(':')) {
-        fail("expected ':' after object key");
-        return std::nullopt;
-      }
-      auto v = parse_value();
-      if (!v.has_value()) return std::nullopt;
-      obj.set(std::move(*key), std::move(*v));
-      if (consume(',')) continue;
-      if (consume('}')) return obj;
-      fail("expected ',' or '}' in object");
-      return std::nullopt;
-    }
-  }
-};
-
-}  // namespace
-
-std::optional<Json> Json::parse(std::string_view text, std::string* err) {
-  return JsonParser(text).run(err);
-}
 
 // ---------------------------------------------------------------------------
 // Spec parsing

@@ -8,14 +8,12 @@
 // literature: the workload is data, not code, so dense scale scenarios are
 // reproducible, diffable, and shareable.
 //
-// Specs are written in a small JSON subset (objects, arrays, strings,
-// numbers, bools, null; no external dependency). The same Json class and
-// strict SpecReader serve the eval specs and the run records
+// Specs are JSON, parsed by the repo's one codec (obs/json.hpp). The same
+// strict SpecReader serves the eval specs and the run records
 // (app/record.hpp).
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,81 +22,15 @@
 
 #include "app/access_point.hpp"
 #include "fault/fault.hpp"
+#include "obs/json.hpp"
 #include "obs/slo.hpp"
 #include "trace/synthetic.hpp"
 
 namespace zhuge::app {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (subset: no \uXXXX escapes,
-// no scientific-notation edge cases beyond what from_chars accepts).
-// ---------------------------------------------------------------------------
-
-class Json {
- public:
-  enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Array = std::vector<Json>;
-  /// Ordered map: object iteration (dump, golden comparison) must be
-  /// platform-stable. Transparent comparator: lookups by string_view do
-  /// not build a temporary key.
-  using Object = std::map<std::string, Json, std::less<>>;
-
-  Json() = default;
-  static Json make_bool(bool b);
-  static Json make_number(double v);
-  static Json make_string(std::string s);
-  static Json make_array();
-  static Json make_object();
-
-  [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
-
-  [[nodiscard]] double number_or(double fallback) const {
-    return kind_ == Kind::kNumber ? num_ : fallback;
-  }
-  [[nodiscard]] bool bool_or(bool fallback) const {
-    return kind_ == Kind::kBool ? b_ : fallback;
-  }
-  [[nodiscard]] std::string string_or(std::string fallback) const {
-    return kind_ == Kind::kString ? str_ : std::move(fallback);
-  }
-  [[nodiscard]] const Array& array() const { return arr_; }
-  [[nodiscard]] const Object& object() const { return obj_; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const Json* find(std::string_view key) const;
-  [[nodiscard]] Json* find(std::string_view key);
-
-  /// Mutators for building documents (run records).
-  Json& set(const std::string& key, Json v);
-  Json& push(Json v);
-
-  /// Serialise. `indent` > 0 pretty-prints; doubles round-trip (%.17g).
-  /// JSON has no NaN or Inf: a non-finite number is written as null.
-  [[nodiscard]] std::string dump(int indent = 0) const;
-
-  /// Parse `text`. On failure returns nullopt and sets `*err` (if non-null)
-  /// to "line N: message".
-  static std::optional<Json> parse(std::string_view text, std::string* err);
-
-  /// 1-based source line this value started on; 0 for built documents.
-  /// Spec validation uses it for "line N: ..." diagnostics on semantic
-  /// errors (unknown key, out-of-range value), not just syntax errors.
-  [[nodiscard]] int line() const { return line_; }
-  void set_line(int line) { line_ = line; }
-
- private:
-  Kind kind_ = Kind::kNull;
-  int line_ = 0;
-  bool b_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  Array arr_;
-  Object obj_;
-
-  void dump_to(std::string& out, int indent, int depth) const;
-};
+/// The JSON value type lives in obs (obs/json.hpp), the lowest layer that
+/// reads or writes JSON; app code names it app::Json.
+using Json = obs::Json;
 
 /// Strict typed reads from one JSON object of outside input (scenario
 /// specs, eval specs, run records). Each read checks the value's kind and

@@ -115,7 +115,7 @@ class AckScheduler {
     });
   }
 
-  void release_front(TimePoint now) {
+  void release_front([[maybe_unused]] TimePoint now) {
     Held h = std::move(pending_.front());
     pending_.pop_front();
     ZHUGE_INVARIANT(now, "feedback.hold_bound",

@@ -12,7 +12,7 @@
 //
 // The same aggregator is fed two ways: live (record_packet/record_frame
 // called from the scenario engines at delivery/decode time) or offline
-// (add_trace_event replaying "span" records from a JSONL trace via
+// (add_trace_event replaying "span" records from a Chrome trace via
 // obs/trace_reader). The text renderer below is the human view; the
 // machine view is the run record's "attrib" section (app/record.hpp).
 

@@ -1,62 +1,16 @@
 #include "obs/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <string_view>
 
+#include "obs/json.hpp"
+
 namespace zhuge::obs {
 
-namespace {
-
-/// JSON string escaping for the small set of characters our names can
-/// plausibly contain. Values are all numeric, so this only guards names.
-void write_escaped(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
-/// JSON has no Inf/NaN; clamp them to null-safe sentinels.
-void write_number(std::ostream& out, double v) {
-  if (std::isnan(v)) {
-    out << "0";
-    return;
-  }
-  if (std::isinf(v)) {
-    out << (v > 0 ? "1e308" : "-1e308");
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out << buf;
-}
-
-void write_fields_object(std::ostream& out, const TraceEvent& ev) {
-  out << '{';
-  for (std::uint8_t i = 0; i < ev.n_fields; ++i) {
-    if (i > 0) out << ',';
-    write_escaped(out, ev.fields[i].key);
-    out << ':';
-    write_number(out, ev.fields[i].value);
-  }
-  out << '}';
-}
-
-}  // namespace
-
 void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
-  // Stable component -> tid mapping, in order of first appearance.
+  // Stable component -> tid mapping, in component-name order.
   std::map<std::string_view, int> tids;
   tracer.for_each([&](const TraceEvent& ev) {
     tids.emplace(ev.component, 0);
@@ -64,142 +18,89 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
   int next_tid = 1;
   for (auto& [component, tid] : tids) tid = next_tid++;
 
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  // Streamed one event at a time through the codec's primitives: the ring
+  // holds up to a million events, too many to build as one document.
+  std::string buf = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   for (const auto& [component, tid] : tids) {
-    if (!first) out << ',';
+    if (!first) buf += ',';
     first = false;
-    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    write_escaped(out, component);
-    out << "}}";
+    buf += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
+    append_json_number(buf, tid);
+    buf += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    append_json_string(buf, component);
+    buf += "}}";
   }
+  out << buf;
   tracer.for_each([&](const TraceEvent& ev) {
-    if (!first) out << ',';
+    buf.clear();
+    if (!first) buf += ',';
     first = false;
-    out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-        << tids[ev.component] << ",\"ts\":";
-    write_number(out, static_cast<double>(ev.t_ns) / 1e3);
-    out << ",\"name\":";
-    write_escaped(out, ev.name);
-    out << ",\"cat\":";
-    write_escaped(out, ev.component);
-    out << ",\"args\":";
-    write_fields_object(out, ev);
-    out << '}';
+    buf += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
+    append_json_number(buf, tids[ev.component]);
+    buf += ",\"ts\":";
+    append_json_number(buf, static_cast<double>(ev.t_ns) / 1e3);
+    buf += ",\"name\":";
+    append_json_string(buf, ev.name);
+    buf += ",\"cat\":";
+    append_json_string(buf, ev.component);
+    buf += ",\"args\":{";
+    for (std::uint8_t i = 0; i < ev.n_fields; ++i) {
+      if (i > 0) buf += ',';
+      append_json_string(buf, ev.fields[i].key);
+      buf += ':';
+      append_json_number(buf, ev.fields[i].value);
+    }
+    buf += "}}";
+    out << buf;
   });
   out << "]}\n";
 }
 
-void write_trace_jsonl(const Tracer& tracer, std::ostream& out) {
-  tracer.for_each([&](const TraceEvent& ev) {
-    out << "{\"t_us\":";
-    write_number(out, static_cast<double>(ev.t_ns) / 1e3);
-    out << ",\"component\":";
-    write_escaped(out, ev.component);
-    out << ",\"name\":";
-    write_escaped(out, ev.name);
-    out << ",\"fields\":";
-    write_fields_object(out, ev);
-    out << "}\n";
-  });
-}
-
-void write_trace_csv(const Tracer& tracer, std::ostream& out) {
-  out << "t_us,component,name,field,value\n";
-  tracer.for_each([&](const TraceEvent& ev) {
-    char t_buf[32];
-    std::snprintf(t_buf, sizeof(t_buf), "%.3f", static_cast<double>(ev.t_ns) / 1e3);
-    if (ev.n_fields == 0) {
-      out << t_buf << ',' << ev.component << ',' << ev.name << ",,\n";
-      return;
-    }
-    for (std::uint8_t i = 0; i < ev.n_fields; ++i) {
-      out << t_buf << ',' << ev.component << ',' << ev.name << ','
-          << ev.fields[i].key << ',';
-      write_number(out, ev.fields[i].value);
-      out << '\n';
-    }
-  });
-}
-
 void write_metrics_json(const Registry& registry, std::ostream& out) {
-  out << "{\n  \"counters\": {";
-  bool first = true;
+  const auto num = [](double v) { return Json::make_number(v); };
+  Json counters = Json::make_object();
   for (const auto& [name, c] : registry.counters()) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n    ";
-    write_escaped(out, name);
-    out << ": " << c.value();
+    counters.set(name, num(static_cast<double>(c.value())));
   }
-  out << "\n  },\n  \"gauges\": {";
-  first = true;
+  Json gauges = Json::make_object();
   for (const auto& [name, g] : registry.gauges()) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n    ";
-    write_escaped(out, name);
-    out << ": ";
-    write_number(out, g.value());
+    gauges.set(name, num(g.value()));
   }
-  out << "\n  },\n  \"histograms\": {";
-  first = true;
+  Json histograms = Json::make_object();
   for (const auto& [name, h] : registry.histograms()) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n    ";
-    write_escaped(out, name);
-    out << ": {\"count\": " << h.count() << ", \"sum\": ";
-    write_number(out, h.sum());
-    out << ", \"min\": ";
-    write_number(out, h.min());
-    out << ", \"max\": ";
-    write_number(out, h.max());
-    out << ", \"mean\": ";
-    write_number(out, h.mean());
-    out << ", \"p50\": ";
-    write_number(out, h.quantile(0.50));
-    out << ", \"p95\": ";
-    write_number(out, h.quantile(0.95));
-    out << ", \"p99\": ";
-    write_number(out, h.quantile(0.99));
-    out << ", \"p999\": ";
-    write_number(out, h.quantile(0.999));
-    out << ", \"buckets\": [";
-    bool first_bucket = true;
+    Json buckets = Json::make_array();
     for (std::size_t i = 0; i < h.bucket_count(); ++i) {
       if (h.bucket_value(i) == 0) continue;
-      if (!first_bucket) out << ',';
-      first_bucket = false;
-      out << "{\"ge\": ";
-      write_number(out, h.bucket_lower(i));
-      out << ", \"n\": " << h.bucket_value(i) << '}';
+      Json b = Json::make_object();
+      b.set("ge", num(h.bucket_lower(i)));
+      b.set("n", num(static_cast<double>(h.bucket_value(i))));
+      buckets.push(std::move(b));
     }
-    out << "]}";
+    Json j = Json::make_object();
+    j.set("count", num(static_cast<double>(h.count())));
+    j.set("sum", num(h.sum()));
+    j.set("min", num(h.min()));
+    j.set("max", num(h.max()));
+    j.set("mean", num(h.mean()));
+    j.set("p50", num(h.quantile(0.50)));
+    j.set("p95", num(h.quantile(0.95)));
+    j.set("p99", num(h.quantile(0.99)));
+    j.set("p999", num(h.quantile(0.999)));
+    j.set("buckets", std::move(buckets));
+    histograms.set(name, std::move(j));
   }
-  out << "\n  }\n}\n";
+  Json doc = Json::make_object();
+  doc.set("counters", std::move(counters));
+  doc.set("gauges", std::move(gauges));
+  doc.set("histograms", std::move(histograms));
+  out << doc.dump(2);
 }
-
-namespace {
-
-bool ends_with(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
 
 bool write_trace_file(const Tracer& tracer, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
-  if (ends_with(path, ".jsonl")) {
-    write_trace_jsonl(tracer, out);
-  } else if (ends_with(path, ".csv")) {
-    write_trace_csv(tracer, out);
-  } else {
-    write_chrome_trace(tracer, out);
-  }
+  write_chrome_trace(tracer, out);
   return static_cast<bool>(out);
 }
 

@@ -1,7 +1,9 @@
 #pragma once
-// Exporters for the observability layer: Chrome trace_event JSON (opens in
-// chrome://tracing and https://ui.perfetto.dev), JSONL and CSV for ad-hoc
-// scripting, and a metrics-registry JSON summary.
+// Exporters for the observability layer: the event trace as Chrome
+// trace_event JSON (opens in chrome://tracing and https://ui.perfetto.dev,
+// and reads back with obs/trace_reader.hpp) and a metrics-registry JSON
+// summary. Both write through the repo's one JSON codec (obs/json.hpp), so
+// every number round-trips exactly and a non-finite one is null.
 
 #include <iosfwd>
 #include <string>
@@ -15,21 +17,12 @@ namespace zhuge::obs {
 /// mapped to named threads so each gets its own row in the viewer.
 void write_chrome_trace(const Tracer& tracer, std::ostream& out);
 
-/// One JSON object per line: {"t_us":..,"component":..,"name":..,
-/// "fields":{..}}. Convenient for jq / pandas.
-void write_trace_jsonl(const Tracer& tracer, std::ostream& out);
-
-/// Long-format CSV: t_us,component,name,field,value — one row per field
-/// (events without fields emit a single row with an empty field column).
-void write_trace_csv(const Tracer& tracer, std::ostream& out);
-
 /// Registry summary: counters and gauges by name; histograms with count,
-/// sum, min/max, p50/p95/p99 and non-empty buckets.
+/// sum, min/max, mean, p50/p95/p99/p999 and non-empty buckets.
 void write_metrics_json(const Registry& registry, std::ostream& out);
 
-/// File convenience wrappers; format picked from the extension
-/// (.jsonl -> JSONL, .csv -> CSV, anything else -> Chrome trace JSON).
-/// Return false when the file cannot be opened.
+/// File convenience wrappers. Return false when the file cannot be opened
+/// or written.
 bool write_trace_file(const Tracer& tracer, const std::string& path);
 bool write_metrics_file(const Registry& registry, const std::string& path);
 

@@ -1,8 +1,8 @@
 #pragma once  // zlint-allow(include-graph): consumed outside src/ — bench/bench_util.hpp and examples/ include it; no src-internal TU does
 // CLI observability session, shared by every entrypoint (benches, examples,
 // tools). Parses
-//   --trace <file>     enable the event tracer, dump on exit
-//                      (.json = Chrome trace_event, .jsonl, .csv)
+//   --trace <file>     enable the event tracer, dump it on exit as
+//                      Chrome trace_event JSON
 //   --metrics <file>   enable the metrics registry, dump JSON on exit
 //   --attrib           enable latency-span stamping, so traces recorded
 //                      with --trace carry per-stage span records that

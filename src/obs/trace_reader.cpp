@@ -1,269 +1,38 @@
 #include "obs/trace_reader.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <variant>
+
+#include "obs/json.hpp"
 
 namespace zhuge::obs {
 
 namespace {
 
-// ---- minimal recursive-descent JSON parser -------------------------------
-// Supports exactly what the exporters emit (and standard JSON generally);
-// numbers are doubles, objects keep insertion-agnostic std::map order.
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  [[nodiscard]] bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(v);
-  }
-  [[nodiscard]] const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  [[nodiscard]] double number_or(double fallback) const {
-    const double* d = std::get_if<double>(&v);
-    return d != nullptr ? *d : fallback;
-  }
-  [[nodiscard]] std::string string_or(std::string fallback) const {
-    const std::string* s = std::get_if<std::string>(&v);
-    return s != nullptr ? *s : std::move(fallback);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    const JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    // Show the offending text so a user can find the problem without a
-    // hex editor: up to 20 chars at the failure position, sanitized.
-    std::string near(text_.substr(pos_, 20));
-    for (char& c : near) {
-      if (static_cast<unsigned char>(c) < 0x20) c = ' ';
-    }
-    if (pos_ + 20 < text_.size()) near += "...";
-    std::string msg = "JSON parse error at offset " + std::to_string(pos_) +
-                      ": " + what;
-    msg += near.empty() ? " (at end of input)" : " near \"" + near + "\"";
-    throw std::runtime_error(msg);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return JsonValue{parse_string()};
-      case 't': return parse_literal("true", JsonValue{true});
-      case 'f': return parse_literal("false", JsonValue{false});
-      case 'n': return parse_literal("null", JsonValue{nullptr});
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_literal(std::string_view lit, JsonValue v) {
-    if (text_.substr(pos_, lit.size()) != lit) fail("bad literal");
-    pos_ += lit.size();
-    return v;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    const std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(num.c_str(), &end);
-    if (end != num.c_str() + num.size()) fail("bad number");
-    return JsonValue{d};
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          // \uXXXX: our exporters never emit these; decode BMP code points
-          // to keep the parser standard-compliant for hand-made files.
-          if (pos_ + 4 > text_.size()) fail("bad unicode escape");
-          const int code = static_cast<int>(
-              std::strtol(std::string(text_.substr(pos_, 4)).c_str(), nullptr, 16));
-          pos_ += 4;
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    return out;
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue{arr};
-    }
-    while (true) {
-      arr->push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return JsonValue{arr};
-      if (c != ',') fail("expected ',' or ']'");
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue{obj};
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      obj->emplace(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return JsonValue{obj};
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue* find(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  return it == obj.end() ? nullptr : &it->second;
-}
-
-void append_fields(LoadedEvent& ev, const JsonValue& fields) {
-  if (!fields.is_object()) return;
-  for (const auto& [key, value] : fields.object()) {
-    if (std::holds_alternative<double>(value.v)) {
-      ev.fields.emplace_back(key, std::get<double>(value.v));
-    }
-  }
-}
-
-/// One Chrome trace_event element -> LoadedEvent (nullopt-like false for
-/// metadata and other non-instant phases).
-bool load_chrome_event(const JsonValue& v, LoadedEvent& out) {
-  if (!v.is_object()) return false;
-  const JsonObject& obj = v.object();
-  if (const JsonValue* ph = find(obj, "ph"); ph != nullptr) {
+/// One trace_event element -> LoadedEvent; false for metadata and other
+/// phases that are not instant or complete events.
+bool load_event(const Json& v, LoadedEvent& out) {
+  if (const Json* ph = v.find("ph"); ph != nullptr) {
     const std::string phase = ph->string_or("i");
     if (phase != "i" && phase != "I" && phase != "X") return false;
   }
-  const JsonValue* ts = find(obj, "ts");
+  const Json* ts = v.find("ts");
   if (ts == nullptr) return false;
   out.t_us = ts->number_or(0.0);
-  if (const JsonValue* name = find(obj, "name"); name != nullptr) {
+  if (const Json* name = v.find("name"); name != nullptr) {
     out.name = name->string_or("");
   }
-  if (const JsonValue* cat = find(obj, "cat"); cat != nullptr) {
+  if (const Json* cat = v.find("cat"); cat != nullptr) {
     out.component = cat->string_or("");
   }
-  if (const JsonValue* args = find(obj, "args"); args != nullptr) {
-    append_fields(out, *args);
-  }
-  return true;
-}
-
-bool load_jsonl_event(const JsonValue& v, LoadedEvent& out) {
-  if (!v.is_object()) return false;
-  const JsonObject& obj = v.object();
-  const JsonValue* t = find(obj, "t_us");
-  if (t == nullptr) return load_chrome_event(v, out);  // mixed-format line
-  out.t_us = t->number_or(0.0);
-  if (const JsonValue* c = find(obj, "component"); c != nullptr) {
-    out.component = c->string_or("");
-  }
-  if (const JsonValue* n = find(obj, "name"); n != nullptr) {
-    out.name = n->string_or("");
-  }
-  if (const JsonValue* f = find(obj, "fields"); f != nullptr) {
-    append_fields(out, *f);
+  if (const Json* args = v.find("args"); args != nullptr) {
+    for (const auto& [key, value] : args->object()) {
+      if (value.kind() == Json::Kind::kNumber) {
+        out.fields.emplace_back(key, value.number_or(0.0));
+      }
+    }
   }
   return true;
 }
@@ -273,62 +42,19 @@ bool load_jsonl_event(const JsonValue& v, LoadedEvent& out) {
 std::vector<LoadedEvent> load_trace(std::istream& in) {
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
+  std::string err;
+  const std::optional<Json> root = Json::parse(buf.str(), &err);
+  if (!root.has_value()) throw std::runtime_error(err);
 
-  std::vector<LoadedEvent> out;
-  // Detect format: a Chrome trace is one document whose root object has a
-  // traceEvents array (or is itself an array); JSONL is one object/line.
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return out;
-
-  bool parsed_whole = false;
-  if (text[first] == '{' || text[first] == '[') {
-    try {
-      const JsonValue root = JsonParser(text).parse();
-      parsed_whole = true;
-      const JsonArray* events = nullptr;
-      if (root.is_array()) {
-        events = &root.array();
-      } else if (root.is_object()) {
-        if (const JsonValue* te = find(root.object(), "traceEvents");
-            te != nullptr && te->is_array()) {
-          events = &te->array();
-        }
-      }
-      if (events != nullptr) {
-        for (const JsonValue& v : *events) {
-          LoadedEvent ev;
-          if (load_chrome_event(v, ev)) out.push_back(std::move(ev));
-        }
-        return out;
-      }
-      // A single JSONL-style object in a one-line file: fall through.
-      LoadedEvent ev;
-      if (root.is_object() && load_jsonl_event(root, ev)) {
-        out.push_back(std::move(ev));
-        return out;
-      }
-    } catch (const std::runtime_error&) {
-      if (parsed_whole) throw;
-      // Not a single document: try line-by-line JSONL below.
-    }
+  // {"traceEvents": [...]} or the bare-array form of the format.
+  const Json* events = root->is_array() ? &*root : root->find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    throw std::runtime_error("not a Chrome trace: no traceEvents array");
   }
-
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const std::size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    JsonValue v;
-    try {
-      v = JsonParser(line).parse();
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error("line " + std::to_string(line_no) + ": " + e.what());
-    }
+  std::vector<LoadedEvent> out;
+  for (const Json& v : events->array()) {
     LoadedEvent ev;
-    if (load_jsonl_event(v, ev)) out.push_back(std::move(ev));
+    if (load_event(v, ev)) out.push_back(std::move(ev));
   }
   return out;
 }

@@ -1,7 +1,8 @@
 #pragma once
-// Loader for exported traces: parses Chrome trace_event JSON and JSONL
-// back into events with owned strings. Used by tools/trace_summarize and
-// the exporter round-trip tests; no third-party JSON dependency.
+// Loader for exported traces: reads the Chrome trace_event JSON that
+// write_chrome_trace writes (obs/export.hpp) back into events with owned
+// strings, through the repo's one JSON codec (obs/json.hpp). Used by
+// tools/trace_summarize, tools/latency_attrib and the round-trip tests.
 
 #include <iosfwd>
 #include <string>
@@ -19,9 +20,10 @@ struct LoadedEvent {
   std::vector<std::pair<std::string, double>> fields;
 };
 
-/// Parse a Chrome trace JSON document ({"traceEvents":[...]}) or JSONL
-/// stream (auto-detected). Metadata events are skipped. Throws
-/// std::runtime_error on malformed input.
+/// Parse a Chrome trace JSON document ({"traceEvents":[...]} or a bare
+/// event array). Metadata events and non-numeric args are skipped. Throws
+/// std::runtime_error on malformed input, with the JSON codec's
+/// "line N (offset M): ..." message.
 [[nodiscard]] std::vector<LoadedEvent> load_trace(std::istream& in);
 
 /// As load_trace, from a file path. Throws std::runtime_error when the

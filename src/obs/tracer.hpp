@@ -1,7 +1,7 @@
 #pragma once
 // Structured event tracer: typed (time, component, name, fields...) records
 // in an in-memory ring buffer, exportable as Chrome trace_event JSON (loads
-// in chrome://tracing and Perfetto), JSONL, and CSV (see obs/export.hpp).
+// in chrome://tracing and Perfetto; see obs/export.hpp).
 //
 // Recording goes through the ZHUGE_TRACE macro into the current
 // obs::Context's tracer (obs/context.hpp); the macro compiles away when

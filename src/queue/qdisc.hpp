@@ -71,8 +71,10 @@ class Qdisc {
         obs_sojourn_name_(std::string(component) + ".sojourn_us") {}
 
   /// Hooks the concrete disciplines call from enqueue()/dequeue(). Each is
-  /// one cold-bool branch when observability is off.
-  void obs_enqueued(const Packet& p, TimePoint now) {
+  /// one cold-bool branch when observability is off, and compiles to
+  /// nothing under ZHUGE_OBS_ENABLED=0 (hence [[maybe_unused]]).
+  void obs_enqueued([[maybe_unused]] const Packet& p,
+                    [[maybe_unused]] TimePoint now) {
     ZHUGE_METRIC_INC(obs_enqueued_name_);
     ZHUGE_TRACE(now, obs_component_, "enqueue", {"bytes", double(p.size_bytes)},
                 {"depth_bytes", double(byte_count())},
@@ -80,7 +82,9 @@ class Qdisc {
   }
 
   /// `kind` distinguishes tail drops from AQM head drops in the trace.
-  void obs_dropped(const Packet& p, TimePoint now, const char* kind) {
+  void obs_dropped([[maybe_unused]] const Packet& p,
+                   [[maybe_unused]] TimePoint now,
+                   [[maybe_unused]] const char* kind) {
     ZHUGE_METRIC_INC(obs_dropped_name_);
     ZHUGE_TRACE(now, obs_component_, kind, {"bytes", double(p.size_bytes)},
                 {"depth_bytes", double(byte_count())});
@@ -88,7 +92,8 @@ class Qdisc {
 
   /// Mutable Packet: besides metrics/trace output, this is where the
   /// latency-attribution span records the AP-qdisc-egress boundary.
-  void obs_dequeued(Packet& p, TimePoint now, Duration sojourn) {
+  void obs_dequeued([[maybe_unused]] Packet& p, [[maybe_unused]] TimePoint now,
+                    [[maybe_unused]] Duration sojourn) {
     ZHUGE_SPAN_STAMP(p.span.ap_dequeue_ns, now);
     ZHUGE_INVARIANT(now, "queue.nonnegative_bytes", byte_count() >= 0,
                     "qdisc byte accounting went negative");

@@ -1,11 +1,12 @@
 // Deterministic mutation fuzzing of the JSON input parsers, on the
 // tests/prop.hpp harness (no libFuzzer): byte flips, truncations and
 // duplicated spans applied to the shipped golden records, the example
-// scenario and eval specs and the benchmark specs. Every mutant must
-// either parse or return an error — never crash, and never trip ASan or
-// UBSan in the sanitizer job — and a golden mutant that still parses
-// must dump and parse again to an equal record. A red case replays from
-// the printed property case number.
+// scenario and eval specs, the benchmark specs and a Chrome trace written
+// in-test. Every mutant must either parse or return an error (the trace
+// reader: load or throw std::runtime_error) — never crash, and never trip
+// ASan or UBSan in the sanitizer job — and a golden mutant that still
+// parses must dump and parse again to an equal record. A red case replays
+// from the printed property case number.
 
 #include <gtest/gtest.h>
 
@@ -17,14 +18,20 @@
 #include <vector>
 
 #include "app/eval.hpp"
+#include "app/golden.hpp"
 #include "app/record.hpp"
+#include "app/scenario.hpp"
 #include "app/spec.hpp"
+#include "obs/export.hpp"
+#include "obs/settings.hpp"
+#include "obs/trace_reader.hpp"
+#include "obs/tracer.hpp"
 #include "prop.hpp"
 
 namespace zhuge::app {
 namespace {
 
-enum class Parser : std::uint8_t { kRecord, kScenario, kEval };
+enum class Parser : std::uint8_t { kRecord, kScenario, kEval, kTrace };
 
 struct Seed {
   std::string path;
@@ -39,8 +46,27 @@ std::string read_file(const std::filesystem::path& path) {
   return ss.str();
 }
 
+/// The Chrome trace of a short traced run of the rtp_zhuge_single golden
+/// spec with attribution on, so it carries "span" records as well.
+std::string chrome_trace_seed() {
+  ScenarioSpec spec = golden_scenario_spec("rtp_zhuge_single").value();
+  spec.duration_s = 0.2;
+  spec.warmup_s = 0.0;
+  obs::reset();
+  obs::set_tracing_enabled(true);
+  obs::set_attrib_enabled(true);
+  (void)run_multi_station(spec);
+  std::ostringstream out;
+  obs::write_chrome_trace(obs::tracer(), out);
+  obs::set_tracing_enabled(false);
+  obs::set_attrib_enabled(false);
+  obs::reset();
+  return out.str();
+}
+
 /// The corpus, in a fixed order: every *.json of the golden, example-spec
-/// and benchmark-spec directories. Specs named eval_* are EvalSpecs.
+/// and benchmark-spec directories (specs named eval_* are EvalSpecs), then
+/// the Chrome trace seed.
 std::vector<Seed> corpus() {
   std::vector<Seed> out;
   const auto add_dir = [&out](const std::string& dir, bool golden) {
@@ -60,6 +86,7 @@ std::vector<Seed> corpus() {
   add_dir(ZHUGE_GOLDEN_DIR, true);
   add_dir(ZHUGE_SPEC_DIR, false);
   add_dir(ZHUGE_PERFBENCH_SPEC_DIR, false);
+  out.push_back({"rtp_zhuge_single trace", Parser::kTrace, chrome_trace_seed()});
   return out;
 }
 
@@ -108,6 +135,13 @@ TEST(ParserFuzz, ShippedInputsParse) {
         EXPECT_TRUE(parse_eval_spec(seed.text, &err).has_value())
             << seed.path << ": " << err;
         break;
+      case Parser::kTrace: {
+        std::istringstream in(seed.text);
+        const auto events = obs::load_trace(in);
+        // With the obs layer compiled out the run records no events.
+        EXPECT_EQ(events.empty(), ZHUGE_OBS_ENABLED == 0) << seed.path;
+        break;
+      }
     }
   }
 }
@@ -126,6 +160,12 @@ TEST(ParserFuzz, MutantsParseOrFailCleanly) {
     // error for any input.
     (void)parse_scenario_spec(mutant, &err);
     (void)parse_eval_spec(mutant, &err);
+    try {
+      std::istringstream in(mutant);
+      (void)obs::load_trace(in);
+    } catch (const std::runtime_error&) {
+      // A malformed trace must surface as exactly this exception.
+    }
     const auto record = parse_record(mutant, &err);
     if (!record.has_value()) {
       EXPECT_FALSE(err.empty());

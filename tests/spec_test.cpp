@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "app/spec.hpp"
 #include "prop.hpp"
@@ -34,11 +35,17 @@ TEST(Json, ParsesScalarsArraysObjects) {
 }
 
 TEST(Json, RejectsMalformedInputWithLineNumbers) {
-  for (const char* bad : {"{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated",
-                          "{\"a\":1} extra", "01", "\"\\u0041\""}) {
+  // Past the nesting limit: rejected, not a stack overflow.
+  const std::string deep = std::string(200000, '[') + std::string(200000, ']');
+  const std::vector<std::string> malformed = {
+      "{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated", "{\"a\":1} extra", "01",
+      // Raw control characters, bad \u escapes and lone surrogates.
+      "\"raw\ttab\"", "\"raw\x01\"", "\"\\u00g1\"", "\"\\u12\"", "\"\\ud800\"",
+      "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"\\x\"", deep};
+  for (const std::string& bad : malformed) {
     std::string err;
-    EXPECT_FALSE(Json::parse(bad, &err).has_value()) << bad;
-    EXPECT_FALSE(err.empty()) << bad;
+    EXPECT_FALSE(Json::parse(bad, &err).has_value()) << bad.substr(0, 40);
+    EXPECT_FALSE(err.empty()) << bad.substr(0, 40);
   }
   std::string err;
   EXPECT_FALSE(Json::parse("{\n  \"a\": 1,\n  !\n}", &err).has_value());
@@ -54,16 +61,34 @@ TEST(Json, DumpParseRoundTrip) {
   arr.push(Json::make_bool(true));
   arr.push(Json::make_number(-2.5e-9));
   doc.set("items", std::move(arr));
+  // Every control character is escaped, so the dump is valid JSON.
+  const std::string controls("tab\bname\f\x01\x1f\0end", 15);
+  doc.set("controls", Json::make_string(controls));
 
   for (const int indent : {0, 2}) {
     std::string err;
-    const auto back = Json::parse(doc.dump(indent), &err);
+    const std::string text = doc.dump(indent);
+    for (const char c : text) {
+      if (c != '\n') {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << text;
+      }
+    }
+    const auto back = Json::parse(text, &err);
     ASSERT_TRUE(back.has_value()) << err;
     EXPECT_EQ(back->find("name")->string_or(""), "round \"trip\"\n");
+    EXPECT_EQ(back->find("controls")->string_or(""), controls);
     EXPECT_DOUBLE_EQ(back->find("value")->number_or(0), 0.1);
     EXPECT_DOUBLE_EQ(back->find("count")->number_or(0), 48.0);
     EXPECT_DOUBLE_EQ(back->find("items")->array()[1].number_or(0), -2.5e-9);
   }
+
+  // \uXXXX escapes decode to UTF-8, surrogate pairs included.
+  std::string err;
+  const auto escaped =
+      Json::parse(R"("\u0041\u00e9\u20AC\ud83d\ude00\u0000")", &err);
+  ASSERT_TRUE(escaped.has_value()) << err;
+  EXPECT_EQ(escaped->string_or(""),
+            std::string("A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\0", 11));
 }
 
 TEST(Json, RandomDoublesSurviveRoundTrip) {

@@ -2,7 +2,7 @@
 //
 //   latency_attrib --trace FILE [FILE ...] [--record PATH]
 //
-// Replays "span" records from JSONL/Chrome traces written by any bench's
+// Replays "span" records from the Chrome traces written by any bench's
 // or tool's --trace flag with attribution on, so a latency budget can be
 // built after the fact from a recorded run. The text report (per-stage
 // table, budget waterfall, Zhuge-on vs Zhuge-off) goes to stdout; --record
@@ -24,7 +24,7 @@ namespace {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s --trace FILE [FILE ...] [--record PATH]\n"
-      "  --trace FILE   replay span records from JSONL/Chrome traces\n"
+      "  --trace FILE   replay span records from Chrome traces\n"
       "  --record PATH  write the run record (JSON, app/record.hpp)\n",
       argv0);
 }

@@ -29,11 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "app/spec.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
-using zhuge::app::Json;
+using zhuge::obs::Json;
 
 struct Measured {
   double max_items_per_second = 0.0;

@@ -1,8 +1,8 @@
 // trace_summarize — per-component statistics for an exported trace.
 //
-//   trace_summarize out.json [out2.jsonl ...]
+//   trace_summarize out.json [out2.json ...]
 //
-// Accepts the Chrome trace JSON or JSONL files written by any bench's
+// Accepts the Chrome trace JSON files written by any bench's
 // --trace flag and prints, per (component, event) pair, the event count
 // plus per-field count/mean/p50/p95/p99. A final section reports the two
 // distributions the paper's evaluation leans on: queue sojourn times and
@@ -59,7 +59,7 @@ void print_field_row(const std::string& name, FieldStats& st) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <trace.json|trace.jsonl> [...]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <trace.json> [...]\n", argv[0]);
     return 2;
   }
 
