@@ -55,7 +55,12 @@ class SpecReader {
     if (!num(v, key, d)) return false;
     if (!whole_in_range(d, std::numeric_limits<Int>::is_signed,
                         std::numeric_limits<Int>::digits)) {
-      return fail(v, "\"" + std::string(key) + "\" must be an integer in range");
+      // Appended, not a `"..." + std::string` chain: GCC 12 -O3 raises a
+      // false -Wrestrict on that chain's insert.
+      std::string msg = "\"";
+      msg += key;
+      msg += "\" must be an integer in range";
+      return fail(v, msg);
     }
     out = static_cast<Int>(d);
     return true;

@@ -54,7 +54,9 @@ class AckScheduler {
                     pending_.empty() || release >= pending_.back().release,
                     "hold scheduled before the previously scheduled release");
     pending_.push_back({std::move(p), release, now});
-    arm();
+    // Only a new front moves the timer: behind one, the armed release
+    // already stands.
+    if (pending_.size() == 1) arm();
   }
 
   /// Shift every pending release `amount` earlier (never before now).

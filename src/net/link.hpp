@@ -7,19 +7,29 @@
 // corruption, and set_fault_hook() lets a fault injector interpose on the
 // delivery path without the link knowing anything about fault plans.
 //
-// Hot-path layout (PR 8): a packet crossing the link used to be moved
-// through two chained closures (serialization end, then propagation end) —
-// two ~200-byte memcpys into the event engine's callback nodes per hop.
-// In-flight packets now park once in a sim::Pool and the two events carry
-// only {this, slot index}: the event nodes stay within one cache line of
-// payload. The Packet is moved once, into the pool at send; at delivery it
-// is handed to the sink by rvalue reference straight from its slot, and
-// only a consumer that parks it moves it again. Timing, ordering, and RNG
-// draw order are unchanged — the golden fingerprint suites pin that.
+// Closed form: a FIFO link at a fixed rate needs no event to find out when
+// a packet leaves the wire. At send() the packet's serialization starts at
+// max(now, free_at) and ends at free_at = start + size·8/rate, so the one
+// event a packet costs is its delivery at free_at + prop_delay + jitter.
+// The packet parks once in a sim::Pool and that event carries only
+// {this, slot index}; at delivery the packet is handed to the sink by
+// rvalue reference straight from its slot.
+//
+// RNG draw order: loss and then (for a survivor) jitter are drawn at send
+// time. A model with a serialization-end event would draw them there;
+// both visit packets FIFO and draw nothing else in between, so on a
+// link-owned Rng every packet gets the same draws (tests/prop_test.cpp
+// checks this against such a two-event model). A shared Rng would see the
+// link's draws earlier.
+//
+// Drop-tail: the buffer holds the admitted packets whose serialization has
+// not started by now. Their (start, bytes) are kept in start order and the
+// ones that started are drained at each send(), so the check is exact
+// without a serialization-end event.
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <optional>
 
 #include "net/packet.hpp"
 #include "obs/invariants.hpp"
@@ -49,18 +59,54 @@ class PointToPointLink {
   /// Offer a packet to the link. Returns false if the buffer overflowed
   /// (packet dropped).
   bool send(Packet&& p) {
-    if (cfg_.buffer_bytes >= 0 &&
-        queued_bytes_ + p.size_bytes > cfg_.buffer_bytes) {
-      ++drops_;
-      ZHUGE_METRIC_INC("link.drops");
-      ZHUGE_TRACE(sim_.now(), "link", "drop", {"reason_overflow", 1.0},
-                  {"bytes", double(p.size_bytes)},
-                  {"queued_bytes", double(queued_bytes_)});
-      return false;
+    const TimePoint now = sim_.now();
+    if (cfg_.buffer_bytes >= 0) {
+      while (!waiting_.empty() && waiting_.front().start <= now) {
+        queued_bytes_ -= waiting_.front().bytes;
+        waiting_.pop_front();
+      }
+      ZHUGE_INVARIANT(now, "link.nonnegative_bytes", queued_bytes_ >= 0,
+                      "link byte accounting went negative");
+      if (queued_bytes_ + p.size_bytes > cfg_.buffer_bytes) {
+        ++drops_;
+        ZHUGE_METRIC_INC("link.drops");
+        ZHUGE_TRACE(now, "link", "drop", {"reason_overflow", 1.0},
+                    {"bytes", double(p.size_bytes)},
+                    {"queued_bytes", double(queued_bytes_)});
+        return false;
+      }
     }
-    queued_bytes_ += p.size_bytes;
-    queue_.push_back(pool_.put(std::move(p)));
-    if (!busy_) transmit_next();
+    const TimePoint start = std::max(now, free_at_);
+    free_at_ = start + Duration::from_seconds(
+                           static_cast<double>(p.size_bytes) * 8.0 / cfg_.rate_bps);
+    if (cfg_.buffer_bytes >= 0 && start > now) {
+      waiting_.push_back({start, p.size_bytes});
+      queued_bytes_ += p.size_bytes;
+    }
+    if (rng_ != nullptr && cfg_.loss_prob > 0.0 && rng_->chance(cfg_.loss_prob)) {
+      ++random_drops_;
+      ZHUGE_METRIC_INC("link.drops");
+      ZHUGE_TRACE(now, "link", "drop", {"reason_random_loss", 1.0},
+                  {"bytes", double(p.size_bytes)});
+      return true;
+    }
+    Duration extra = cfg_.prop_delay;
+    if (rng_ != nullptr && cfg_.jitter_max > Duration::zero()) {
+      extra += Duration::from_seconds(
+          rng_->uniform(0.0, cfg_.jitter_max.to_seconds()));
+    }
+    const sim::Pool<Packet>::Index idx = pool_.put(std::move(p));
+    sim_.schedule_at(free_at_ + extra, [this, idx] {
+      // Hand the parked packet off in place; a consumer that keeps it
+      // moves it out, and the slot is freed once the handler returns.
+      Packet& q = pool_.at(idx);
+      if (fault_hook_) {
+        fault_hook_(std::move(q));
+      } else if (sink_) {
+        sink_(std::move(q));
+      }
+      pool_.release(idx);
+    });
     return true;
   }
 
@@ -78,65 +124,24 @@ class PointToPointLink {
 
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t random_drops() const { return random_drops_; }
-  [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
-  void transmit_next() {
-    if (queue_.empty()) {
-      busy_ = false;
-      return;
-    }
-    busy_ = true;
-    const sim::Pool<Packet>::Index idx = queue_.front();
-    queue_.pop_front();
-    const std::uint32_t size_bytes = pool_.at(idx).size_bytes;
-    queued_bytes_ -= size_bytes;
-    ZHUGE_INVARIANT(sim_.now(), "link.nonnegative_bytes", queued_bytes_ >= 0,
-                    "link byte accounting went negative");
-    const Duration tx = Duration::from_seconds(
-        static_cast<double>(size_bytes) * 8.0 / cfg_.rate_bps);
-    sim_.schedule_after(tx, [this, idx] { on_serialized(idx); });
-  }
-
-  void on_serialized(sim::Pool<Packet>::Index idx) {
-    if (rng_ != nullptr && cfg_.loss_prob > 0.0 && rng_->chance(cfg_.loss_prob)) {
-      ++random_drops_;
-      ZHUGE_METRIC_INC("link.drops");
-      ZHUGE_TRACE(sim_.now(), "link", "drop", {"reason_random_loss", 1.0},
-                  {"bytes", double(pool_.at(idx).size_bytes)});
-      pool_.release(idx);
-      transmit_next();
-      return;
-    }
-    Duration extra = cfg_.prop_delay;
-    if (rng_ != nullptr && cfg_.jitter_max > Duration::zero()) {
-      extra += Duration::from_seconds(
-          rng_->uniform(0.0, cfg_.jitter_max.to_seconds()));
-    }
-    sim_.schedule_after(extra, [this, idx] {
-      // Hand the parked packet off in place; a consumer that keeps it
-      // moves it out, and the slot is freed once the handler returns.
-      Packet& p = pool_.at(idx);
-      if (fault_hook_) {
-        fault_hook_(std::move(p));
-      } else if (sink_) {
-        sink_(std::move(p));
-      }
-      pool_.release(idx);
-    });
-    transmit_next();
-  }
+  /// An admitted packet still waiting for the wire (finite buffer only).
+  struct Waiting {
+    TimePoint start;  ///< its serialization start
+    std::uint32_t bytes;
+  };
 
   sim::Simulator& sim_;
   Config cfg_;
   PacketHandler sink_;
   PacketHandler fault_hook_;
   sim::Rng* rng_ = nullptr;
-  sim::Pool<Packet> pool_;              ///< queued + in-flight packets
-  std::deque<sim::Pool<Packet>::Index> queue_;
+  sim::Pool<Packet> pool_;       ///< in-flight packets
+  TimePoint free_at_;            ///< when the wire finishes its last packet
+  std::deque<Waiting> waiting_;  ///< in start order
   std::int64_t queued_bytes_ = 0;
-  bool busy_ = false;
   std::uint64_t drops_ = 0;         ///< buffer overflow (tail) drops
   std::uint64_t random_drops_ = 0;  ///< loss_prob drops
 };

@@ -144,8 +144,8 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::maybe_compact() {
-  // Cancel-heavy churn (the AckScheduler re-arms on every hold) leaves
-  // stale entries behind. Sweep them out when they outnumber live ones
+  // Cancel-heavy churn (timers re-armed earlier, e.g. an AckScheduler
+  // retreat) leaves stale entries behind. Sweep them out when they outnumber live ones
   // 4:1 so the heap stays O(pending) even over billion-event runs; the
   // floor of 64 keeps tiny queues from compacting constantly.
   if (size_ <= 64 || size_ <= 4 * pending_count_) return;

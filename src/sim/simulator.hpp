@@ -30,8 +30,7 @@
 //    instead of branches.
 //  * Cancel just kills the node (O(1)); stale entries are discarded lazily
 //    on pop and compacted wholesale when they outnumber live ones 4:1, so
-//    heavy cancel/reschedule churn (the AckScheduler re-arms on every
-//    hold) cannot grow the queue without bound.
+//    heavy cancel/reschedule churn cannot grow the queue without bound.
 //  * Node generations validate EventIds, so a fired, cancelled or
 //    recycled handle is rejected without any per-event-ever state.
 //

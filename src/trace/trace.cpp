@@ -75,9 +75,7 @@ bool parse_number(const std::string& tok, double& out) {
 
 }  // namespace
 
-Trace load_csv(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("trace: cannot open " + path);
+Trace load_csv(std::istream& in, const std::string& source, const std::string& name) {
   std::vector<Trace::Sample> samples;
   std::string line;
   std::size_t lineno = 0;
@@ -86,46 +84,59 @@ Trace load_csv(const std::string& path, const std::string& name) {
     if (line.empty() || line[0] == '#') continue;
     const std::size_t comma = line.find(',');
     if (comma == std::string::npos) {
-      fail_line(path, lineno, line, "expected \"time_ms,rate_mbps\"");
+      fail_line(source, lineno, line, "expected \"time_ms,rate_mbps\"");
     }
     const std::string t_tok = trim(line.substr(0, comma));
     std::string r_tok = trim(line.substr(comma + 1));
     const std::size_t extra = r_tok.find_first_of(" \t,");
     if (extra != std::string::npos) {
-      fail_line(path, lineno, line,
+      fail_line(source, lineno, line,
                 "trailing token \"" + trim(r_tok.substr(extra)) + "\"");
     }
     double t_ms = 0.0;
     double mbps = 0.0;
     if (!parse_number(t_tok, t_ms) || !parse_number(r_tok, mbps)) {
-      fail_line(path, lineno, line, "expected \"time_ms,rate_mbps\"");
+      fail_line(source, lineno, line, "expected \"time_ms,rate_mbps\"");
     }
     if (!std::isfinite(t_ms) || !std::isfinite(mbps)) {
-      fail_line(path, lineno, line, "non-finite value");
+      fail_line(source, lineno, line, "non-finite value");
     }
     if (mbps < 0.0) {
-      fail_line(path, lineno, line, "negative rate");
+      fail_line(source, lineno, line, "negative rate");
+    }
+    if (std::fabs(t_ms) >= 9e12) {  // ~285 years: far inside int64 ns
+      fail_line(source, lineno, line, "time out of range");
     }
     const TimePoint t{static_cast<std::int64_t>(t_ms * 1e6)};
     if (!samples.empty() && t < samples.back().t) {
-      fail_line(path, lineno, line,
+      fail_line(source, lineno, line,
                 "time going backwards (previous sample at " +
                     std::to_string(samples.back().t.to_millis()) + " ms)");
     }
     samples.push_back({t, mbps * 1e6});
   }
-  if (samples.empty()) throw std::runtime_error("trace: empty file " + path);
+  if (samples.empty()) throw std::runtime_error("trace: empty file " + source);
   return Trace{name, std::move(samples)};
 }
 
-void save_csv(const Trace& trace, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("trace: cannot write " + path);
+Trace load_csv(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("trace: cannot open " + path);
+  return load_csv(in, path, name);
+}
+
+void save_csv(const Trace& trace, std::ostream& out) {
   out.precision(12);  // lossless enough for ns-resolution round-trips
   out << "# time_ms,rate_mbps  (" << trace.name() << ")\n";
   for (const auto& s : trace.samples()) {
     out << s.t.to_millis() << "," << s.rate_bps / 1e6 << "\n";
   }
+}
+
+void save_csv(const Trace& trace, const std::string& path) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("trace: cannot write " + path);
+  save_csv(trace, out);
 }
 
 }  // namespace zhuge::trace

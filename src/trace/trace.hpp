@@ -4,6 +4,7 @@
 // loops when read past the end so short traces can drive long simulations.
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,15 @@ class Trace {
 };
 
 /// Parse a "time_ms,rate_mbps" CSV (comments with '#', blank lines ok).
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, naming `source:line`.
+[[nodiscard]] Trace load_csv(std::istream& in, const std::string& source,
+                             const std::string& name = "csv");
+
+/// Open `path` and parse it as above; errors name `path:line`.
 [[nodiscard]] Trace load_csv(const std::string& path, const std::string& name = "csv");
 
 /// Serialise to the same CSV format (for exporting generated traces).
+void save_csv(const Trace& trace, std::ostream& out);
 void save_csv(const Trace& trace, const std::string& path);
 
 }  // namespace zhuge::trace

@@ -23,13 +23,30 @@ Duration TcpSender::current_rto() const {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_timer_ != 0) sim_.cancel(rto_timer_);
-  rto_timer_ = 0;
-  if (in_flight_.empty()) return;
-  rto_timer_ = sim_.schedule_after(current_rto(), [this] {
-    rto_timer_ = 0;
-    on_rto_fired();
-  });
+  rto_armed_ = !in_flight_.empty();
+  if (!rto_armed_) return;  // a pending event finds nothing armed and lapses
+  rto_deadline_ = sim_.now() + current_rto();
+  if (rto_event_ != 0) {
+    if (rto_event_at_ <= rto_deadline_) return;  // it re-checks when it fires
+    sim_.cancel(rto_event_);  // the deadline moved earlier (backoff reset)
+  }
+  schedule_rto_event();
+}
+
+void TcpSender::schedule_rto_event() {
+  rto_event_at_ = rto_deadline_;
+  rto_event_ = sim_.schedule_at(rto_deadline_, [this] { on_rto_event(); });
+}
+
+void TcpSender::on_rto_event() {
+  rto_event_ = 0;
+  if (!rto_armed_) return;
+  if (rto_deadline_ > sim_.now()) {
+    schedule_rto_event();
+    return;
+  }
+  rto_armed_ = false;
+  on_rto_fired();
 }
 
 void TcpSender::on_rto_fired() {
@@ -105,7 +122,7 @@ void TcpSender::try_send() {
           std::max(next_send_time_, now) +
           Duration::from_seconds(static_cast<double>(take + cfg_.header_bytes) * 8.0 / pace);
     }
-    if (rto_timer_ == 0) arm_rto();
+    if (!rto_armed_) arm_rto();
   }
   // Ran out of data with window to spare: everything outstanding was sent
   // while the app was the limit, so delivery-rate samples from those ACKs

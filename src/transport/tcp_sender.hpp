@@ -50,7 +50,7 @@ class TcpSender {
   /// Cancels the RTO and pacing timers so a sender can be destroyed
   /// mid-run (flow churn) without dangling callbacks.
   ~TcpSender() {
-    if (rto_timer_ != 0) sim_.cancel(rto_timer_);
+    if (rto_event_ != 0) sim_.cancel(rto_event_);
     if (pacing_timer_ != 0) sim_.cancel(pacing_timer_);
   }
 
@@ -73,6 +73,9 @@ class TcpSender {
   [[nodiscard]] std::uint64_t backlog_bytes() const { return backlog_bytes_; }
   [[nodiscard]] Duration smoothed_rtt() const { return srtt_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
+  /// The RTO an arm would set now: max(min_rto, srtt + 4·rttvar), doubled
+  /// per consecutive expiry, capped at max_rto.
+  [[nodiscard]] Duration current_rto() const;
   /// Delivery rate seen through ACKs (bps), for logging/benches.
   [[nodiscard]] double delivery_rate_bps(TimePoint now) {
     return delivered_rate_.rate_bps(now).value_or(0.0);
@@ -104,9 +107,10 @@ class TcpSender {
   void send_segment(std::uint64_t seq, const SentSegment& meta, bool retransmit);
   void arm_pacing_timer(TimePoint when);
   void arm_rto();
+  void schedule_rto_event();
+  void on_rto_event();
   void on_rto_fired();
   void retransmit_first_unacked();
-  [[nodiscard]] Duration current_rto() const;
 
   sim::Simulator& sim_;
   net::FlowId flow_;
@@ -144,8 +148,13 @@ class TcpSender {
   TimePoint next_send_time_;
   sim::EventId pacing_timer_ = 0;
 
-  // RTO.
-  sim::EventId rto_timer_ = 0;
+  // RTO: a deadline plus at most one pending event, which may fire early
+  // (the deadline moved later since it was scheduled) and then re-checks.
+  // Re-arming on every ACK therefore costs no cancel and no stale entry.
+  bool rto_armed_ = false;
+  TimePoint rto_deadline_;
+  sim::EventId rto_event_ = 0;
+  TimePoint rto_event_at_;  ///< when rto_event_ fires
   int rto_backoff_ = 0;
 
   stats::WindowedRate delivered_rate_;

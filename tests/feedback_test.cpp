@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/ack_scheduler.hpp"
@@ -195,6 +196,30 @@ TEST(AckScheduler, ReleasesInOrderAtScheduledTimes) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], std::make_pair<std::uint64_t>(1, at(10)));
   EXPECT_EQ(out[1], std::make_pair<std::uint64_t>(2, at(20)));
+}
+
+TEST(AckScheduler, HoldsBehindAnUnchangedFrontCancelNothing) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, TimePoint>> out;
+  AckScheduler sched(sim, [&](Packet p) { out.emplace_back(p.uid, sim.now()); });
+  // One hold every ms, each released 30 ms later: up to 30 queue behind
+  // the front at a time, and only a release moves the timer.
+  std::size_t max_queue = 0;
+  for (std::int64_t i = 0; i < 100; ++i) {
+    sim.run_until(at(i));
+    Packet p;
+    p.uid = static_cast<std::uint64_t>(i);
+    sched.hold(std::move(p), at(i + 30));
+    max_queue = std::max(max_queue, sim.queue_size());
+  }
+  sim.run();
+  EXPECT_EQ(max_queue, 1u);  // the one release timer, no stale entry
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  ASSERT_EQ(out.size(), 100u);
+  for (std::int64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)],
+              std::make_pair(static_cast<std::uint64_t>(i), at(i + 30)));
+  }
 }
 
 TEST(AckScheduler, RetreatPullsReleasesEarlier) {

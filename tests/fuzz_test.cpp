@@ -1,9 +1,10 @@
 // Deterministic mutation fuzzing of the JSON input parsers, on the
 // tests/prop.hpp harness (no libFuzzer): byte flips, truncations and
 // duplicated spans applied to the shipped golden records, the example
-// scenario and eval specs, the benchmark specs and a Chrome trace written
-// in-test. Every mutant must either parse or return an error (the trace
-// reader: load or throw std::runtime_error) — never crash, and never trip
+// scenario and eval specs, the benchmark specs, and a Chrome trace and a
+// bandwidth-trace CSV written in-test. Every mutant must either parse or
+// return an error (the two trace loaders: load or throw
+// std::runtime_error) — never crash, and never trip
 // ASan or UBSan in the sanitizer job — and a golden mutant that still
 // parses must dump and parse again to an equal record. A red case replays
 // from the printed property case number.
@@ -27,11 +28,13 @@
 #include "obs/trace_reader.hpp"
 #include "obs/tracer.hpp"
 #include "prop.hpp"
+#include "trace/synthetic.hpp"
+#include "trace/trace.hpp"
 
 namespace zhuge::app {
 namespace {
 
-enum class Parser : std::uint8_t { kRecord, kScenario, kEval, kTrace };
+enum class Parser : std::uint8_t { kRecord, kScenario, kEval, kTrace, kTraceCsv };
 
 struct Seed {
   std::string path;
@@ -64,9 +67,18 @@ std::string chrome_trace_seed() {
   return out.str();
 }
 
+/// A 2 s synthetic W1 bandwidth trace, as save_csv writes it.
+std::string trace_csv_seed() {
+  std::ostringstream out;
+  trace::save_csv(
+      trace::make_trace(trace::TraceKind::kRestaurantWifi, 1, sim::Duration::seconds(2)),
+      out);
+  return out.str();
+}
+
 /// The corpus, in a fixed order: every *.json of the golden, example-spec
 /// and benchmark-spec directories (specs named eval_* are EvalSpecs), then
-/// the Chrome trace seed.
+/// the Chrome trace and trace-CSV seeds.
 std::vector<Seed> corpus() {
   std::vector<Seed> out;
   const auto add_dir = [&out](const std::string& dir, bool golden) {
@@ -87,6 +99,7 @@ std::vector<Seed> corpus() {
   add_dir(ZHUGE_SPEC_DIR, false);
   add_dir(ZHUGE_PERFBENCH_SPEC_DIR, false);
   out.push_back({"rtp_zhuge_single trace", Parser::kTrace, chrome_trace_seed()});
+  out.push_back({"W1 trace csv", Parser::kTraceCsv, trace_csv_seed()});
   return out;
 }
 
@@ -119,7 +132,7 @@ std::string mutate(std::string s, sim::Rng& rng) {
 
 TEST(ParserFuzz, ShippedInputsParse) {
   const auto seeds = corpus();
-  ASSERT_GE(seeds.size(), 13u);
+  ASSERT_GE(seeds.size(), 14u);
   for (const Seed& seed : seeds) {
     std::string err;
     switch (seed.parser) {
@@ -140,6 +153,11 @@ TEST(ParserFuzz, ShippedInputsParse) {
         const auto events = obs::load_trace(in);
         // With the obs layer compiled out the run records no events.
         EXPECT_EQ(events.empty(), ZHUGE_OBS_ENABLED == 0) << seed.path;
+        break;
+      }
+      case Parser::kTraceCsv: {
+        std::istringstream in(seed.text);
+        EXPECT_FALSE(trace::load_csv(in, seed.path).empty()) << seed.path;
         break;
       }
     }
@@ -165,6 +183,13 @@ TEST(ParserFuzz, MutantsParseOrFailCleanly) {
       (void)obs::load_trace(in);
     } catch (const std::runtime_error&) {
       // A malformed trace must surface as exactly this exception.
+    }
+    try {
+      std::istringstream in(mutant);
+      (void)trace::load_csv(in, "mutant");
+    } catch (const std::runtime_error& e) {
+      // So must a malformed trace CSV, naming where it broke.
+      EXPECT_EQ(std::string(e.what()).rfind("trace: ", 0), 0u) << e.what();
     }
     const auto record = parse_record(mutant, &err);
     if (!record.has_value()) {

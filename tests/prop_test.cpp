@@ -6,6 +6,9 @@
 //    stays within the +-32768 disambiguation window;
 //  * AckScheduler — never reorders held feedback under random hold deltas
 //    and random retreats;
+//  * PointToPointLink — the closed-form link delivers, drops and draws its
+//    Rng exactly like the two-event (serialization end, then delivery)
+//    model it replaced, at one event per delivered packet;
 //  * synthetic ABW traces — seed-determinism, class rate envelopes, and
 //    rate_at() piecewise/sample-and-hold consistency (the eval matrix's
 //    trace axis leans on all three);
@@ -18,8 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -28,6 +34,7 @@
 #include "app/sweep.hpp"
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
+#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
 #include "prop.hpp"
@@ -173,6 +180,171 @@ TEST(PropAckScheduler, NeverReordersUnderRandomHoldsAndRetreats) {
     // Release order must equal hold order — uids were minted 1..N.
     EXPECT_TRUE(std::is_sorted(released.begin(), released.end()))
         << "feedback reordered";
+  });
+}
+
+// ---------------------------------------------------------------------------
+// PointToPointLink
+// ---------------------------------------------------------------------------
+
+/// The link as it was before its closed form, kept as the reference: one
+/// event at serialization end (draw loss, then jitter, start the next
+/// packet) and one at delivery. Same Config, same drop-tail rule (the
+/// buffer holds the packets not yet being serialized).
+class TwoEventLink {
+ public:
+  TwoEventLink(sim::Simulator& simulator, net::PointToPointLink::Config cfg,
+               net::PacketHandler sink, sim::Rng* rng)
+      : sim_(simulator), cfg_(cfg), sink_(std::move(sink)), rng_(rng) {}
+
+  bool send(net::Packet&& p) {
+    if (cfg_.buffer_bytes >= 0 &&
+        queued_bytes_ + p.size_bytes > cfg_.buffer_bytes) {
+      ++drops_;
+      return false;
+    }
+    queued_bytes_ += p.size_bytes;
+    queue_.push_back(std::move(p));
+    if (!busy_) transmit_next();
+    return true;
+  }
+
+  [[nodiscard]] std::uint64_t drops() const { return drops_; }
+  [[nodiscard]] std::uint64_t random_drops() const { return random_drops_; }
+
+ private:
+  void transmit_next() {
+    busy_ = !queue_.empty();
+    if (!busy_) return;
+    net::Packet p = std::move(queue_.front());
+    queue_.pop_front();
+    queued_bytes_ -= p.size_bytes;
+    const Duration tx = Duration::from_seconds(
+        static_cast<double>(p.size_bytes) * 8.0 / cfg_.rate_bps);
+    sim_.schedule_after(tx, [this, p = std::move(p)]() mutable {
+      on_serialized(std::move(p));
+    });
+  }
+
+  void on_serialized(net::Packet&& p) {
+    if (cfg_.loss_prob > 0.0 && rng_->chance(cfg_.loss_prob)) {
+      ++random_drops_;
+    } else {
+      Duration extra = cfg_.prop_delay;
+      if (cfg_.jitter_max > Duration::zero()) {
+        extra += Duration::from_seconds(
+            rng_->uniform(0.0, cfg_.jitter_max.to_seconds()));
+      }
+      sim_.schedule_after(extra, [this, p = std::move(p)]() mutable {
+        sink_(std::move(p));
+      });
+    }
+    transmit_next();
+  }
+
+  sim::Simulator& sim_;
+  net::PointToPointLink::Config cfg_;
+  net::PacketHandler sink_;
+  sim::Rng* rng_;
+  std::deque<net::Packet> queue_;
+  std::int64_t queued_bytes_ = 0;
+  bool busy_ = false;
+  std::uint64_t drops_ = 0;
+  std::uint64_t random_drops_ = 0;
+};
+
+struct LinkSend {
+  TimePoint at;
+  std::uint32_t bytes;
+};
+
+struct LinkOutcome {
+  std::vector<std::pair<std::uint64_t, TimePoint>> delivered;  ///< uid, instant
+  std::vector<std::uint64_t> tail_dropped;  ///< uids send() refused
+  std::uint64_t drops = 0;
+  std::uint64_t random_drops = 0;
+  std::uint64_t events = 0;
+};
+
+/// Offer `sends` to a link built by `make(sim, sink, rng)`, each from the
+/// top level once every event due by its instant has fired, so a send
+/// never races a same-instant serialization end of the reference model.
+template <typename Make>
+LinkOutcome drive_link(const std::vector<LinkSend>& sends, std::uint64_t rng_seed,
+                       Make&& make) {
+  sim::Simulator simu;
+  sim::Rng link_rng(rng_seed, /*stream=*/5);
+  LinkOutcome out;
+  auto link = make(simu, [&](net::Packet&& p) {
+    out.delivered.emplace_back(p.uid, simu.now());
+  }, &link_rng);
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    simu.run_until(sends[i].at);
+    net::Packet p;
+    p.uid = i;
+    p.size_bytes = sends[i].bytes;
+    if (!link->send(std::move(p))) out.tail_dropped.push_back(i);
+  }
+  simu.run();
+  out.drops = link->drops();
+  out.random_drops = link->random_drops();
+  out.events = simu.events_executed();
+  return out;
+}
+
+TEST(PropLink, ClosedFormMatchesTwoEventModel) {
+  prop::for_all([](sim::Rng& rng, int) {
+    // Half the cases put sizes on a 100-byte grid and send gaps on the
+    // matching serialization-time grid, so sends often land exactly on a
+    // serialization start or end.
+    const bool grid = rng.chance(0.5);
+    const std::uint32_t us_per_byte = rng.uniform_int(8) + 1;
+    net::PointToPointLink::Config cfg;
+    cfg.rate_bps = grid ? 8e6 / us_per_byte : std::pow(10.0, rng.uniform(5.0, 9.0));
+    cfg.prop_delay = rng.chance(0.2) ? Duration::zero()
+                                     : Duration::from_seconds(rng.uniform(0.0, 0.02));
+    cfg.buffer_bytes = rng.chance(0.3) ? -1 : rng.uniform_int(6000);
+    cfg.loss_prob = rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 0.5);
+    cfg.jitter_max = rng.chance(0.5) ? Duration::zero()
+                                     : Duration::from_seconds(rng.uniform(0.0, 0.005));
+
+    // Offered load around the link rate: a mean gap of one mean packet
+    // time, with 30% back-to-back sends, so the queue both builds and
+    // drains; 10% zero-byte packets off the grid.
+    const double mean_tx_s = 750.0 * 8.0 / cfg.rate_bps;
+    const int n = static_cast<int>(rng.uniform_int(200)) + 1;
+    std::vector<LinkSend> sends;
+    TimePoint t = TimePoint::zero();
+    for (int i = 0; i < n; ++i) {
+      if (!rng.chance(0.3)) {
+        t += grid ? Duration::micros(100 * us_per_byte * rng.uniform_int(16))
+                  : Duration::from_seconds(rng.uniform(0.0, 2.0 * mean_tx_s));
+      }
+      const std::uint32_t bytes = grid             ? 100 * rng.uniform_int(16)
+                                  : rng.chance(0.1) ? 0u
+                                                    : rng.uniform_int(1500) + 1;
+      sends.push_back({t, bytes});
+    }
+    const std::uint64_t link_seed = rng.uniform_int(1u << 30);
+
+    const LinkOutcome ref = drive_link(
+        sends, link_seed, [&](sim::Simulator& simu, net::PacketHandler sink, sim::Rng* r) {
+          return std::make_unique<TwoEventLink>(simu, cfg, std::move(sink), r);
+        });
+    const LinkOutcome got = drive_link(
+        sends, link_seed, [&](sim::Simulator& simu, net::PacketHandler sink, sim::Rng* r) {
+          auto link = std::make_unique<net::PointToPointLink>(simu, cfg, std::move(sink));
+          link->set_rng(r);
+          return link;
+        });
+
+    EXPECT_EQ(got.delivered, ref.delivered);  // instants and order
+    EXPECT_EQ(got.tail_dropped, ref.tail_dropped);
+    EXPECT_EQ(got.drops, ref.drops);
+    EXPECT_EQ(got.random_drops, ref.random_drops);
+    EXPECT_EQ(got.delivered.size() + got.tail_dropped.size() + got.random_drops,
+              sends.size());
+    EXPECT_EQ(got.events, got.delivered.size());  // one event per delivery
   });
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
@@ -140,6 +141,19 @@ TEST(TraceCsv, LongOffendingLineIsTruncatedInMessage) {
   const std::string msg = csv_error("0,1.0\n" + std::string(500, 'x') + "\n");
   EXPECT_NE(msg.find("..."), std::string::npos) << msg;
   EXPECT_LT(msg.size(), 250u);  // excerpt capped, not the whole line
+}
+
+TEST(TraceCsv, StreamOverloadNamesSourceAndRejectsOutOfRangeTime) {
+  // 1e300 ms is finite but overflows int64 nanoseconds.
+  std::istringstream in("0,1.0\n1e300,2.0\n");
+  std::string msg;
+  try {
+    (void)load_csv(in, "mem.csv");
+  } catch (const std::runtime_error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("mem.csv:2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("time out of range"), std::string::npos) << msg;
 }
 
 TEST(TraceCsv, CommentsAndBlankLinesStillSkipped) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -32,6 +34,7 @@ struct Loop {
   std::vector<std::tuple<std::uint32_t, TimePoint, TimePoint>> frames;
   Duration one_way = 10_ms;
   std::function<bool(const Packet&)> drop_data;  ///< return true to drop
+  std::function<void()> after_ack;  ///< runs after each ACK is processed
 
   explicit Loop(std::unique_ptr<cca::CongestionControl> cca = nullptr) {
     if (!cca) cca = std::make_unique<cca::Cubic>();
@@ -48,6 +51,7 @@ struct Loop {
         [this](Packet p) {
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             sender->on_ack(p);
+            if (after_ack) after_ack();
           });
         },
         [this](std::uint32_t id, TimePoint cap, TimePoint now) {
@@ -147,6 +151,104 @@ TEST(TcpLoop, BacklogDrainsEventually) {
   loop.sim.run_until(TimePoint::zero() + 60_s);
   EXPECT_EQ(loop.sender->backlog_bytes(), 0u);
   EXPECT_EQ(loop.frames.size(), 50u);
+}
+
+/// Times of the retransmissions a Loop's sender makes, recorded as they
+/// reach the (blackholed) path, and the (time, current_rto()) of the last
+/// ACK that arrived.
+struct RtoProbe {
+  std::vector<TimePoint> retransmits;
+  TimePoint last_ack;
+  Duration rto_at_last_ack;
+  std::uint64_t seen = 0;
+
+  /// `blackhole(n)` decides each data packet's fate; n is the packet's
+  /// retransmission number (1-based), or 0 for new data.
+  void watch(Loop& loop, const std::function<bool(std::uint64_t)>& blackhole) {
+    loop.drop_data = [this, &loop, blackhole](const Packet&) {
+      std::uint64_t n = 0;
+      if (loop.sender->retransmissions() > seen) {
+        n = seen = loop.sender->retransmissions();
+        retransmits.push_back(loop.sim.now());
+      }
+      return blackhole(n);
+    };
+    loop.after_ack = [this, &loop] {
+      last_ack = loop.sim.now();
+      rto_at_last_ack = loop.sender->current_rto();
+    };
+  }
+};
+
+TEST(TcpRto, FiresAtLastArmPlusRtoAndBacksOff) {
+  Loop loop;
+  RtoProbe probe;
+  probe.watch(loop, [&](std::uint64_t) {
+    return loop.sim.now() >= TimePoint::zero() + 60_ms;
+  });
+  loop.sender->write_frame(0, loop.sim.now(), 2'000'000);
+  loop.sim.run_until(TimePoint::zero() + 3_s);
+  // The last ACK re-armed the RTO; nothing moved it after that.
+  const Duration rto = probe.rto_at_last_ack;
+  ASSERT_GE(probe.retransmits.size(), 3u);
+  EXPECT_EQ(probe.retransmits[0], probe.last_ack + rto);
+  // Each expiry doubles the RTO from the instant it fired.
+  EXPECT_EQ(probe.retransmits[1], probe.retransmits[0] + rto * 2.0);
+  EXPECT_EQ(probe.retransmits[2], probe.retransmits[1] + rto * 4.0);
+  EXPECT_EQ(loop.sender->current_rto(), rto * 8.0);
+}
+
+TEST(TcpRto, BackoffResetMovesTheDeadlineEarlier) {
+  Loop loop;
+  RtoProbe probe;
+  // Blackhole from 60 ms on, except the third RTO retransmission: its
+  // ACK resets the backoff while the backed-off timer is still pending.
+  probe.watch(loop, [&](std::uint64_t retransmit) {
+    return loop.sim.now() >= TimePoint::zero() + 60_ms && retransmit != 3;
+  });
+  loop.sender->write_frame(0, loop.sim.now(), 2'000'000);
+  loop.sim.run_until(TimePoint::zero() + 5_s);
+  ASSERT_GE(probe.retransmits.size(), 4u);
+  const TimePoint third = probe.retransmits[2];
+  EXPECT_EQ(probe.last_ack, third + loop.one_way * 2.0);
+  // The pending event was due at third + 8·RTO; the reset RTO is shorter
+  // and fires first.
+  const Duration backed_off = probe.retransmits[2] - probe.retransmits[1];
+  EXPECT_LT(probe.rto_at_last_ack, backed_off);
+  EXPECT_EQ(probe.retransmits[3], probe.last_ack + probe.rto_at_last_ack);
+  EXPECT_EQ(loop.sim.events_cancelled(), 1u);  // that one earlier deadline
+}
+
+TEST(TcpRto, AckTrainCancelsNothing) {
+  Simulator sim;
+  net::PacketUidSource uids;
+  std::deque<Packet> sent;
+  TcpSender sender(sim, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<cca::Cubic>(),
+                   TcpSender::Config{}, uids,
+                   [&](Packet p) { sent.push_back(std::move(p)); });
+  sender.write_frame(0, sim.now(), 10'000'000);
+  // ACK each segment 20 ms after it left, straight from the test loop, so
+  // the sender's own timers are all the queue holds.
+  std::size_t max_queue = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_FALSE(sent.empty());
+    const Packet seg = std::move(sent.front());
+    sent.pop_front();
+    sim.run_until(std::max(sim.now(), seg.sent_time + 20_ms));
+    Packet ack;
+    ack.flow = seg.flow.reversed();
+    net::TcpHeader h;
+    h.is_ack = true;
+    h.ack = seg.tcp().end_seq;
+    h.sack_upto = seg.tcp().end_seq;
+    h.ts_echo = seg.tcp().ts_val;
+    ack.header = h;
+    sender.on_ack(ack);
+    max_queue = std::max(max_queue, sim.queue_size());
+  }
+  EXPECT_LE(max_queue, 2u);  // the RTO and the pacing timer, no stale entry
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  EXPECT_EQ(sender.retransmissions(), 0u);
 }
 
 TEST(TcpReceiver, MergesOutOfOrderIntervals) {
