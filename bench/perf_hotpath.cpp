@@ -1,6 +1,7 @@
 // Hot-path performance baseline (PR 3, re-baselined in PR 8): events/sec
 // through the simulator core, Fortune Teller predictions/sec, ack-scheduler
-// ops/sec, the windowed measurement primitives and the RTP media path. Run
+// ops/sec, the windowed measurement primitives, the AP FIFO, and the RTP
+// media and in-order TCP paths. Run
 // in Release; the JSON output is the perf trajectory future PRs compare
 // against:
 //
@@ -16,18 +17,24 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "cca/cca.hpp"
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
+#include "net/link.hpp"
 #include "net/packet.hpp"
+#include "queue/fifo.hpp"
 #include "rtc/video.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "stats/windowed.hpp"
 #include "transport/rtp_receiver.hpp"
 #include "transport/rtp_sender.hpp"
+#include "transport/tcp_receiver.hpp"
+#include "transport/tcp_sender.hpp"
 
 namespace {
 
@@ -307,6 +314,27 @@ void BM_AckSchedulerHoldRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_AckSchedulerHoldRelease);
 
+// ---- AP qdisc ------------------------------------------------------------
+
+/// DropTailFifo at a steady depth of 64 packets: one enqueue and one
+/// dequeue per item, the AP downlink's per-packet queue work.
+void BM_FifoChurn(benchmark::State& state) {
+  queue::DropTailFifo fifo(-1);
+  net::Packet proto;
+  proto.size_bytes = 1240;
+  proto.header = net::TcpHeader{};
+  TimePoint now = TimePoint::zero();
+  for (int i = 0; i < 64; ++i) fifo.enqueue(net::Packet(proto), now);
+  for (auto _ : state) {
+    now = now + Duration::micros(1);
+    fifo.enqueue(net::Packet(proto), now);
+    auto p = fifo.dequeue(now);
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FifoChurn);
+
 // ---- RTP media path ------------------------------------------------------
 
 /// The RTP media path end to end over a clean 10 ms path each way: frame
@@ -348,6 +376,52 @@ void BM_RtpMediaLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
 }
 BENCHMARK(BM_RtpMediaLoop);
+
+// ---- TCP in-order path ---------------------------------------------------
+
+/// A fixed 64-segment window, unpaced, so the loop has a steady state.
+class FixedWindow : public cca::CongestionControl {
+ public:
+  void on_ack(const cca::AckEvent&) override {}
+  void on_loss(TimePoint, std::uint64_t) override {}
+  void on_rto(TimePoint) override {}
+  [[nodiscard]] std::uint64_t cwnd_bytes() const override { return 64 * cca::kMss; }
+  [[nodiscard]] double pacing_rate_bps() const override { return 0.0; }
+  [[nodiscard]] std::string name() const override { return "fixed"; }
+};
+
+/// In-order TCP segments end to end: TcpSender over a 50 Mbps / 5 ms
+/// PointToPointLink to a TcpReceiver, whose ACKs return over a second
+/// link — the sender's in-flight table, both links and the receiver's
+/// reassembly, with no loss. Items are segments received in order.
+void BM_TcpInOrderLoop(benchmark::State& state) {
+  sim::Simulator simu;
+  net::PacketUidSource uids;
+  std::unique_ptr<transport::TcpSender> tx;
+  std::unique_ptr<transport::TcpReceiver> rx;
+  net::PointToPointLink::Config link_cfg;
+  link_cfg.rate_bps = 50e6;
+  link_cfg.prop_delay = Duration::millis(5);
+  net::PointToPointLink down(simu, link_cfg, [&rx](net::Packet&& p) { rx->on_data(p); });
+  net::PointToPointLink up(simu, link_cfg, [&tx](net::Packet&& p) { tx->on_ack(p); });
+  tx = std::make_unique<transport::TcpSender>(
+      simu, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<FixedWindow>(),
+      transport::TcpSender::Config{}, uids,
+      [&down](net::Packet&& p) { down.send(std::move(p)); });
+  rx = std::make_unique<transport::TcpReceiver>(
+      simu, transport::TcpReceiver::Config{}, uids,
+      [&up](net::Packet&& p) { up.send(std::move(p)); }, nullptr);
+  tx->write_frame(0, simu.now(), std::uint64_t{1} << 50);
+  simu.run_until(TimePoint::zero() + Duration::seconds(1));  // warm-up
+  const std::uint64_t start = rx->contiguous_received();
+  for (auto _ : state) {
+    simu.run_until(simu.now() + Duration::millis(10));
+  }
+  const std::uint64_t segments = (rx->contiguous_received() - start) / cca::kMss;
+  benchmark::DoNotOptimize(segments);
+  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
+}
+BENCHMARK(BM_TcpInOrderLoop);
 
 }  // namespace
 

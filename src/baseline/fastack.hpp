@@ -38,26 +38,13 @@ class FastAck {
     if (!data.is_tcp()) return std::nullopt;
     const net::TcpHeader& h = data.tcp();
 
-    // Shadow receiver: merge [seq, end_seq) and advance the prefix.
-    intervals_[h.seq] = std::max(intervals_[h.seq], h.end_seq);
-    while (true) {
-      auto it = intervals_.find(rcv_nxt_);
-      if (it == intervals_.end()) {
-        auto lower = intervals_.upper_bound(rcv_nxt_);
-        if (lower != intervals_.begin()) {
-          auto prev = std::prev(lower);
-          if (prev->second > rcv_nxt_) {
-            rcv_nxt_ = prev->second;
-            continue;
-          }
-        }
-        break;
-      }
-      rcv_nxt_ = std::max(rcv_nxt_, it->second);
-    }
-    // Garbage-collect merged intervals below the prefix.
-    while (!intervals_.empty() && intervals_.begin()->second <= rcv_nxt_) {
-      intervals_.erase(intervals_.begin());
+    // Shadow receiver: merge [seq, end_seq) and advance the prefix. With
+    // no out-of-order interval held, a segment starting at or below the
+    // prefix just extends it, with no map node made and freed.
+    if (intervals_.empty() && h.seq <= rcv_nxt_) {
+      rcv_nxt_ = std::max(rcv_nxt_, h.end_seq);
+    } else {
+      merge_out_of_order(h.seq, h.end_seq);
     }
     max_seen_ = std::max(max_seen_, h.end_seq);
 
@@ -85,6 +72,31 @@ class FastAck {
   [[nodiscard]] std::uint64_t forged() const { return forged_; }
 
  private:
+  /// Merges [seq, end) into the held intervals, advances the prefix
+  /// through them and drops the ones it covers.
+  void merge_out_of_order(std::uint64_t seq, std::uint64_t end) {
+    intervals_[seq] = std::max(intervals_[seq], end);
+    while (true) {
+      auto it = intervals_.find(rcv_nxt_);
+      if (it == intervals_.end()) {
+        auto lower = intervals_.upper_bound(rcv_nxt_);
+        if (lower != intervals_.begin()) {
+          auto prev = std::prev(lower);
+          if (prev->second > rcv_nxt_) {
+            rcv_nxt_ = prev->second;
+            continue;
+          }
+        }
+        break;
+      }
+      rcv_nxt_ = std::max(rcv_nxt_, it->second);
+    }
+    // Garbage-collect merged intervals below the prefix.
+    while (!intervals_.empty() && intervals_.begin()->second <= rcv_nxt_) {
+      intervals_.erase(intervals_.begin());
+    }
+  }
+
   Config cfg_;
   std::map<std::uint64_t, std::uint64_t> intervals_;  ///< seq -> end_seq
   std::uint64_t rcv_nxt_ = 0;

@@ -19,10 +19,9 @@
 //  * the destructor cancels the pending timer — a flow torn down mid-run
 //    (AP restart) must not leave a dangling callback in the simulator.
 
-#include <deque>
-
 #include "net/packet.hpp"
 #include "obs/invariants.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::core {
@@ -138,7 +137,7 @@ class AckScheduler {
 
   sim::Simulator& sim_;
   net::PacketHandler out_;
-  std::deque<Held> pending_;
+  sim::Ring<Held> pending_;
   sim::EventId timer_ = 0;
   Duration max_hold_ = Duration::zero();
 };

@@ -30,7 +30,6 @@
 // lines 3–10 would) could reorder feedback, which §5.2 explicitly forbids.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "core/ack_scheduler.hpp"
@@ -38,6 +37,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "stats/windowed.hpp"
@@ -270,7 +270,7 @@ class OobFeedbackUpdater {
   OobConfig cfg_;
   sim::Rng& rng_;
   stats::WindowedSampler delta_history_;  ///< recent non-negative deltas (s)
-  std::deque<Duration> token_history_;
+  sim::Ring<Duration> token_history_;
   Duration token_total_ = Duration::zero();
   std::unique_ptr<AckScheduler> scheduler_;  ///< full mode only
 

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "net/packet.hpp"
 #include "obs/invariants.hpp"
@@ -37,6 +36,7 @@
 #include "obs/tracer.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::net {
@@ -140,7 +140,7 @@ class PointToPointLink {
   sim::Rng* rng_ = nullptr;
   sim::Pool<Packet> pool_;       ///< in-flight packets
   TimePoint free_at_;            ///< when the wire finishes its last packet
-  std::deque<Waiting> waiting_;  ///< in start order
+  sim::Ring<Waiting> waiting_;   ///< in start order
   std::int64_t queued_bytes_ = 0;
   std::uint64_t drops_ = 0;         ///< buffer overflow (tail) drops
   std::uint64_t random_drops_ = 0;  ///< loss_prob drops

@@ -118,7 +118,11 @@ struct RtcpHeader {
   std::variant<TwccFeedback, RtcpNack, RtcpReceiverReport> payload;
 };
 
-/// One simulated packet. Value-semantic; moving is cheap.
+/// One simulated packet. Value-semantic, but not cheap to move: it is
+/// about 200 bytes, every one of which a move copies, and moving the header
+/// variant dispatches on its alternative (the RTCP one owns vectors). So a
+/// packet is parked once, in a queue or pool slot, and handed between hops
+/// by reference.
 struct Packet {
   std::uint64_t uid = 0;   ///< globally unique per simulation
   FlowId flow;

@@ -5,9 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
 
 #include "queue/qdisc.hpp"
+#include "sim/ring.hpp"
 
 namespace zhuge::queue {
 
@@ -130,7 +130,7 @@ class CoDel : public Qdisc {
 
   CoDelConfig cfg_;
   CoDelState state_;
-  std::deque<Entry> queue_;
+  sim::Ring<Entry> queue_;
   std::int64_t bytes_ = 0;
   std::optional<TimePoint> head_since_;
 };

@@ -1,9 +1,8 @@
 #pragma once
 // Drop-tail FIFO — the paper's baseline queue discipline.
 
-#include <deque>
-
 #include "queue/qdisc.hpp"
+#include "sim/ring.hpp"
 
 namespace zhuge::queue {
 
@@ -22,36 +21,37 @@ class DropTailFifo : public Qdisc {
     }
     bytes_ += p.size_bytes;
     if (queue_.empty()) head_since_ = now;
-    enqueue_times_.push_back(now);
-    queue_.push_back(std::move(p));
-    obs_enqueued(queue_.back(), now);
+    queue_.push_back(Entry{std::move(p), now});
+    obs_enqueued(queue_.back().packet, now);
     return true;
   }
 
   std::optional<Packet> dequeue(TimePoint now) override {
     if (queue_.empty()) return std::nullopt;
-    Packet p = std::move(queue_.front());
+    Entry e = std::move(queue_.front());
     queue_.pop_front();
-    const TimePoint enq = enqueue_times_.front();
-    enqueue_times_.pop_front();
-    bytes_ -= p.size_bytes;
+    bytes_ -= e.packet.size_bytes;
     head_since_ = queue_.empty() ? std::optional<TimePoint>{} : now;
-    obs_dequeued(p, now, now - enq);
-    return p;
+    obs_dequeued(e.packet, now, now - e.enqueue_time);
+    return std::move(e.packet);
   }
 
   [[nodiscard]] const Packet* peek() const override {
-    return queue_.empty() ? nullptr : &queue_.front();
+    return queue_.empty() ? nullptr : &queue_.front().packet;
   }
   [[nodiscard]] std::int64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::size_t packet_count() const override { return queue_.size(); }
   [[nodiscard]] std::optional<TimePoint> head_since() const override { return head_since_; }
 
  private:
+  struct Entry {
+    Packet packet;
+    TimePoint enqueue_time;  ///< for the sojourn at dequeue
+  };
+
   std::int64_t limit_bytes_;
   std::int64_t bytes_ = 0;
-  std::deque<Packet> queue_;
-  std::deque<TimePoint> enqueue_times_;  ///< parallel to queue_, for sojourn
+  sim::Ring<Entry> queue_;
   std::optional<TimePoint> head_since_;
 };
 

@@ -6,13 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <list>
 #include <map>
-#include <vector>
 
 #include "queue/codel.hpp"
 #include "queue/qdisc.hpp"
+#include "sim/ring.hpp"
 
 namespace zhuge::queue {
 
@@ -115,7 +113,7 @@ class FqCoDel : public Qdisc {
     TimePoint enqueue_time;
   };
   struct SubQueue {
-    std::deque<Entry> entries;
+    sim::Ring<Entry> entries;
     std::int64_t bytes = 0;
     std::int64_t deficit = 0;
     bool active = false;
@@ -188,8 +186,8 @@ class FqCoDel : public Qdisc {
   // Ordered by flow id so per-flow state walks are hash-independent (DRR
   // service order itself lives in new_flows_/old_flows_, not here).
   std::map<FlowId, SubQueue> queues_;
-  std::deque<SubQueue*> new_flows_;
-  std::deque<SubQueue*> old_flows_;
+  sim::Ring<SubQueue*> new_flows_;
+  sim::Ring<SubQueue*> old_flows_;
   std::int64_t total_bytes_ = 0;
 };
 

@@ -5,6 +5,12 @@ namespace zhuge::transport {
 void TcpReceiver::merge_interval(std::uint64_t start, std::uint64_t end) {
   if (end <= rcv_nxt_) return;  // duplicate
   start = std::max(start, rcv_nxt_);
+  // In order and touching no out-of-order interval (every one starts
+  // above rcv_nxt_): the prefix just grows, with no map node made and freed.
+  if (start == rcv_nxt_ && (ooo_.empty() || ooo_.begin()->first > end)) {
+    rcv_nxt_ = end;
+    return;
+  }
 
   // Insert [start, end) into the out-of-order set, merging overlaps.
   auto it = ooo_.lower_bound(start);
@@ -53,8 +59,7 @@ void TcpReceiver::on_data(const Packet& data) {
   // even when the frame's packets arrive out of order. Retransmissions of
   // already-delivered frames must not re-register them.
   if (h.frame_end_seq > frames_delivered_upto_) {
-    frame_ends_.emplace(h.frame_end_seq,
-                        std::make_pair(h.frame_id, h.capture_time));
+    frame_ends_.try_emplace(h.frame_end_seq, h.frame_id, h.capture_time);
   }
   deliver_frames(now);
 

@@ -58,15 +58,14 @@ void TcpSender::on_rto_fired() {
 }
 
 void TcpSender::retransmit_first_unacked() {
-  auto it = in_flight_.begin();
-  if (it == in_flight_.end()) return;
-  ++it->second.transmissions;
+  if (in_flight_.empty()) return;
+  InFlight& first = in_flight_.front();
+  ++first.meta.transmissions;
   ++retransmissions_;
-  send_segment(it->first, it->second, /*retransmit=*/true);
+  send_segment(first.seq, first.meta);
 }
 
-void TcpSender::send_segment(std::uint64_t seq, const SentSegment& meta,
-                             bool retransmit) {
+void TcpSender::send_segment(std::uint64_t seq, const SentSegment& meta) {
   Packet p;
   p.uid = uids_.next();
   p.flow = flow_;
@@ -80,9 +79,6 @@ void TcpSender::send_segment(std::uint64_t seq, const SentSegment& meta,
   h.frame_end_seq = meta.frame_end_seq;
   h.capture_time = meta.capture_time;
   p.header = h;
-  if (!retransmit) {
-    // Already accounted by caller.
-  }
   out_(std::move(p));
 }
 
@@ -108,13 +104,13 @@ void TcpSender::try_send() {
     seg.frame_end_seq = chunk.end_seq;
     seg.delivered_at_send = delivered_bytes_;
 
-    in_flight_.emplace(next_seq_, seg);
+    in_flight_.push_back({next_seq_, seg});
     bytes_in_flight_ += take;
     backlog_bytes_ -= take;
     chunk.remaining -= take;
     if (chunk.remaining == 0) app_queue_.pop_front();
 
-    send_segment(next_seq_, seg, /*retransmit=*/false);
+    send_segment(next_seq_, seg);
     next_seq_ = seg.end_seq;
 
     if (pace > 0.0) {
@@ -171,14 +167,14 @@ void TcpSender::on_ack(const Packet& ack) {
   bool have_sample = false;
   SentSegment sample_seg{};
   while (!in_flight_.empty()) {
-    auto it = in_flight_.begin();
-    if (it->second.end_seq > h.ack) break;
-    newly_acked += it->second.end_seq - it->first;
-    if (it->second.transmissions == 1) {
-      sample_seg = it->second;
+    const InFlight& first = in_flight_.front();
+    if (first.meta.end_seq > h.ack) break;
+    newly_acked += first.meta.end_seq - first.seq;
+    if (first.meta.transmissions == 1) {
+      sample_seg = first.meta;
       have_sample = true;
     }
-    in_flight_.erase(it);
+    in_flight_.pop_front();
   }
   double delivery_sample_bps = 0.0;
   if (newly_acked > 0) {
@@ -202,10 +198,8 @@ void TcpSender::on_ack(const Packet& ack) {
     // retransmit it immediately instead of waiting out an RTO per hole
     // (an RTO-per-hole cascade is a death spiral under bursty loss).
     if (snd_una_ < recovery_until_ && !in_flight_.empty() &&
-        in_flight_.begin()->first < h.sack_upto) {
-      ++in_flight_.begin()->second.transmissions;
-      ++retransmissions_;
-      send_segment(in_flight_.begin()->first, in_flight_.begin()->second, true);
+        in_flight_.front().seq < h.sack_upto) {
+      retransmit_first_unacked();
     }
   } else if (h.ack == last_ack_ && !in_flight_.empty()) {
     ++dupacks_;

@@ -9,12 +9,11 @@
 // pieces the evaluated CCAs (Copa, BBR, ABC) actually consume.
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 
 #include "cca/cca.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "stats/windowed.hpp"
 
@@ -102,9 +101,14 @@ class TcpSender {
     std::uint64_t delivered_at_send = 0;
     int transmissions = 1;
   };
+  /// An unacknowledged segment [seq, meta.end_seq).
+  struct InFlight {
+    std::uint64_t seq;
+    SentSegment meta;
+  };
 
   void try_send();
-  void send_segment(std::uint64_t seq, const SentSegment& meta, bool retransmit);
+  void send_segment(std::uint64_t seq, const SentSegment& meta);
   void arm_pacing_timer(TimePoint when);
   void arm_rto();
   void schedule_rto_event();
@@ -120,14 +124,17 @@ class TcpSender {
   PacketHandler out_;
 
   // Application backlog.
-  std::deque<FrameChunk> app_queue_;
+  sim::Ring<FrameChunk> app_queue_;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t next_frame_start_ = 0;  ///< stream offset for the next frame
 
   // Sequencing.
   std::uint64_t next_seq_ = 0;  ///< next new byte to send
   std::uint64_t snd_una_ = 0;   ///< oldest unacknowledged byte
-  std::map<std::uint64_t, SentSegment> in_flight_;  ///< by start seq
+  /// Sent in seq order and acked cumulatively, so in-flight segments form
+  /// a FIFO: new ones append at the back, ACKs retire from the front and
+  /// retransmissions read the front.
+  sim::Ring<InFlight> in_flight_;
   std::uint64_t bytes_in_flight_ = 0;
   /// ACKs for data at or below this offset carry delivery-rate samples
   /// taken while the app (not cwnd/pacing) limited sending — the sample

@@ -10,10 +10,10 @@
 // 802.11 DCF contenders while keeping the event count low.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -86,7 +86,7 @@ class Medium {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   Config cfg_;
-  std::deque<Request> waiting_;
+  sim::Ring<Request> waiting_;
   bool busy_ = false;
   std::uint64_t interferer_wins_ = 0;
 };

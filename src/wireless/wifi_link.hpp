@@ -9,7 +9,6 @@
 // head-of-queue state.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "obs/tracer.hpp"
 #include "queue/qdisc.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "wireless/channel.hpp"
 #include "wireless/medium.hpp"
@@ -198,7 +198,7 @@ class WifiLink {
   DeliveryObserver on_delivered_;
 
   std::vector<Mpdu> frame_;
-  std::deque<Mpdu> retry_;
+  sim::Ring<Mpdu> retry_;
   bool requesting_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t retry_drops_ = 0;

@@ -45,12 +45,13 @@ bool any_message_contains(const std::vector<Diagnostic>& diags,
   });
 }
 
-TEST(ZlintMeta, NineRules) {
+TEST(ZlintMeta, TenRules) {
   const auto& names = zlint::rule_names();
-  ASSERT_EQ(names.size(), 9u);
+  ASSERT_EQ(names.size(), 10u);
   for (const char* rule :
        {"banned-api", "determinism-hazard", "float-equality",
-        "include-layering", "rng-substream", "shared-mutable-state",
+        "per-packet-deque", "include-layering", "rng-substream",
+        "shared-mutable-state",
         "time-unit", "include-graph", "bad-suppression"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), rule), names.end())
         << "missing rule: " << rule;
@@ -120,6 +121,32 @@ TEST(ZlintFloatEquality, SuppressionSilences) {
   const auto diags =
       lint_as("src/stats/float_eq.cpp", "float_equality_suppressed.cpp");
   EXPECT_EQ(count_rule(diags, "float-equality"), 0u);
+}
+
+TEST(ZlintPerPacketDeque, PacketPathLayersTrip) {
+  for (const char* layer :
+       {"net", "queue", "wireless", "transport", "core", "baseline"}) {
+    const auto diags = lint_as(std::string("src/") + layer + "/q.hpp",
+                               "per_packet_deque.cpp");
+    // The return type, the member and the alias; not the non-std deque.
+    EXPECT_EQ(count_rule(diags, "per-packet-deque"), 3u) << layer;
+    EXPECT_TRUE(any_message_contains(diags, "sim::Ring")) << layer;
+  }
+}
+
+TEST(ZlintPerPacketDeque, SuppressionSilences) {
+  const auto diags =
+      lint_as("src/queue/q.hpp", "per_packet_deque_suppressed.cpp");
+  EXPECT_EQ(count_rule(diags, "per-packet-deque"), 0u);
+}
+
+TEST(ZlintPerPacketDeque, OtherLayersExempt) {
+  for (const char* path : {"src/sim/q.hpp", "src/cca/q.hpp", "src/stats/q.hpp",
+                           "src/app/q.cpp", "tests/q_test.cpp"}) {
+    EXPECT_EQ(count_rule(lint_as(path, "per_packet_deque.cpp"), "per-packet-deque"),
+              0u)
+        << path;
+  }
 }
 
 TEST(ZlintLayering, BackEdgesTrip) {

@@ -16,7 +16,13 @@
 //    an ordered-set reference model under random schedules, cancels,
 //    steps, bounded runs and stops;
 //  * multi_result_fingerprint — no sequence of Distribution reads moves
-//    it, so every caller hashes a run alike whatever it read first.
+//    it, so every caller hashes a run alike whatever it read first;
+//  * sim::Ring — behaves as a std::deque FIFO under random push/pop/clear
+//    sequences across every growth, and constructs and destroys each
+//    element exactly once;
+//  * TcpReceiver and FastAck in-order fast paths — the same prefix, ACK
+//    stream and delivered frames as the map-only algorithms they shortcut,
+//    under reordering, duplicates and overlapping segments.
 
 #include <gtest/gtest.h>
 
@@ -25,21 +31,26 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "app/scenario.hpp"
 #include "app/sweep.hpp"
+#include "baseline/fastack.hpp"
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
 #include "prop.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
+#include "transport/tcp_receiver.hpp"
 
 namespace zhuge {
 namespace {
@@ -634,6 +645,353 @@ TEST(PropFingerprint, DistributionReadsNeverMoveIt) {
       }
     }
     EXPECT_EQ(app::multi_result_fingerprint(r), want);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// sim::Ring
+// ---------------------------------------------------------------------------
+
+/// Every live Tracked object, by address: a construction must find its
+/// address free and a destruction must find it taken, so a leak, a double
+/// destroy or a use of a destroyed slot shows up as a set mismatch.
+struct LiveSet {
+  std::set<const void*> live;
+  std::uint64_t constructed = 0;
+  std::uint64_t destroyed = 0;
+  bool misuse = false;
+
+  void born(const void* p) {
+    ++constructed;
+    misuse |= !live.insert(p).second;
+  }
+  void died(const void* p) {
+    ++destroyed;
+    misuse |= live.erase(p) != 1;
+  }
+};
+
+/// Move-only element that owns heap memory and reports its lifetime.
+class Tracked {
+ public:
+  Tracked(int v, LiveSet* s) : v_(std::make_unique<int>(v)), s_(s) { s_->born(this); }
+  Tracked(Tracked&& o) noexcept : v_(std::move(o.v_)), s_(o.s_) { s_->born(this); }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() { s_->died(this); }
+
+  [[nodiscard]] int value() const { return v_ ? *v_ : -1; }
+
+ private:
+  std::unique_ptr<int> v_;
+  LiveSet* s_;
+};
+
+TEST(PropRing, MatchesDequeModelWithBalancedLifetimes) {
+  prop::for_all([](sim::Rng& rng, int) {
+    LiveSet set;
+    {
+      sim::Ring<Tracked> ring;
+      std::deque<int> model;
+      int next = 0;
+      std::size_t cap_seen = 0;
+      // Phases alternate push-heavy and pop-heavy runs, so the head sits
+      // at a random offset each time the ring fills and doubles.
+      const int ops = 200 + static_cast<int>(rng.uniform_int(1200));
+      double push_p = 0.7;
+      for (int op = 0; op < ops; ++op) {
+        if (rng.chance(0.02)) push_p = rng.uniform(0.2, 0.9);
+        const double r = rng.uniform();
+        if (r < 0.003) {
+          ring.clear();
+          model.clear();
+        } else if (r < push_p || model.empty()) {
+          const std::size_t before = ring.capacity();
+          const bool full = ring.size() == before;
+          if (rng.chance(0.5)) {
+            ring.push_back(Tracked(next, &set));
+          } else {
+            EXPECT_EQ(ring.emplace_back(next, &set).value(), next);
+          }
+          model.push_back(next++);
+          // Growth happens exactly when full, by doubling.
+          if (!full) {
+            EXPECT_EQ(ring.capacity(), before);
+          } else if (before > 0) {
+            EXPECT_EQ(ring.capacity(), 2 * before);
+          }
+        } else {
+          ASSERT_EQ(ring.front().value(), model.front());
+          ring.pop_front();
+          model.pop_front();
+        }
+        ASSERT_EQ(ring.size(), model.size());
+        ASSERT_EQ(ring.empty(), model.empty());
+        EXPECT_GE(ring.capacity(), cap_seen) << "capacity shrank";
+        cap_seen = ring.capacity();
+        EXPECT_EQ(cap_seen & (cap_seen - 1), 0u) << "capacity not a power of two";
+        if (!model.empty()) {
+          EXPECT_EQ(ring.front().value(), model.front());
+          EXPECT_EQ(ring.back().value(), model.back());
+        }
+        // Index and range-for walks give FIFO order.
+        if (rng.chance(0.1)) {
+          for (std::size_t i = 0; i < model.size(); ++i) {
+            ASSERT_EQ(ring[i].value(), model[i]) << "index " << i;
+          }
+          std::size_t i = 0;
+          for (const Tracked& t : ring) {
+            ASSERT_LT(i, model.size());
+            ASSERT_EQ(t.value(), model[i++]);
+          }
+          EXPECT_EQ(i, model.size());
+        }
+        // Live objects are exactly the ring's elements.
+        ASSERT_EQ(set.live.size(), model.size());
+      }
+    }
+    EXPECT_FALSE(set.misuse) << "double construct/destroy of one slot";
+    EXPECT_TRUE(set.live.empty()) << set.live.size() << " leaked";
+    EXPECT_EQ(set.constructed, set.destroyed);
+  });
+}
+
+TEST(PropRing, PushOfOwnElementSurvivesGrowth) {
+  // Pushing a reference into the ring while it is full must read the
+  // element before growth moves it out (std::deque allows this too).
+  sim::Ring<std::string> ring;
+  for (int i = 0; i < 3; ++i) {  // move the head off slot 0
+    ring.push_back("x");
+    ring.pop_front();
+  }
+  while (ring.size() < ring.capacity()) {
+    ring.push_back(std::string(40, static_cast<char>('a' + ring.size() % 26)));
+  }
+  const std::string front = ring.front();
+  ring.push_back(ring.front());
+  EXPECT_EQ(ring.back(), front);
+}
+
+// ---------------------------------------------------------------------------
+// TCP sequence tables: in-order fast paths vs the map-only algorithms
+// ---------------------------------------------------------------------------
+
+/// One data segment of a random stream.
+struct Seg {
+  std::uint64_t seq;
+  std::uint64_t end;
+  std::uint32_t frame_id;
+  std::uint64_t frame_end;
+};
+
+/// A byte stream cut into frames and MSS segments, then perturbed:
+/// segments split in two with the halves swapped (a hole as small as one
+/// byte), adjacent swaps and short-range moves (reordering), re-sends of
+/// earlier segments (duplicates), and spans straddling segment edges
+/// (overlaps). Every segment is non-empty.
+std::vector<Seg> random_stream(sim::Rng& rng) {
+  std::vector<std::uint64_t> frame_ends;
+  std::uint64_t off = 0;
+  const int frames = 1 + static_cast<int>(rng.uniform_int(30));
+  for (int f = 0; f < frames; ++f) {
+    off += 1 + rng.uniform_int(6000);
+    frame_ends.push_back(off);
+  }
+  const auto frame_of = [&](std::uint64_t seq) {
+    const auto it = std::upper_bound(frame_ends.begin(), frame_ends.end(), seq);
+    return static_cast<std::uint32_t>(it - frame_ends.begin());
+  };
+  const auto make = [&](std::uint64_t a, std::uint64_t b) {
+    const std::uint32_t f = frame_of(a);
+    return Seg{a, b, f, frame_ends[f]};
+  };
+  std::vector<Seg> segs;
+  std::uint64_t start = 0;
+  for (std::uint64_t fe : frame_ends) {
+    while (start < fe) {
+      const std::uint64_t end = std::min<std::uint64_t>(start + 1200, fe);
+      segs.push_back(make(start, end));
+      start = end;
+    }
+  }
+  const double split = rng.uniform(0.0, 0.2);
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const Seg seg = segs[i];
+    if (seg.end - seg.seq < 2 || !rng.chance(split)) continue;
+    const std::uint64_t cut =
+        seg.seq + 1 + (rng.chance(0.5) ? 0 : rng.uniform_int(static_cast<std::uint32_t>(seg.end - seg.seq - 1)));
+    segs[i] = Seg{cut, seg.end, seg.frame_id, seg.frame_end};
+    segs.insert(segs.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                Seg{seg.seq, cut, seg.frame_id, seg.frame_end});
+    ++i;
+  }
+  const double reorder = rng.uniform(0.0, 0.3);
+  const double dup = rng.uniform(0.0, 0.15);
+  const double overlap = rng.uniform(0.0, 0.15);
+  for (std::size_t i = 0; i + 1 < segs.size(); ++i) {
+    if (rng.chance(reorder)) {
+      const std::size_t j = std::min(segs.size() - 1, i + 1 + rng.uniform_int(6));
+      std::swap(segs[i], segs[j]);
+    }
+  }
+  std::vector<Seg> out;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    out.push_back(segs[i]);
+    if (rng.chance(dup)) out.push_back(segs[rng.uniform_int(static_cast<std::uint32_t>(i + 1))]);
+    if (rng.chance(overlap)) {
+      const std::uint64_t a = rng.uniform_int(static_cast<std::uint32_t>(off));
+      const std::uint64_t b = std::min<std::uint64_t>(off, a + 1 + rng.uniform_int(3000));
+      out.push_back(make(a, b));
+    }
+  }
+  return out;
+}
+
+/// TcpReceiver's sequence bookkeeping as it was before the in-order fast
+/// path: every segment goes through the out-of-order interval map, and a
+/// frame end is registered with emplace.
+class MapReceiverModel {
+ public:
+  void on_data(const Seg& s) {
+    merge_interval(s.seq, s.end);
+    if (s.frame_end > frames_delivered_upto_) {
+      frame_ends_.emplace(s.frame_end, s.frame_id);
+    }
+    while (!frame_ends_.empty()) {
+      auto it = frame_ends_.begin();
+      if (it->first > rcv_nxt_) break;
+      frames.push_back(it->second);
+      frames_delivered_upto_ = it->first;
+      frame_ends_.erase(it);
+    }
+  }
+
+  std::uint64_t rcv_nxt_ = 0;
+  std::vector<std::uint32_t> frames;
+
+ private:
+  void merge_interval(std::uint64_t start, std::uint64_t end) {
+    if (end <= rcv_nxt_) return;
+    start = std::max(start, rcv_nxt_);
+    auto it = ooo_.lower_bound(start);
+    if (it != ooo_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second >= start) {
+        start = prev->first;
+        end = std::max(end, prev->second);
+        it = ooo_.erase(prev);
+      }
+    }
+    while (it != ooo_.end() && it->first <= end) {
+      end = std::max(end, it->second);
+      it = ooo_.erase(it);
+    }
+    ooo_.emplace(start, end);
+    while (!ooo_.empty()) {
+      auto first = ooo_.begin();
+      if (first->first > rcv_nxt_) break;
+      rcv_nxt_ = std::max(rcv_nxt_, first->second);
+      ooo_.erase(first);
+    }
+  }
+
+  std::map<std::uint64_t, std::uint64_t> ooo_;
+  std::map<std::uint64_t, std::uint32_t> frame_ends_;
+  std::uint64_t frames_delivered_upto_ = 0;
+};
+
+net::Packet data_packet(const Seg& s, std::uint64_t ts) {
+  net::Packet p;
+  p.flow = net::FlowId{1, 2, 3, 4, 6};
+  net::TcpHeader h;
+  h.seq = s.seq;
+  h.end_seq = s.end;
+  h.ts_val = ts;
+  h.frame_id = s.frame_id;
+  h.frame_end_seq = s.frame_end;
+  p.header = h;
+  return p;
+}
+
+TEST(PropTcpReceiver, InOrderFastPathMatchesMapModel) {
+  std::uint64_t segments = 0;
+  prop::for_all([&segments](sim::Rng& rng, int) {
+    sim::Simulator sim;
+    net::PacketUidSource uids;
+    std::vector<net::TcpHeader> acks;
+    std::vector<std::uint32_t> frames;
+    transport::TcpReceiver rx(
+        sim, {}, uids, [&acks](net::Packet&& a) { acks.push_back(a.tcp()); },
+        [&frames](std::uint32_t id, TimePoint, TimePoint) { frames.push_back(id); });
+    MapReceiverModel model;
+    std::uint64_t max_seen = 0;
+    const std::vector<Seg> stream = random_stream(rng);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      rx.on_data(data_packet(stream[i], i + 1));
+      model.on_data(stream[i]);
+      max_seen = std::max(max_seen, stream[i].end);
+      ASSERT_EQ(rx.contiguous_received(), model.rcv_nxt_) << "segment " << i;
+      ASSERT_EQ(acks.size(), i + 1);
+      EXPECT_EQ(acks.back().ack, model.rcv_nxt_);
+      EXPECT_EQ(acks.back().sack_upto, max_seen);
+      EXPECT_EQ(acks.back().ts_echo, i + 1);
+      ASSERT_EQ(frames, model.frames) << "segment " << i;
+    }
+    segments += stream.size();
+  });
+  EXPECT_GT(segments, 1000u);
+}
+
+/// FastAck's shadow receiver as it was before the in-order fast path.
+class MapShadowModel {
+ public:
+  void on_delivered(const Seg& s) {
+    intervals_[s.seq] = std::max(intervals_[s.seq], s.end);
+    while (true) {
+      auto it = intervals_.find(rcv_nxt_);
+      if (it == intervals_.end()) {
+        auto lower = intervals_.upper_bound(rcv_nxt_);
+        if (lower != intervals_.begin()) {
+          auto prev = std::prev(lower);
+          if (prev->second > rcv_nxt_) {
+            rcv_nxt_ = prev->second;
+            continue;
+          }
+        }
+        break;
+      }
+      rcv_nxt_ = std::max(rcv_nxt_, it->second);
+    }
+    while (!intervals_.empty() && intervals_.begin()->second <= rcv_nxt_) {
+      intervals_.erase(intervals_.begin());
+    }
+  }
+
+  std::uint64_t rcv_nxt_ = 0;
+
+ private:
+  std::map<std::uint64_t, std::uint64_t> intervals_;
+};
+
+TEST(PropFastAck, InOrderFastPathMatchesMapModel) {
+  prop::for_all([](sim::Rng& rng, int) {
+    baseline::FastAck fa({});
+    MapShadowModel model;
+    std::uint64_t max_seen = 0;
+    const std::vector<Seg> stream = random_stream(rng);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const auto ack = fa.on_wireless_delivered(data_packet(stream[i], i + 1),
+                                                TimePoint::zero(), i + 1);
+      model.on_delivered(stream[i]);
+      max_seen = std::max(max_seen, stream[i].end);
+      ASSERT_TRUE(ack.has_value());
+      ASSERT_EQ(ack->tcp().ack, model.rcv_nxt_) << "segment " << i;
+      EXPECT_EQ(ack->tcp().sack_upto, max_seen);
+      EXPECT_EQ(ack->tcp().ts_echo, i + 1);
+      EXPECT_EQ(ack->uid, i + 1);
+    }
+    EXPECT_EQ(fa.forged(), stream.size());
   });
 }
 

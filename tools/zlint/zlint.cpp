@@ -584,6 +584,28 @@ void rule_float_equality(const FileInfo& f, std::string_view path,
   }
 }
 
+/// per-packet-deque: std::deque in the layers every packet crosses. Its
+/// 512-byte nodes are allocated and freed as a FIFO's contents cycle, so a
+/// queue of Packets calls malloc on every second push however steady its
+/// depth; sim::Ring stops allocating once it reaches its peak depth.
+void rule_per_packet_deque(const FileInfo& f, const FileClass& fc,
+                           std::string_view path,
+                           std::vector<Diagnostic>& diags) {
+  static const std::set<std::string_view> kPacketPath = {
+      "net", "queue", "wireless", "transport", "core", "baseline"};
+  if (kPacketPath.count(fc.layer) == 0) return;
+  const auto& t = f.tokens;
+  for (std::size_t i = 2; i < t.size(); ++i) {
+    if (t[i].kind == TokKind::kIdent && t[i].text == "deque" &&
+        t[i - 1].text == "::" && t[i - 2].text == "std") {
+      emit(diags, path, t[i].line, "per-packet-deque",
+           "std::deque on the packet path allocates a node per 512 bytes "
+           "pushed; use sim::Ring (or zlint-allow(per-packet-deque) with a "
+           "reason)");
+    }
+  }
+}
+
 /// include-layering: every quoted #include whose first component is a
 /// src/ layer must follow the layer DAG (see DESIGN.md §11).
 void rule_include_layering(const FileInfo& f, const FileClass& fc,
@@ -969,7 +991,7 @@ std::string to_string(const Diagnostic& d) {
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "banned-api",     "determinism-hazard",   "float-equality",
-      "include-layering",  // single-file rules
+      "per-packet-deque", "include-layering",  // single-file rules
       "rng-substream",  "shared-mutable-state", "time-unit",
       "include-graph",  "bad-suppression"};  // project-mode rules
   return kNames;
@@ -997,6 +1019,7 @@ std::vector<Diagnostic> analyze_source(std::string_view rel_path,
     rule_banned_api(info, rel_path, diags);
     if (fc.layer != "obs") rule_determinism_hazard(info, rel_path, diags);
     rule_float_equality(info, rel_path, diags);
+    rule_per_packet_deque(info, fc, rel_path, diags);
   }
   rule_include_layering(info, fc, rel_path, diags);
 

@@ -14,6 +14,8 @@
 //   determinism-hazard   iteration over std::unordered_map/unordered_set
 //                        in result-affecting layers
 //   float-equality       ==/!= between floating-point expressions
+//   per-packet-deque     std::deque in the packet-path layers (net, queue,
+//                        wireless, transport, core, baseline); use sim::Ring
 //   include-layering     #include edges must follow the layer DAG
 //
 // Project mode (`analyze_project`, CLI `--project`) — two phases. Phase 1
