@@ -1,7 +1,7 @@
 // Hot-path performance baseline (PR 3, re-baselined in PR 8): events/sec
 // through the simulator core, Fortune Teller predictions/sec, ack-scheduler
-// ops/sec, the windowed measurement primitives, the AP FIFO, and the RTP
-// media and in-order TCP paths. Run
+// ops/sec, the windowed measurement primitives, the AP FIFO and downlink
+// dispatch, and the RTP media and in-order TCP paths. Run
 // in Release; the JSON output is the perf trajectory future PRs compare
 // against:
 //
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "app/access_point.hpp"
 #include "cca/cca.hpp"
 #include "core/ack_scheduler.hpp"
 #include "core/fortune_teller.hpp"
@@ -35,6 +36,8 @@
 #include "transport/rtp_sender.hpp"
 #include "transport/tcp_receiver.hpp"
 #include "transport/tcp_sender.hpp"
+#include "wireless/channel.hpp"
+#include "wireless/medium.hpp"
 
 namespace {
 
@@ -334,6 +337,51 @@ void BM_FifoChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FifoChurn);
+
+/// AP downlink dispatch as a dense run drives it: 64 Wi-Fi stations with
+/// FIFO queues behind one Zhuge AP, 24 flows three to a station on eight of
+/// them, one segment per flow every 8 ms. Each packet pays the station and
+/// flow lookups, a Fortune Teller prediction, the qdisc and the AMPDU
+/// link, and its dequeue feeds the three tellers of its station. The flows
+/// are pinned at HoldOnly (no ACKs come back to spend Full mode's delay
+/// tokens), as in tests/alloc_test.cpp. Items are packets dispatched.
+void BM_ApDownlinkDispatch(benchmark::State& state) {
+  constexpr int kStations = 64;
+  constexpr int kFlows = 24;
+  sim::Simulator simu;
+  sim::Rng rng(3);
+  wireless::Medium medium(simu, rng, {});
+  std::vector<std::unique_ptr<wireless::Channel>> channels;
+  app::AccessPoint::Config cfg;
+  cfg.mode = app::ApMode::kZhuge;
+  cfg.zhuge.watchdog.initial_level = obs::LadderLevel::kHoldOnly;
+  app::AccessPoint ap(simu, rng, medium, cfg, [](net::Packet&&) {}, [](net::Packet&&) {});
+  for (int i = 0; i < kStations; ++i) {
+    channels.push_back(std::make_unique<wireless::Channel>(7));
+    ap.register_station(static_cast<std::uint32_t>(100 + i), *channels.back(), {});
+  }
+  std::vector<net::FlowId> flows;
+  for (int i = 0; i < kFlows; ++i) {
+    flows.push_back(net::FlowId{1, static_cast<std::uint32_t>(100 + i % 8), 5000,
+                                static_cast<std::uint16_t>(6000 + i), 6});
+    ap.register_rtc_flow(flows.back());
+  }
+  net::Packet proto;
+  proto.size_bytes = 1240;
+  proto.header = net::TcpHeader{};
+  const auto round = [&] {
+    for (const net::FlowId& f : flows) {
+      net::Packet p(proto);
+      p.flow = f;
+      ap.from_wan(std::move(p));
+    }
+    simu.run_until(simu.now() + Duration::millis(8));
+  };
+  for (int i = 0; i < 250; ++i) round();  // warm-up: 2 s
+  for (auto _ : state) round();
+  state.SetItemsProcessed(state.iterations() * kFlows);
+}
+BENCHMARK(BM_ApDownlinkDispatch);
 
 // ---- RTP media path ------------------------------------------------------
 

@@ -51,8 +51,8 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
   st->kind = scfg.qdisc;
   st->qdisc = make_qdisc(scfg.qdisc, scfg.queue_limit_bytes);
   Station* raw = st.get();
-  const auto on_dequeue = [this, raw, ip](const Packet& p, TimePoint now) {
-    on_station_dequeue(*raw, ip, p, now);
+  const auto on_dequeue = [this, raw](const Packet& p, TimePoint now) {
+    on_station_dequeue(*raw, p, now);
   };
   const auto on_delivered = [this](const Packet& p, TimePoint now) {
     on_wireless_delivered(p, now);
@@ -69,16 +69,22 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
     st->cell->set_dequeue_observer(on_dequeue);
     st->cell->set_delivery_observer(on_delivered);
   }
-  stations_[ip] = std::move(st);
+  // Re-registering an IP replaces its station.
+  if (const auto* old = stations_.find(ip); old == nullptr || !(*old)->active) {
+    ++active_stations_;
+  }
+  stations_.insert_or_assign(ip, std::move(st));
+  index_tellers(ip);
   ZHUGE_METRIC_INC("ap.station_registered");
   ZHUGE_TRACE(sim_.now(), "ap", "register_station", {"ip", double(ip)});
 }
 
 std::size_t AccessPoint::unregister_station(std::uint32_t ip) {
-  const auto it = stations_.find(ip);
-  if (it == stations_.end() || !it->second->active) return 0;
-  Station& st = *it->second;
+  const auto* found = stations_.find(ip);
+  if (found == nullptr || !(*found)->active) return 0;
+  Station& st = **found;
   st.active = false;
+  --active_stations_;
   // Flush optimiser state for every flow routed at this station. Collect
   // first: unregister_rtc_flow mutates the set being walked.
   std::vector<net::FlowId> victims;
@@ -100,9 +106,9 @@ std::size_t AccessPoint::unregister_station(std::uint32_t ip) {
 
 AccessPoint::StationCounters AccessPoint::station_counters(std::uint32_t ip) {
   StationCounters c;
-  const auto it = stations_.find(ip);
-  if (it == stations_.end()) return c;
-  const Station& st = *it->second;
+  const auto* found = stations_.find(ip);
+  if (found == nullptr) return c;
+  const Station& st = **found;
   c.qdisc_drops = st.qdisc->drops();
   if (st.wifi != nullptr) {
     c.airtime = st.wifi->airtime_used();
@@ -111,12 +117,6 @@ AccessPoint::StationCounters AccessPoint::station_counters(std::uint32_t ip) {
     c.delivered_packets = st.cell->delivered_packets();
   }
   return c;
-}
-
-std::size_t AccessPoint::active_station_count() const {
-  std::size_t n = 0;
-  for (const auto& [ip, st] : stations_) n += st->active ? 1 : 0;
-  return n;
 }
 
 void AccessPoint::send_feedback(Packet&& p) {
@@ -128,23 +128,49 @@ void AccessPoint::send_feedback(Packet&& p) {
 }
 
 void AccessPoint::register_rtc_flow(const net::FlowId& flow) {
-  rtc_flows_.insert(flow);
+  if (!rtc_flows_.insert(flow).second) return;  // already optimised
   flow_keys_.emplace(flow, next_flow_key_);
   if (flow_keys_.size() > next_flow_key_) ++next_flow_key_;
+  add_optimizer(flow);
+  index_tellers(flow.dst_ip);
+}
+
+void AccessPoint::add_optimizer(const net::FlowId& flow) {
   if (cfg_.mode == ApMode::kZhuge) {
-    zhuge_flows_.emplace(
+    zhuge_flows_.insert_or_assign(
         flow, std::make_unique<core::ZhugeFlow>(
                   sim_, rng_, flow, cfg_.zhuge,
                   [this](Packet&& p) { send_feedback(std::move(p)); }));
   } else if (cfg_.mode == ApMode::kFastAck) {
-    fastack_flows_.emplace(flow,
-                           std::make_unique<baseline::FastAck>(cfg_.fastack));
+    fastack_flows_.insert_or_assign(
+        flow, std::make_unique<baseline::FastAck>(cfg_.fastack));
+  }
+}
+
+void AccessPoint::index_tellers(std::uint32_t ip) {
+  const auto* found = stations_.find(ip);
+  if (found == nullptr) return;
+  std::vector<core::ZhugeFlow*>& tellers = (*found)->tellers;
+  tellers.clear();
+  for (const net::FlowId& flow : rtc_flows_) {
+    if (flow.dst_ip != ip) continue;
+    if (core::ZhugeFlow* zf = zhuge_flow(flow); zf != nullptr) tellers.push_back(zf);
   }
 }
 
 core::ZhugeFlow* AccessPoint::zhuge_flow(const net::FlowId& flow) {
-  const auto it = zhuge_flows_.find(flow);
-  return it == zhuge_flows_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<core::ZhugeFlow>* zf = zhuge_flows_.find(flow);
+  return zf == nullptr ? nullptr : zf->get();
+}
+
+std::size_t AccessPoint::pending_feedback() const {
+  std::size_t n = 0;
+  for (const net::FlowId& flow : rtc_flows_) {
+    if (const auto* zf = zhuge_flows_.find(flow); zf != nullptr) {
+      n += (*zf)->pending_feedback();
+    }
+  }
+  return n;
 }
 
 void AccessPoint::retire_flow_stats(const net::FlowId& flow,
@@ -165,10 +191,11 @@ std::size_t AccessPoint::unregister_rtc_flow(const net::FlowId& flow) {
   rtc_flows_.erase(flow);
   fastack_flows_.erase(flow);
   std::size_t flushed = 0;
-  if (const auto it = zhuge_flows_.find(flow); it != zhuge_flows_.end()) {
-    flushed = it->second->teardown();
-    retire_flow_stats(flow, *it->second);
-    zhuge_flows_.erase(it);
+  if (core::ZhugeFlow* zf = zhuge_flow(flow); zf != nullptr) {
+    flushed = zf->teardown();
+    retire_flow_stats(flow, *zf);
+    zhuge_flows_.erase(flow);
+    index_tellers(flow.dst_ip);
     ZHUGE_METRIC_INC("ap.flow_unregistered");
     ZHUGE_TRACE(sim_.now(), "ap", "unregister_flow",
                 {"flushed", double(flushed)});
@@ -179,23 +206,19 @@ std::size_t AccessPoint::unregister_rtc_flow(const net::FlowId& flow) {
 void AccessPoint::restart_optimizer() {
   ++retired_stats_.optimizer_restarts;
   std::size_t flushed = 0;
-  for (auto& [flow, zf] : zhuge_flows_) {
-    flushed += zf->teardown();
-    retire_flow_stats(flow, *zf);
-  }
-  zhuge_flows_.clear();
-  fastack_flows_.clear();
-  for (const auto& flow : rtc_flows_) {
-    if (cfg_.mode == ApMode::kZhuge) {
-      zhuge_flows_.emplace(
-          flow, std::make_unique<core::ZhugeFlow>(
-                    sim_, rng_, flow, cfg_.zhuge,
-                    [this](Packet&& p) { send_feedback(std::move(p)); }));
-    } else if (cfg_.mode == ApMode::kFastAck) {
-      fastack_flows_.emplace(flow,
-                             std::make_unique<baseline::FastAck>(cfg_.fastack));
+  for (const net::FlowId& flow : rtc_flows_) {
+    if (core::ZhugeFlow* zf = zhuge_flow(flow); zf != nullptr) {
+      flushed += zf->teardown();
+      retire_flow_stats(flow, *zf);
     }
   }
+  // Every teller list points at the flows about to go: rebuild them all.
+  zhuge_flows_.clear();
+  fastack_flows_.clear();
+  for (const net::FlowId& flow : rtc_flows_) add_optimizer(flow);
+  // Every station with a teller has a flow in rtc_flows_. A restart is a
+  // rare fault, so rebuilding a station's list once per flow is cheap.
+  for (const net::FlowId& flow : rtc_flows_) index_tellers(flow.dst_ip);
   ZHUGE_METRIC_INC("ap.optimizer_restarts");
   ZHUGE_TRACE(sim_.now(), "ap", "optimizer_restart",
               {"flows", double(rtc_flows_.size())},
@@ -204,34 +227,42 @@ void AccessPoint::restart_optimizer() {
 
 void AccessPoint::inject_clock_jump(Duration delta) {
   ++retired_stats_.clock_jumps;
-  for (auto& [flow, zf] : zhuge_flows_) zf->on_clock_jump(delta);
+  for (const net::FlowId& flow : rtc_flows_) {
+    if (core::ZhugeFlow* zf = zhuge_flow(flow); zf != nullptr) zf->on_clock_jump(delta);
+  }
   ZHUGE_METRIC_INC("ap.clock_jumps");
   ZHUGE_TRACE(sim_.now(), "ap", "clock_jump", {"delta_ms", delta.to_millis()});
 }
 
 std::size_t AccessPoint::flush_feedback() {
   std::size_t flushed = 0;
-  for (auto& [flow, zf] : zhuge_flows_) flushed += zf->teardown();
+  for (const net::FlowId& flow : rtc_flows_) {
+    if (core::ZhugeFlow* zf = zhuge_flow(flow); zf != nullptr) flushed += zf->teardown();
+  }
   return flushed;
 }
 
 AccessPoint::RobustnessStats AccessPoint::robustness() const {
   RobustnessStats s = retired_stats_;
-  for (const auto& [flow, zf] : zhuge_flows_) {
-    s.degrades += zf->degrade_count();
-    s.reactivates += zf->reactivate_count();
-    s.flushed_acks += zf->flushed_on_teardown();
+  for (const net::FlowId& flow : rtc_flows_) {
+    const auto* zf = zhuge_flows_.find(flow);
+    if (zf == nullptr) continue;
+    s.degrades += (*zf)->degrade_count();
+    s.reactivates += (*zf)->reactivate_count();
+    s.flushed_acks += (*zf)->flushed_on_teardown();
   }
   return s;
 }
 
 std::vector<obs::LadderTransition> AccessPoint::ladder_log() const {
   std::vector<obs::LadderTransition> log = retired_ladder_log_;
-  for (const auto& [flow, zf] : zhuge_flows_) {
+  for (const net::FlowId& flow : rtc_flows_) {
+    const auto* zf = zhuge_flows_.find(flow);
+    if (zf == nullptr) continue;
     const auto key_it = flow_keys_.find(flow);
     const std::uint32_t key =
         key_it != flow_keys_.end() ? key_it->second : 0xffffffffu;
-    for (obs::LadderTransition t : zf->ladder_log()) {
+    for (obs::LadderTransition t : (*zf)->ladder_log()) {
       t.flow_key = key;
       log.push_back(t);
     }
@@ -240,13 +271,11 @@ std::vector<obs::LadderTransition> AccessPoint::ladder_log() const {
 }
 
 Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
-                                                TimePoint now) const {
+                                                TimePoint now) {
   // `q` is the station queue the marked packet is about to enter; the
   // dequeue rate is the AP-wide aggregate, which is what ABC's router-side
   // token rate tracks on a shared airtime medium.
-  const double rate = const_cast<stats::WindowedRate&>(abc_dequeue_rate_)
-                          .rate_bps(now)
-                          .value_or(10e6);
+  const double rate = abc_dequeue_rate_.rate_bps(now).value_or(10e6);
   return Duration::from_seconds(static_cast<double>(q.byte_count()) * 8.0 /
                                 std::max(rate, 1e3));
 }
@@ -254,14 +283,14 @@ Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
 void AccessPoint::from_wan(Packet&& p) {
   const TimePoint now = sim_.now();
   ZHUGE_METRIC_INC("ap.downlink_packets");
-  const auto it = stations_.find(p.flow.dst_ip);
-  if (it == stations_.end() || !it->second->active) {
+  const auto* found = stations_.find(p.flow.dst_ip);
+  if (found == nullptr || !(*found)->active) {
     // Quiesced (or unknown) station: the client left the network; its
     // traffic black-holes exactly like a real AP's for a deassociated STA.
     ++quiesced_drops_;
     return;
   }
-  Station& st = *it->second;
+  Station& st = **found;
   queue::Qdisc& dl_qdisc = *st.qdisc;
   if (abc_router_ != nullptr && p.is_tcp() && !p.tcp().is_ack) {
     p.tcp().abc_mark = abc_router_->mark(
@@ -286,13 +315,11 @@ void AccessPoint::from_wan(Packet&& p) {
   }
 }
 
-void AccessPoint::on_station_dequeue(Station& st, std::uint32_t ip,
-                                     const Packet& p, TimePoint now) {
+void AccessPoint::on_station_dequeue(Station& st, const Packet& p, TimePoint now) {
   // Every station's departures feed one aggregate dequeue-rate window: the
   // ABC router's queue-delay estimate tracks the AP's total drain rate.
-  // Only read when mode == kAbc, so recording it unconditionally cannot
-  // perturb other modes' results.
-  abc_dequeue_rate_.record(now, p.size_bytes);
+  // Only the ABC router reads it, so only an ABC AP records it.
+  if (abc_router_ != nullptr) abc_dequeue_rate_.record(now, p.size_bytes);
   if (st.kind == QdiscKind::kFqCoDel) {
     // Per-flow sub-queues: each Fortune Teller observes only its own
     // flow's departures (§4's "calculation with queue disciplines").
@@ -306,16 +333,15 @@ void AccessPoint::on_station_dequeue(Station& st, std::uint32_t ip,
   // station must see every departure of this station's queue — feeding
   // each teller only its own flow's departures would overestimate delays
   // in competition (whole-queue bytes divided by one flow's rate share).
+  if (st.tellers.empty()) return;
   const bool empty_after = st.qdisc->byte_count() == 0;
-  for (auto& [flow, zf] : zhuge_flows_) {
-    if (flow.dst_ip == ip) zf->on_dequeue(p, now, empty_after);
-  }
+  for (core::ZhugeFlow* zf : st.tellers) zf->on_dequeue(p, now, empty_after);
 }
 
 void AccessPoint::on_wireless_delivered(const Packet& p, TimePoint now) {
-  const auto it = fastack_flows_.find(p.flow);
-  if (it == fastack_flows_.end()) return;
-  if (auto ack = it->second->on_wireless_delivered(p, now, p.uid ^ (1ULL << 63));
+  const auto* fa = fastack_flows_.find(p.flow);
+  if (fa == nullptr) return;
+  if (auto ack = (*fa)->on_wireless_delivered(p, now, p.uid ^ (1ULL << 63));
       ack.has_value()) {
     to_server_(std::move(*ack));
   }
@@ -324,7 +350,7 @@ void AccessPoint::on_wireless_delivered(const Packet& p, TimePoint now) {
 void AccessPoint::from_client(Packet&& p) {
   // FastAck: suppress the client's own pure ACKs for optimised flows.
   if (cfg_.mode == ApMode::kFastAck &&
-      fastack_flows_.count(p.flow.reversed()) > 0 &&
+      fastack_flows_.contains(p.flow.reversed()) &&
       baseline::FastAck::should_drop_uplink(p)) {
     ++uplink_dropped_;
     return;

@@ -3,6 +3,22 @@
 // optional in-AP optimisation (Zhuge, FastAck, or the ABC router). This is
 // the only box the paper modifies — everything else (server, client) runs
 // stock.
+//
+// Lookups and walks. Every downlink packet and every uplink feedback packet
+// resolves its station and its optimiser state, so those lookups go
+// through sim::LookupTable (hashed, no iteration API): station by
+// `dst_ip`, Zhuge flow and FastAck flow by 5-tuple. A shared (FIFO/CoDel)
+// station queue feeds every Zhuge teller riding it on each dequeue; each
+// Station keeps that list itself, so a dequeue touches only its own
+// station's flows.
+//
+// Walks that emit packets or build results visit flows in 5-tuple order,
+// because that order is part of the simulated outcome (the serial of every
+// flushed ACK, the order of the ladder log) and must not depend on a hash
+// function: teardown on station quiesce, restart_optimizer(),
+// flush_feedback() and ladder_log() walk the ordered `rtc_flows_` set and
+// look each flow up, and a station's teller list is rebuilt in the same
+// order whenever a Zhuge flow comes or goes.
 
 #include <cstdint>
 #include <map>
@@ -18,6 +34,7 @@
 #include "queue/codel.hpp"
 #include "queue/fifo.hpp"
 #include "queue/fq_codel.hpp"
+#include "sim/lookup_table.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "wireless/cellular_link.hpp"
@@ -97,7 +114,7 @@ class AccessPoint {
   [[nodiscard]] StationCounters station_counters(std::uint32_t ip);
 
   /// Number of currently active (non-quiesced) stations.
-  [[nodiscard]] std::size_t active_station_count() const;
+  [[nodiscard]] std::size_t active_station_count() const { return active_stations_; }
 
   /// Downlink packets black-holed because their station was quiesced (or
   /// never registered).
@@ -162,11 +179,7 @@ class AccessPoint {
   [[nodiscard]] std::vector<obs::LadderTransition> ladder_log() const;
 
   /// Feedback packets/fortunes currently held by any optimised flow.
-  [[nodiscard]] std::size_t pending_feedback() const {
-    std::size_t n = 0;
-    for (const auto& [flow, zf] : zhuge_flows_) n += zf->pending_feedback();
-    return n;
-  }
+  [[nodiscard]] std::size_t pending_feedback() const;
 
   [[nodiscard]] core::ZhugeFlow* zhuge_flow(const net::FlowId& flow);
   [[nodiscard]] std::uint64_t uplink_delayed() const { return uplink_delayed_; }
@@ -180,6 +193,9 @@ class AccessPoint {
     std::unique_ptr<wireless::WifiLink> wifi;
     std::unique_ptr<wireless::CellularLink> cell;
     bool active = true;
+    /// The Zhuge flows addressed to this station, in 5-tuple order: the
+    /// tellers a shared-queue dequeue feeds.
+    std::vector<core::ZhugeFlow*> tellers;
 
     bool offer(Packet&& p) {
       return wifi != nullptr ? wifi->offer(std::move(p)) : cell->offer(std::move(p));
@@ -187,12 +203,14 @@ class AccessPoint {
   };
 
   void send_feedback(Packet&& p);
+  void add_optimizer(const net::FlowId& flow);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
-  void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
-                          TimePoint now);
+  /// Rebuild station `ip`'s teller list from `rtc_flows_` (if registered).
+  void index_tellers(std::uint32_t ip);
+  void on_station_dequeue(Station& st, const Packet& p, TimePoint now);
   void on_wireless_delivered(const Packet& p, TimePoint now);
   [[nodiscard]] Duration instantaneous_queue_delay(const queue::Qdisc& q,
-                                                   TimePoint now) const;
+                                                   TimePoint now);
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
@@ -201,17 +219,21 @@ class AccessPoint {
   PacketHandler to_client_;  ///< copy shared with every station link
   PacketHandler to_server_;
 
-  /// Stations keyed by client IP. Ordered map: quiesce/teardown walk this
-  /// and emit packets, so iteration order must be platform-stable.
-  std::map<std::uint32_t, std::unique_ptr<Station>> stations_;
+  /// Stations keyed by client IP, found per packet and never iterated
+  /// (a station's flows are named by rtc_flows_).
+  sim::LookupTable<std::uint32_t, std::unique_ptr<Station>> stations_;
+  std::size_t active_stations_ = 0;
   std::uint64_t quiesced_drops_ = 0;
 
-  // Ordered maps: teardown/flush/restart walk these and emit packets, so
-  // iteration order is part of the simulated outcome and must not depend
-  // on a hash function (sweep bit-identity across platforms).
-  std::map<net::FlowId, std::unique_ptr<core::ZhugeFlow>> zhuge_flows_;
-  std::map<net::FlowId, std::unique_ptr<baseline::FastAck>> fastack_flows_;
+  /// The registered RTC flows in 5-tuple order: the order of every walk
+  /// over per-flow optimiser state (see the top of this file).
   std::set<net::FlowId> rtc_flows_;
+  /// Per-flow optimiser state of exactly the flows in rtc_flows_ (Zhuge
+  /// or FastAck mode), found per packet and never iterated.
+  sim::LookupTable<net::FlowId, std::unique_ptr<core::ZhugeFlow>, net::FlowIdHash>
+      zhuge_flows_;
+  sim::LookupTable<net::FlowId, std::unique_ptr<baseline::FastAck>, net::FlowIdHash>
+      fastack_flows_;
   std::unique_ptr<baseline::AbcRouter> abc_router_;
   stats::WindowedRate abc_dequeue_rate_;
 

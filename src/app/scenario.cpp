@@ -14,6 +14,7 @@
 #include "obs/tracer.hpp"
 #include "queue/fifo.hpp"
 #include "rtc/video.hpp"
+#include "sim/lookup_table.hpp"
 #include "sim/substreams.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/rtp_receiver.hpp"
@@ -142,10 +143,13 @@ class MultiScenario {
   std::vector<UplinkPath> uplinks_;
 
   std::vector<FlowEvent> schedule_;
-  /// Live flows by schedule index; ordered so end-of-run finalisation walks
-  /// in index order (part of the simulated outcome).
-  std::map<std::uint32_t, std::unique_ptr<MFlow>> active_;
-  std::map<FlowId, std::uint32_t> by_flow_;  ///< downlink 5-tuple -> index
+  /// Live flows by schedule index (null before arrival and after
+  /// departure); end-of-run finalisation walks it in index order, which is
+  /// part of the simulated outcome.
+  std::vector<std::unique_ptr<MFlow>> active_;
+  std::size_t live_flows_ = 0;
+  /// Downlink 5-tuple -> live flow, resolved on every delivered packet.
+  sim::LookupTable<FlowId, MFlow*, net::FlowIdHash> by_flow_;
 
   MultiStationResult result_;
   TimePoint warmup_end_;
@@ -241,6 +245,7 @@ void MultiScenario::build() {
   // same-timestamp events resolve by the simulator's FIFO tie-break.
   schedule_ = expand_flow_schedule(spec_, seed_);
   result_.flows.resize(schedule_.size());
+  active_.resize(schedule_.size());
   for (const auto& ev : schedule_) {
     auto& slot = result_.flows[ev.index];
     slot.index = ev.index;
@@ -475,8 +480,9 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     start_tcp_source(*f);
   }
 
-  by_flow_[f->flow] = ev.index;
+  by_flow_.insert_or_assign(f->flow, fp);
   active_[ev.index] = std::move(f);
+  ++live_flows_;
   ++result_.arrivals;
   ZHUGE_METRIC_INC("mstation.arrivals");
   ZHUGE_TRACE(sim_.now(), "mstation", "arrive", {"flow", double(ev.index)},
@@ -542,9 +548,8 @@ void MultiScenario::start_tcp_source(MFlow& f) {
 }
 
 void MultiScenario::depart(std::uint32_t index) {
-  const auto it = active_.find(index);
-  if (it == active_.end()) return;
-  MFlow& f = *it->second;
+  if (active_[index] == nullptr) return;
+  MFlow& f = *active_[index];
   sim_.cancel(f.tick_id);
   // Flush any feedback Zhuge still holds for the flow before its endpoints
   // disappear (the AckScheduler drains through the uplink handler, which
@@ -554,7 +559,8 @@ void MultiScenario::depart(std::uint32_t index) {
   finalize_flow(f);
   if (&f == series_flow_) series_flow_ = nullptr;
   by_flow_.erase(f.flow);
-  active_.erase(it);
+  active_[index].reset();
+  --live_flows_;
   ++result_.departures;
   ZHUGE_METRIC_INC("mstation.departures");
   ZHUGE_TRACE(sim_.now(), "mstation", "depart", {"flow", double(index)});
@@ -578,8 +584,8 @@ void MultiScenario::finalize_flow(MFlow& f) {
 }
 
 void MultiScenario::sample_active() {
-  result_.active_flows.record(sim_.now(), static_cast<double>(active_.size()));
-  ZHUGE_METRIC_SET("mstation.active_flows", double(active_.size()));
+  result_.active_flows.record(sim_.now(), static_cast<double>(live_flows_));
+  ZHUGE_METRIC_SET("mstation.active_flows", double(live_flows_));
   sim_.schedule_after(Duration::millis(100), [this] { sample_active(); });
 }
 
@@ -614,12 +620,12 @@ void MultiScenario::client_send_uplink(int station, Packet&& p) {
 }
 
 void MultiScenario::server_receive(Packet&& p) {
-  const auto it = by_flow_.find(p.flow.reversed());
-  if (it == by_flow_.end()) {
+  MFlow* const* found = by_flow_.find(p.flow.reversed());
+  if (found == nullptr) {
     ++result_.late_packets;
     return;
   }
-  MFlow& f = *active_.at(it->second);
+  MFlow& f = **found;
   const double owd = (sim_.now() - p.sent_time).to_millis();
   if (owd > 0 && owd < 10e3) f.last_uplink_owd_ms = owd;
   if (f.rtp_sender && p.is_rtcp()) {
@@ -667,12 +673,12 @@ void MultiScenario::handle_delivery_metrics(const Packet& p, MFlow& f) {
 }
 
 void MultiScenario::client_receive(Packet&& p) {
-  const auto it = by_flow_.find(p.flow);
-  if (it == by_flow_.end()) {
+  MFlow* const* found = by_flow_.find(p.flow);
+  if (found == nullptr) {
     ++result_.late_packets;
     return;
   }
-  MFlow& f = *active_.at(it->second);
+  MFlow& f = **found;
   handle_delivery_metrics(p, f);
   if (f.rtp_receiver && p.is_rtp()) {
     f.rtp_receiver->on_rtp(p);
@@ -701,7 +707,8 @@ MultiStationResult MultiScenario::run() {
     result_.fault_delay_spiked += inj->delay_spiked();
     result_.fault_bypassed += inj->bypassed();
   }
-  for (auto& [idx, f] : active_) {
+  for (const std::unique_ptr<MFlow>& f : active_) {
+    if (f == nullptr) continue;
     sim_.cancel(f->tick_id);
     finalize_flow(*f);
   }

@@ -6,6 +6,9 @@
 //  * zero allocations for in-order segments through TcpSender ->
 //    PointToPointLink -> TcpReceiver (and the ACKs back), and through the
 //    FastAck shadow receiver;
+//  * zero allocations in steady-state AP downlink dispatch (from_wan ->
+//    station FIFO -> WiFi dequeue observer -> Fortune Tellers) with 24
+//    Zhuge flows registered over 64 stations;
 //  * fewer than 0.2 allocations per executed event over the whole tcp_mix
 //    golden run, setup and result collection included.
 
@@ -19,7 +22,9 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "app/access_point.hpp"
 #include "app/golden.hpp"
 #include "app/scenario.hpp"
 #include "baseline/fastack.hpp"
@@ -32,6 +37,8 @@
 #include "sim/simulator.hpp"
 #include "transport/tcp_receiver.hpp"
 #include "transport/tcp_sender.hpp"
+#include "wireless/channel.hpp"
+#include "wireless/medium.hpp"
 
 namespace {
 
@@ -197,6 +204,56 @@ TEST(AllocTcp, FastAckInOrderIsAllocationFree) {
   for (int i = 0; i < kCycles; ++i) all_acked &= deliver();
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_TRUE(all_acked);
+}
+
+/// 64 Wi-Fi stations with FIFO queues behind one Zhuge AP; flow i of 24
+/// rides station i % 8, so eight stations carry three tellers each. The
+/// flows are pinned at HoldOnly: with no client behind the AP no ACK ever
+/// spends the delay tokens a Full-mode flow banks, so only a pinned flow
+/// has a steady state. Every lookup, the prediction and the teller fan-out
+/// still run per packet.
+TEST(AllocAp, DownlinkDispatchIsAllocationFree) {
+  constexpr int kStations = 64;
+  constexpr int kFlows = 24;
+  sim::Simulator sim;
+  sim::Rng rng(3);
+  wireless::Medium medium(sim, rng, {});
+  std::vector<std::unique_ptr<wireless::Channel>> channels;
+  app::AccessPoint::Config cfg;
+  cfg.mode = app::ApMode::kZhuge;
+  cfg.zhuge.watchdog.initial_level = obs::LadderLevel::kHoldOnly;
+  std::uint64_t delivered = 0;
+  app::AccessPoint ap(sim, rng, medium, cfg, [&delivered](Packet&&) { ++delivered; },
+                      [](Packet&&) {});
+  for (int i = 0; i < kStations; ++i) {
+    channels.push_back(std::make_unique<wireless::Channel>(7));
+    ap.register_station(static_cast<std::uint32_t>(100 + i), *channels.back(), {});
+  }
+  std::vector<net::FlowId> flows;
+  for (int i = 0; i < kFlows; ++i) {
+    flows.push_back(net::FlowId{1, static_cast<std::uint32_t>(100 + i % 8), 5000,
+                                static_cast<std::uint16_t>(6000 + i), 6});
+    ap.register_rtc_flow(flows.back());
+  }
+  // One segment per flow every 8 ms: about 30 Mbps over the shared medium,
+  // well inside its capacity, so every queue has a steady peak depth.
+  std::uint64_t seq = 0;
+  const auto round = [&] {
+    for (const net::FlowId& f : flows) {
+      Packet p = tcp_packet(0, seq);
+      p.flow = f;
+      seq += 1200;
+      ap.from_wan(std::move(p));
+    }
+    sim.run_until(sim.now() + Duration::millis(8));
+  };
+  for (int i = 0; i < 250; ++i) round();  // warm-up: 2 s
+  const std::uint64_t delivered_before = delivered;
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 500; ++i) round();
+  const std::uint64_t n = allocations() - before;
+  EXPECT_EQ(delivered - delivered_before, 500u * kFlows);  // no backlog, no drop
+  EXPECT_EQ(n, 0u) << "over " << 500 * kFlows << " downlink packets";
 }
 
 TEST(AllocRun, TcpMixGoldenRunUnderBudget) {

@@ -1,13 +1,19 @@
 // Integration tests for the multi-station scenario engine: determinism
 // (repeat runs and serial-vs-parallel sweeps are bit-identical, including
 // the 64-station churn acceptance spec), churn bookkeeping, per-station
-// accounting, station quiesce, and AP-mode sensitivity.
+// accounting, station quiesce, and AP-mode sensitivity; and for the AP's
+// per-packet index: a queue departure reaches exactly the Fortune Tellers
+// of its own station, the index follows flow and station churn and
+// optimiser restarts, and the walks that emit packets or logs keep
+// 5-tuple order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
+#include "app/access_point.hpp"
 #include "app/scenario.hpp"
 #include "app/spec.hpp"
 #include "app/sweep.hpp"
@@ -206,6 +212,186 @@ TEST(MultiStation, FingerprintIndependentOfMetricsSwitch) {
   const auto on = run_multi_station(spec);
   obs::set_metrics_enabled(was);
   EXPECT_EQ(multi_result_fingerprint(off), multi_result_fingerprint(on));
+}
+
+// ---- AccessPoint per-packet index --------------------------------------
+
+constexpr std::uint32_t kFifoIp = 100;
+constexpr std::uint32_t kFqIp = 101;
+
+net::FlowId tcp_flow(std::uint32_t ip, std::uint16_t port) {
+  return net::FlowId{1, ip, 5000, port, 6};
+}
+
+/// A Zhuge AP with a FIFO station and an fq_codel station; what the AP
+/// sends towards the WAN is kept.
+struct ApRig {
+  explicit ApRig(core::ZhugeConfig zcfg = {}) {
+    AccessPoint::Config cfg;
+    cfg.mode = ApMode::kZhuge;
+    cfg.zhuge = zcfg;
+    ap = std::make_unique<AccessPoint>(
+        sim, rng, medium, cfg, [](net::Packet&&) {},
+        [this](net::Packet&& p) { to_server.push_back(std::move(p)); });
+    AccessPoint::StationConfig fifo;
+    fifo.qdisc = QdiscKind::kFifo;
+    ap->register_station(kFifoIp, fifo_channel, fifo);
+    AccessPoint::StationConfig fq;
+    fq.qdisc = QdiscKind::kFqCoDel;
+    ap->register_station(kFqIp, fq_channel, fq);
+  }
+
+  /// `n` data segments of `flow` arrive from the WAN, then the AP runs
+  /// for 5 ms: one AMPDU drains them.
+  void data(const net::FlowId& flow, int n) {
+    for (int i = 0; i < n; ++i) {
+      net::Packet p;
+      p.uid = ++uid;
+      p.flow = flow;
+      p.size_bytes = 1240;
+      net::TcpHeader h;
+      h.seq = uid * 1200;
+      h.end_seq = h.seq + 1200;
+      p.header = h;
+      p.sent_time = sim.now();
+      ap->from_wan(std::move(p));
+    }
+    sim.run_until(sim.now() + Duration::millis(5));
+  }
+
+  /// The client ACKs `flow` (an out-of-band feedback packet the AP holds).
+  void ack(const net::FlowId& flow) {
+    net::Packet p;
+    p.uid = ++uid;
+    p.flow = flow.reversed();
+    p.size_bytes = 64;
+    net::TcpHeader h;
+    h.is_ack = true;
+    h.ack = 1200;
+    p.header = h;
+    p.sent_time = sim.now();
+    ap->from_client(std::move(p));
+  }
+
+  /// Whether `flow`'s Fortune Teller saw a departure in its rate window.
+  bool fed(const net::FlowId& flow) {
+    core::ZhugeFlow* zf = ap->zhuge_flow(flow);
+    EXPECT_NE(zf, nullptr);
+    if (zf == nullptr) return false;
+    return zf->fortune_teller().tx_rate_bps(sim.now()) !=
+           core::FortuneTellerConfig{}.fallback_rate_bps;
+  }
+
+  double rate(const net::FlowId& flow) {
+    return ap->zhuge_flow(flow)->fortune_teller().tx_rate_bps(sim.now());
+  }
+
+  /// Let every teller's 40 ms rate window run empty.
+  void idle() { sim.run_until(sim.now() + Duration::millis(100)); }
+
+  sim::Simulator sim;
+  sim::Rng rng{7};
+  wireless::Medium medium{sim, rng, {}};
+  wireless::Channel fifo_channel{7};
+  wireless::Channel fq_channel{7};
+  std::vector<net::Packet> to_server;
+  std::uint64_t uid = 0;
+  std::unique_ptr<AccessPoint> ap;
+};
+
+// A shared FIFO feeds every teller riding its station and no other one; an
+// fq_codel station feeds each flow its own departures only. Flow churn,
+// station quiesce and an optimiser restart keep that true.
+TEST(AccessPointIndex, DequeueFeedsExactlyItsOwnStationsTellers) {
+  ApRig rig;
+  const net::FlowId a1 = tcp_flow(kFifoIp, 6001);
+  const net::FlowId a2 = tcp_flow(kFifoIp, 6002);
+  const net::FlowId b1 = tcp_flow(kFqIp, 6003);
+  const net::FlowId b_plain = tcp_flow(kFqIp, 6004);  // not optimised
+  rig.ap->register_rtc_flow(b1);
+  rig.ap->register_rtc_flow(a2);
+  rig.ap->register_rtc_flow(a1);
+
+  // a1's departures from the FIFO reach a2's teller too, bit for bit.
+  rig.data(a1, 20);
+  EXPECT_TRUE(rig.fed(a1));
+  EXPECT_TRUE(rig.fed(a2));
+  EXPECT_EQ(rig.rate(a1), rig.rate(a2));
+  EXPECT_FALSE(rig.fed(b1));
+
+  // fq_codel: another flow's departures do not reach b1; its own do, and
+  // nothing on the fq_codel station reaches the FIFO station's tellers.
+  rig.idle();
+  rig.data(b_plain, 20);
+  EXPECT_FALSE(rig.fed(b1));
+  EXPECT_FALSE(rig.fed(a1));
+  rig.data(b1, 20);
+  EXPECT_TRUE(rig.fed(b1));
+  EXPECT_FALSE(rig.fed(a1));
+  EXPECT_FALSE(rig.fed(a2));
+
+  // Restart: every optimiser is rebuilt, and the teller lists with them.
+  rig.idle();
+  rig.ap->restart_optimizer();
+  EXPECT_FALSE(rig.fed(a1));
+  rig.data(a2, 20);
+  EXPECT_TRUE(rig.fed(a1));
+  EXPECT_TRUE(rig.fed(a2));
+  EXPECT_EQ(rig.rate(a1), rig.rate(a2));
+  EXPECT_FALSE(rig.fed(b1));
+
+  // Quiesce the fq_codel station: its flow goes, the FIFO station's stay.
+  rig.idle();
+  rig.ap->unregister_station(kFqIp);
+  EXPECT_EQ(rig.ap->zhuge_flow(b1), nullptr);
+  EXPECT_EQ(rig.ap->active_station_count(), 1u);
+  rig.data(a1, 20);
+  EXPECT_TRUE(rig.fed(a1));
+  EXPECT_TRUE(rig.fed(a2));
+
+  // One flow leaves the shared queue: the other still hears it.
+  rig.idle();
+  rig.ap->unregister_rtc_flow(a2);
+  EXPECT_EQ(rig.ap->zhuge_flow(a2), nullptr);
+  rig.data(a1, 20);
+  EXPECT_TRUE(rig.fed(a1));
+
+  // Re-registering makes it a teller of its station again.
+  rig.idle();
+  rig.ap->register_rtc_flow(a2);
+  rig.data(a1, 20);
+  EXPECT_EQ(rig.rate(a1), rig.rate(a2));
+}
+
+// flush_feedback() releases held ACKs and ladder_log() lists transitions
+// in 5-tuple order, whatever the registration order (and so whatever any
+// hash of the flows would give).
+TEST(AccessPointIndex, FlushAndLadderLogKeepFiveTupleOrder) {
+  ApRig rig;
+  const std::vector<net::FlowId> sorted = {tcp_flow(kFifoIp, 6001), tcp_flow(kFifoIp, 6002),
+                                           tcp_flow(kFqIp, 6003)};
+  // Registration order b, c, a: flow keys b=0, c=1, a=2.
+  for (const std::size_t i : {1, 2, 0}) rig.ap->register_rtc_flow(sorted[i]);
+  // A data segment creates each flow's out-of-band updater; the ACKs then
+  // arrive together, before any release timer can fire.
+  for (const std::size_t i : {1, 2, 0}) rig.data(sorted[i], 1);
+  for (const std::size_t i : {1, 2, 0}) rig.ack(sorted[i]);
+  ASSERT_EQ(rig.to_server.size(), 0u) << "the ACKs should be held";
+  EXPECT_EQ(rig.ap->pending_feedback(), 3u);
+  EXPECT_EQ(rig.ap->flush_feedback(), 3u);
+  ASSERT_EQ(rig.to_server.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.to_server[i].flow.reversed(), sorted[i]) << "release " << i;
+  }
+
+  for (const std::size_t i : {1, 2, 0}) {
+    rig.ap->zhuge_flow(sorted[i])->force_level(obs::LadderLevel::kHoldOnly);
+  }
+  const std::vector<obs::LadderTransition> log = rig.ap->ladder_log();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].flow_key, 2u);
+  EXPECT_EQ(log[1].flow_key, 0u);
+  EXPECT_EQ(log[2].flow_key, 1u);
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 //  * Simulator — fires in exactly the (time, scheduling order) sequence of
 //    an ordered-set reference model under random schedules, cancels,
 //    steps, bounded runs and stops;
+//  * sim::LookupTable — finds, overwrites and erases like a std::map under
+//    colliding hashes, growth and erase in any order;
 //  * multi_result_fingerprint — no sequence of Distribution reads moves
 //    it, so every caller hashes a run alike whatever it read first;
 //  * sim::Ring — behaves as a std::deque FIFO under random push/pop/clear
@@ -47,6 +49,7 @@
 #include "net/packet.hpp"
 #include "net/seq.hpp"
 #include "prop.hpp"
+#include "sim/lookup_table.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
@@ -592,6 +595,106 @@ TEST(PropSimulator, FiringOrderMatchesOrderedSetModel) {
     EXPECT_EQ(simu.queue_size(), 0u);
   });
   EXPECT_GT(compactions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// sim::LookupTable
+// ---------------------------------------------------------------------------
+
+/// Maps keys onto a handful of hash values, so most keys collide and share
+/// long probe runs (and runs wrap around the end of the array).
+struct CollidingHash {
+  std::size_t operator()(std::uint32_t k) const { return k % 5; }
+};
+
+// Random inserts, overwrites, lookups, erases and clears against a
+// std::map model. Keys come from a small range, so erases hit present and
+// absent keys alike and in any order, and the table grows through several
+// doublings; the colliding hash makes backward-shift erase move entries
+// across probe runs on every step.
+TEST(PropLookupTable, MatchesMapModel) {
+  prop::for_all(prop::Config{.iterations = 100}, [](sim::Rng& rng, int c) {
+    sim::LookupTable<std::uint32_t, std::uint64_t, CollidingHash> colliding;
+    sim::LookupTable<std::uint32_t, std::uint64_t> spread;
+    std::map<std::uint32_t, std::uint64_t> model;
+    const std::uint32_t range = c % 2 == 0 ? 40 : 400;
+    const auto check_all = [&] {
+      ASSERT_EQ(colliding.size(), model.size());
+      ASSERT_EQ(spread.size(), model.size());
+      for (std::uint32_t k = 0; k < range; ++k) {
+        const auto it = model.find(k);
+        const std::uint64_t* a = colliding.find(k);
+        const std::uint64_t* b = spread.find(k);
+        if (it == model.end()) {
+          ASSERT_EQ(a, nullptr) << "key " << k;
+          ASSERT_EQ(b, nullptr) << "key " << k;
+        } else {
+          ASSERT_NE(a, nullptr) << "key " << k;
+          ASSERT_NE(b, nullptr) << "key " << k;
+          EXPECT_EQ(*a, it->second);
+          EXPECT_EQ(*b, it->second);
+        }
+      }
+    };
+    for (int op = 0; op < 600; ++op) {
+      const std::uint32_t k = rng.uniform_int(range);
+      const std::uint32_t pick = rng.uniform_int(100);
+      if (pick < 50) {
+        const std::uint64_t v = rng.next_u32();
+        colliding.insert_or_assign(k, v);
+        spread.insert_or_assign(k, v);
+        model[k] = v;
+      } else if (pick < 95) {
+        const bool present = model.erase(k) > 0;
+        EXPECT_EQ(colliding.erase(k), present);
+        EXPECT_EQ(spread.erase(k), present);
+      } else if (pick < 97) {
+        colliding.clear();
+        spread.clear();
+        model.clear();
+      }
+      if (op % 10 == 0 || pick >= 50) check_all();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain in a random order.
+    std::vector<std::uint32_t> keys;
+    for (const auto& [k, v] : model) keys.push_back(k);
+    for (std::size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.uniform_int(static_cast<std::uint32_t>(i))]);
+    }
+    for (const std::uint32_t k : keys) {
+      EXPECT_TRUE(colliding.erase(k));
+      EXPECT_TRUE(spread.erase(k));
+      model.erase(k);
+      check_all();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(colliding.empty());
+    EXPECT_TRUE(spread.empty());
+  });
+}
+
+// Move-only values (the AP owns its per-flow optimisers through the table)
+// survive growth and backward shifts, and erase destroys the value.
+TEST(PropLookupTable, OwnsMoveOnlyValues) {
+  sim::LookupTable<net::FlowId, std::unique_ptr<int>, net::FlowIdHash> t;
+  std::vector<net::FlowId> flows;
+  for (std::uint16_t i = 0; i < 100; ++i) {
+    flows.push_back(net::FlowId{1, 100u + i % 7, 5000, static_cast<std::uint16_t>(6000 + i), 6});
+    t.insert_or_assign(flows.back(), std::make_unique<int>(i));
+  }
+  ASSERT_EQ(t.size(), 100u);
+  for (std::uint16_t i = 0; i < 100; i += 2) EXPECT_TRUE(t.erase(flows[i]));
+  for (std::uint16_t i = 0; i < 100; ++i) {
+    const std::unique_ptr<int>* v = t.find(flows[i]);
+    if (i % 2 == 0) {
+      EXPECT_EQ(v, nullptr);
+    } else {
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(**v, i);
+    }
+  }
+  EXPECT_FALSE(t.contains(flows[0].reversed()));
 }
 
 // ---------------------------------------------------------------------------
