@@ -57,19 +57,24 @@ bool mechanism_acts_on(ApMode mechanism, EvalCca cca) {
   return false;
 }
 
-}  // namespace
-
-EvalCell run_eval_cell(const EvalCellSpec& cs) {
-  const MultiStationResult r = run_multi_station(cs.scenario);
-
-  EvalCell c;
+/// Give `c` the axis-point labels of `cs` and hash it: the verdict of one
+/// run, told as the cell `cs`.
+void label_cell(EvalCell& c, const EvalCellSpec& cs) {
   c.name = cs.name;
   c.mechanism = eval_mechanism_name(cs.mechanism);
   c.cca = to_string(cs.cca);
   c.trace = trace::short_name(cs.trace);
   c.density = cs.density;
   c.mechanism_active = cs.mechanism_active;
+  c.fingerprint = eval_cell_fingerprint(c);
+}
 
+}  // namespace
+
+EvalCell run_eval_cell(const EvalCellSpec& cs) {
+  const MultiStationResult r = run_multi_station(cs.scenario);
+
+  EvalCell c;
   const stats::Distribution& fd = r.agg_frame_delay_ms;
   c.frame_delay_cdf_ms.reserve(kEvalCdfDeciles);
   for (int d = 1; d <= kEvalCdfDeciles; ++d) {
@@ -93,7 +98,7 @@ EvalCell run_eval_cell(const EvalCellSpec& cs) {
   c.rtt_p95_ms = r.agg_network_rtt_ms.quantile(0.95);
 
   c.result_fingerprint = multi_result_fingerprint(r);
-  c.fingerprint = eval_cell_fingerprint(c);
+  label_cell(c, cs);
   return c;
 }
 
@@ -281,7 +286,8 @@ std::vector<EvalCellSpec> expand_eval_matrix(const EvalSpec& spec) {
           s.duration_s = spec.duration_s;
           s.warmup_s = spec.warmup_s;
           s.seed = spec.seed;
-          s.ap_mode = mech;
+          // An inert mechanism runs the vanilla control it stands for.
+          s.ap_mode = cell.mechanism_active ? mech : ApMode::kNone;
 
           StationGroupSpec g;
           g.count = density;
@@ -334,10 +340,35 @@ std::uint64_t eval_cell_fingerprint(const EvalCell& cell) {
 
 EvalMatrixResult run_eval_matrix(const std::vector<EvalCellSpec>& cells,
                                  unsigned threads) {
+  // One run per distinct scenario: `runs` holds, in grid order, the first
+  // cell of each group of cells whose specs are equal apart from the name,
+  // and `run_of[i]` is cell i's group.
+  std::vector<std::size_t> runs;
+  std::vector<std::size_t> run_of(cells.size());
+  std::vector<ScenarioSpec> unnamed;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ScenarioSpec s = cells[i].scenario;
+    s.name.clear();
+    const auto it = std::find(unnamed.begin(), unnamed.end(), s);
+    run_of[i] = static_cast<std::size_t>(it - unnamed.begin());
+    if (it == unnamed.end()) {
+      unnamed.push_back(std::move(s));
+      runs.push_back(i);
+    }
+  }
+  std::vector<EvalCell> judged(runs.size());
+  run_indexed_pool(runs.size(), threads, [&](std::size_t r) {
+    judged[r] = run_eval_cell(cells[runs[r]]);
+  });
+
   EvalMatrixResult out;
-  out.cells.resize(cells.size());
-  run_indexed_pool(cells.size(), threads,
-                   [&](std::size_t i) { out.cells[i] = run_eval_cell(cells[i]); });
+  out.runs = runs.size();
+  out.cells.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EvalCell c = judged[run_of[i]];
+    label_cell(c, cells[i]);
+    out.cells.push_back(std::move(c));
+  }
   // Chain serially in grid order: the matrix fingerprint is independent of
   // worker count and completion order by construction.
   Fnv chain;

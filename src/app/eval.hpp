@@ -7,18 +7,22 @@
 // An EvalSpec is a declarative axis product — mechanisms {vanilla, zhuge,
 // fastack, abc} x CCAs {gcc, cubic, bbr} x trace classes W1/W2/C1–C3 x
 // station densities — that expands into one ScenarioSpec per cell on the
-// multi-station engine. Cells run on the shared indexed pool; each cell's
-// verdict (frame-delay CDF, p95/p99 tails, delayed-frame ratio, stall
-// rate, RTT tails, goodput) is fingerprinted independently inside the
-// pool and chained serially in grid order afterwards, so the matrix
-// fingerprint is bit-identical for any thread count — the same contract
-// as the chaos matrix.
+// multi-station engine. A cell whose mechanism cannot act on its workload
+// runs the vanilla scenario, and cells whose specs are equal apart from
+// the name are one simulation: the shared indexed pool runs each distinct
+// spec once (90 runs for the default 120 cells), and every cell of a
+// group is that run's verdict (frame-delay CDF, p95/p99 tails,
+// delayed-frame ratio, stall rate, RTT tails, goodput) under its own
+// labels. Cell fingerprints are chained serially in grid order, so the
+// matrix fingerprint is bit-identical for any thread count — the same
+// contract as the chaos matrix.
 //
 // Headline comparisons (Zhuge p95 frame delay < vanilla p95 per trace
 // class) are derived from the cells; two of them are pinned as golden
 // anchors (app/golden.hpp) under the `repro` ctest label. tools/eval_run
 // prints the text report and writes the run record (app/record.hpp).
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -72,8 +76,11 @@ struct EvalSpec {
 /// One expanded matrix cell: the axis point plus the concrete ScenarioSpec
 /// it runs. `mechanism_active` is false for combinations where the AP
 /// mechanism cannot act on the workload (fastack/abc under GCC: both
-/// operate on TCP only) — those cells run anyway as explicit vanilla
-/// controls, never silently skipped, and the report flags them.
+/// operate on TCP only) — those cells are explicit vanilla controls: their
+/// scenario runs ap_mode kNone, they are never silently skipped, and the
+/// report flags them. One run judges every cell with an equal scenario
+/// (names aside): an inert cell shares the vanilla cell's run, and abc
+/// under cubic and under bbr share one, since both run tcp_abc senders.
 struct EvalCellSpec {
   std::string name;  ///< "W1/gcc/zhuge/d4"
   ApMode mechanism = ApMode::kNone;
@@ -137,6 +144,7 @@ struct EvalMatrixResult {
   std::vector<EvalCell> cells;        ///< grid order
   std::vector<EvalHeadline> headline; ///< grid order over comparable points
   std::uint64_t fingerprint = 0;      ///< chained cell fingerprints
+  std::size_t runs = 0;               ///< distinct simulations behind `cells`
 };
 
 /// Run one cell and judge it. `result_fingerprint` is the
@@ -144,10 +152,12 @@ struct EvalMatrixResult {
 /// caller of that run computes.
 [[nodiscard]] EvalCell run_eval_cell(const EvalCellSpec& cs);
 
-/// Run every cell on the indexed pool and chain the cell fingerprints
-/// serially in grid order. Bit-identical for any `threads`; each cell's
-/// obs records (invariant violations included, when the setting is on)
-/// merge into the caller's obs context in grid order.
+/// Run each distinct scenario once on the indexed pool, judge every cell
+/// from its group's run (relabelled and re-hashed by eval_cell_fingerprint,
+/// so each cell equals run_eval_cell on it alone), and chain the cell
+/// fingerprints serially in grid order. Bit-identical for any `threads`;
+/// each run's obs records (invariant violations included, when the setting
+/// is on) merge into the caller's obs context once, in grid order.
 [[nodiscard]] EvalMatrixResult run_eval_matrix(
     const std::vector<EvalCellSpec>& cells, unsigned threads);
 

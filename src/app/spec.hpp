@@ -108,6 +108,8 @@ struct FadeSpec {
   double period_s = 0.0;
   int depth_mcs = 0;
   double duty = 0.5;
+
+  friend bool operator==(const FadeSpec&, const FadeSpec&) = default;
 };
 
 /// Fixed-rate downlink trace ("trace": {"mbps": R} constant; add "to_mbps"
@@ -117,6 +119,8 @@ struct RateTraceSpec {
   double mbps = 0.0;
   double to_mbps = 0.0;
   double at_s = -1.0;  ///< < 0 = no step
+
+  friend bool operator==(const RateTraceSpec&, const RateTraceSpec&) = default;
 };
 
 /// A group of `count` identical stations.
@@ -142,6 +146,8 @@ struct StationGroupSpec {
   /// quiesces it (AccessPoint::unregister_station) and its remaining
   /// downlink traffic black-holes. -1 = stays for the whole run.
   double leave_s = -1.0;
+
+  friend bool operator==(const StationGroupSpec&, const StationGroupSpec&) = default;
 };
 
 /// One statically scheduled flow.
@@ -156,6 +162,8 @@ struct SpecFlow {
   /// tcp_bulk only: the transfer starts paused and toggles on/off every
   /// 30 s ("onoff", the Fig. 18 "scp" competitor); off = always on.
   bool onoff = false;
+
+  friend bool operator==(const SpecFlow&, const SpecFlow&) = default;
 };
 
 /// Flow-churn process: Poisson-like arrivals with exponential lifetimes,
@@ -174,6 +182,8 @@ struct ChurnSpec {
   double stop_s = -1.0;           ///< -1 = run end
   double max_bitrate_mbps = 2.5;
   double fps = 30.0;
+
+  friend bool operator==(const ChurnSpec&, const ChurnSpec&) = default;
 };
 
 /// Full declarative multi-station scenario.
@@ -223,6 +233,12 @@ struct ScenarioSpec {
   [[nodiscard]] int station_count() const;
   /// The group a station index falls in (station_count() must be > index).
   [[nodiscard]] const StationGroupSpec& station_group(int station) const;
+
+  /// Field-by-field, the nested specs and configs included; `faults`
+  /// compares by pointer. Two specs equal apart from `name` run the same
+  /// simulation (the name only labels the result), which is how the eval
+  /// matrix finds the cells one run can judge.
+  friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
 /// Parse a trace-class short name ("W1"..."C3", "ETH", "ABC") into its

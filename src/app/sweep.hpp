@@ -57,7 +57,7 @@ struct Fnv {
   }
 
   /// A Distribution enters as the multiset of its samples, because the
-  /// order of samples() is unspecified (any read may sort them in place):
+  /// order of samples() is unspecified (a quantile read permutes them):
   /// the count, then a wrapping sum and a rotate-xor of each sample's
   /// mixed bit pattern. Both folds commute, so no read before or after
   /// hashing moves the digest; the sum sees duplicate pairs that the xor

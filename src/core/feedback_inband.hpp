@@ -48,6 +48,8 @@ struct InbandConfig {
   Duration feedback_interval = Duration::millis(25);  ///< TWCC send period
   std::size_t max_entries_per_feedback = 128;
   std::uint32_t feedback_packet_bytes = 80;  ///< wire size of built TWCC
+
+  friend bool operator==(const InbandConfig&, const InbandConfig&) = default;
 };
 
 /// Per-flow in-band feedback constructor.

@@ -72,6 +72,8 @@ struct OobConfig {
   /// multi-packet trends (real ABW changes) and drops per-packet noise.
   /// 1.0 disables smoothing (the paper's literal Algorithm 1).
   double delta_smoothing_alpha = 0.25;
+
+  friend bool operator==(const OobConfig&, const OobConfig&) = default;
 };
 
 /// Per-flow out-of-band feedback state machine.

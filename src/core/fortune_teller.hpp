@@ -51,6 +51,8 @@ struct FortuneTellerConfig {
   Duration max_prediction = Duration::seconds(4);   ///< sanity clamp
   bool burst_adjustment = true;   ///< Eq. 1 on/off (ablation)
   bool use_qshort = true;         ///< qShort term on/off (ablation)
+
+  friend bool operator==(const FortuneTellerConfig&, const FortuneTellerConfig&) = default;
 };
 
 /// Per-flow delay predictor. Feed it every departure of the flow from the

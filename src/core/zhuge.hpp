@@ -92,6 +92,8 @@ struct WatchdogConfig {
   /// the probe failed: the settle period doubles (capped below).
   Duration probe_failure_window = Duration::seconds(1);
   Duration max_recovery_settle = Duration::seconds(4);
+
+  friend bool operator==(const WatchdogConfig&, const WatchdogConfig&) = default;
 };
 
 /// Everything tunable about one Zhuge flow.
@@ -100,6 +102,8 @@ struct ZhugeConfig {
   OobConfig oob{};
   InbandConfig inband{};
   WatchdogConfig watchdog{};
+
+  friend bool operator==(const ZhugeConfig&, const ZhugeConfig&) = default;
 };
 
 /// What the AP should do with an uplink packet.

@@ -11,20 +11,22 @@
 namespace zhuge::stats {
 
 /// Accumulates double samples; answers quantile / tail-ratio queries.
-/// Sorting is lazy and cached: the order-statistic reads sort the samples
-/// in place, so a Distribution is a multiset and its sample order is
-/// never part of its value.
+/// Order statistics are read by selection, never by a full sort: a
+/// quantile is one std::nth_element for its low order statistic plus a
+/// minimum scan of the part above it for the interpolation partner, the
+/// tail ratios count, and min()/max() scan. A quantile read permutes the
+/// samples in place, so a Distribution is a multiset and its sample order
+/// is never part of its value. Samples are ranked by before(), under
+/// which -0.0 precedes +0.0: equal-ranked samples are then bit-identical,
+/// and every read is a function of the multiset alone. NaN samples are
+/// not supported.
 class Distribution {
  public:
-  void add(double v) {
-    samples_.push_back(v);
-    sorted_ = false;
-  }
+  void add(double v) { samples_.push_back(v); }
 
   /// Add every sample of `other` (the multiset union).
   void add_all(const Distribution& other) {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-    if (!other.empty()) sorted_ = false;
   }
 
   void reserve(std::size_t n) { samples_.reserve(n); }
@@ -47,61 +49,64 @@ class Distribution {
     return std::sqrt(s / static_cast<double>(samples_.size() - 1));
   }
 
-  /// Quantile by linear interpolation; q in [0, 1].
+  /// Quantile by linear interpolation between the order statistics at
+  /// floor(q * (n - 1)) and the one after it; q in [0, 1].
   [[nodiscard]] double quantile(double q) const {
     if (samples_.empty()) return 0.0;
-    ensure_sorted();
     q = std::clamp(q, 0.0, 1.0);
-    const double pos = q * static_cast<double>(samples_.size() - 1);
+    const std::size_t n = samples_.size();
+    const double pos = q * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    const auto at = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), at, samples_.end(), before);
+    // After the selection every sample past `at` ranks at or above it, so
+    // the next order statistic is their minimum.
+    const double hi = lo + 1 < n ? *std::min_element(at + 1, samples_.end(), before)
+                                 : *at;
+    return *at * (1.0 - frac) + hi * frac;
   }
 
   [[nodiscard]] double min() const {
-    ensure_sorted();
-    return samples_.empty() ? 0.0 : samples_.front();
+    return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end(), before);
   }
   [[nodiscard]] double max() const {
-    ensure_sorted();
-    return samples_.empty() ? 0.0 : samples_.back();
+    return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end(), before);
   }
 
   /// Fraction of samples strictly above `threshold` (the paper's tail
   /// ratios, e.g. P(RTT > 200 ms)).
   [[nodiscard]] double ratio_above(double threshold) const {
-    if (samples_.empty()) return 0.0;
-    ensure_sorted();
-    const auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
-    return static_cast<double>(samples_.end() - it) / static_cast<double>(samples_.size());
+    return fraction([threshold](double v) { return threshold < v; });
   }
 
   /// Fraction of samples strictly below `threshold` (e.g. P(fps < 10)).
   [[nodiscard]] double ratio_below(double threshold) const {
-    if (samples_.empty()) return 0.0;
-    ensure_sorted();
-    const auto it = std::lower_bound(samples_.begin(), samples_.end(), threshold);
-    return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
+    return fraction([threshold](double v) { return v < threshold; });
   }
 
   /// Complementary CDF value at x: P(sample > x).
   [[nodiscard]] double ccdf(double x) const { return ratio_above(x); }
 
   /// Every sample, in unspecified order (insertion order until the first
-  /// order-statistic read, sorted after it).
+  /// quantile read, which permutes them).
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
+  /// The strict total order samples are ranked by: numeric order, with
+  /// -0.0 before +0.0 (the second clause holds for that pair alone).
+  [[nodiscard]] static bool before(double a, double b) {
+    return a < b || (std::signbit(a) && !std::signbit(b) && !(b < a));
+  }
+
  private:
-  void ensure_sorted() const {
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
+  template <typename Pred>
+  [[nodiscard]] double fraction(Pred pred) const {
+    if (samples_.empty()) return 0.0;
+    const auto n = std::count_if(samples_.begin(), samples_.end(), pred);
+    return static_cast<double>(n) / static_cast<double>(samples_.size());
   }
 
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 /// Fixed-bin 2-D histogram used for the Fig. 19 estimated-vs-real heatmap.

@@ -55,6 +55,12 @@ void* or_throw(void* p) {
   return p;
 }
 
+// Out of line on purpose: where a replacement operator delete inlines
+// into a container's deallocate, GCC 12 pairs the free() it then sees
+// with the container's operator new and flags the pair
+// (-Wmismatched-new-delete), although every operator new here is malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 // No type in the code is over-aligned, so the align_val_t forms are left
@@ -63,10 +69,10 @@ void* operator new(std::size_t n) { return or_throw(counted_malloc(n)); }
 void* operator new[](std::size_t n) { return or_throw(counted_malloc(n)); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace zhuge {
 namespace {

@@ -1,12 +1,15 @@
 // Evaluation-matrix suite (src/app/eval.*): cell-count completeness (no
-// silently skipped cells), CDF monotonicity of every verdict, serial vs
-// 4-thread verdict-fingerprint identity, a cell's result fingerprint equal
-// to its bare run's, strict EvalSpec rejection of the known-bad fixtures,
-// and the shipped example specs. The run record of a matrix (every cell
+// silently skipped cells), one run per distinct scenario (an inert
+// mechanism is the vanilla run, and every deduplicated cell equals its own
+// run), CDF monotonicity of every verdict, serial vs 4-thread
+// verdict-fingerprint identity, a cell's result fingerprint equal to its
+// bare run's, strict EvalSpec rejection of the known-bad fixtures, and the
+// shipped example specs. The run record of a matrix (every cell
 // field, bit-exact) is checked in record_test.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -79,6 +82,9 @@ TEST(EvalMatrix, ExpansionCoversTheFullAxisProduct) {
     if (c.mechanism == ApMode::kNone) {
       EXPECT_FALSE(c.mechanism_active) << c.name;
     }
+    // An inert cell runs the vanilla control it stands for.
+    EXPECT_EQ(c.scenario.ap_mode, c.mechanism_active ? c.mechanism : ApMode::kNone)
+        << c.name;
   }
   EXPECT_GT(inert, 0);
 }
@@ -96,6 +102,63 @@ TEST(EvalMatrix, EveryCellIsJudged) {
   // Every (trace, cca, density) point with a zhuge and a vanilla cell got
   // a headline verdict: 2 traces x 2 ccas x 1 density.
   EXPECT_EQ(res.headline.size(), 4u);
+  // Per trace, gcc runs vanilla and zhuge (fastack and abc are inert, so
+  // vanilla) and cubic runs all four: 2 x (2 + 4) distinct runs.
+  EXPECT_EQ(res.runs, 12u);
+}
+
+// ---------------------------------------------------------------------------
+// One run per distinct scenario
+// ---------------------------------------------------------------------------
+
+TEST(EvalMatrix, InertMechanismIsVanilla) {
+  // The fact the normalisation rests on: under GCC, an AP in FastAck or
+  // ABC mode leaves every packet as vanilla would. If this fails, fix the
+  // mechanism or drop the normalisation in expand_eval_matrix.
+  EvalSpec spec;
+  spec.duration_s = 3.0;
+  spec.warmup_s = 1.0;
+  spec.seed = 5;
+  spec.ccas = {EvalCca::kGcc};
+  spec.traces = {trace::TraceKind::kRestaurantWifi,
+                 trace::TraceKind::kIndoorMixed45G};
+  spec.densities = {1, 4};
+  const auto cells = expand_eval_matrix(spec);
+  int checked = 0;
+  for (const EvalCellSpec& vanilla : cells) {
+    if (vanilla.mechanism != ApMode::kNone) continue;
+    const std::uint64_t want =
+        multi_result_fingerprint(run_multi_station(vanilla.scenario));
+    for (const EvalCellSpec& cs : cells) {
+      if (cs.mechanism != ApMode::kFastAck && cs.mechanism != ApMode::kAbc) continue;
+      if (cs.trace != vanilla.trace || cs.density != vanilla.density) continue;
+      SCOPED_TRACE(cs.name);
+      ASSERT_FALSE(cs.mechanism_active);
+      ScenarioSpec as_labelled = cs.scenario;
+      as_labelled.ap_mode = cs.mechanism;
+      EXPECT_EQ(multi_result_fingerprint(run_multi_station(as_labelled)), want);
+      ++checked;
+    }
+  }
+  // fastack and abc x W1 and C1 x d1 and d4.
+  EXPECT_EQ(checked, 8);
+}
+
+TEST(EvalMatrix, EveryCellMatchesItsOwnRun) {
+  // Duplicates included: a cell judged from another cell's run is the
+  // verdict its own run would give, label and fingerprint alike.
+  const auto cells = expand_eval_matrix(small_spec());
+  const auto& res = small_result();
+  ASSERT_EQ(res.cells.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(cells[i].name);
+    const EvalCell alone = run_eval_cell(cells[i]);
+    EXPECT_EQ(res.cells[i].name, alone.name);
+    EXPECT_EQ(res.cells[i].mechanism, alone.mechanism);
+    EXPECT_EQ(res.cells[i].cca, alone.cca);
+    EXPECT_EQ(res.cells[i].result_fingerprint, alone.result_fingerprint);
+    EXPECT_EQ(res.cells[i].fingerprint, alone.fingerprint);
+  }
 }
 
 // ---------------------------------------------------------------------------

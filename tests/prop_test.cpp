@@ -19,6 +19,9 @@
 //    colliding hashes, growth and erase in any order;
 //  * multi_result_fingerprint — no sequence of Distribution reads moves
 //    it, so every caller hashes a run alike whatever it read first;
+//  * stats::Distribution — every order-statistic read by selection equals
+//    the full sort's bit for bit, under ties, signed zeros and
+//    interleaved adds, and leaves the multiset's digest where it was;
 //  * sim::Ring — behaves as a std::deque FIFO under random push/pop/clear
 //    sequences across every growth, and constructs and destroys each
 //    element exactly once;
@@ -29,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -52,6 +56,7 @@
 #include "sim/lookup_table.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
+#include "stats/distribution.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/tcp_receiver.hpp"
 
@@ -748,6 +753,130 @@ TEST(PropFingerprint, DistributionReadsNeverMoveIt) {
       }
     }
     EXPECT_EQ(app::multi_result_fingerprint(r), want);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// stats::Distribution order statistics by selection
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The reads of a fully sorted sample vector: sort the multiset in
+/// Distribution's rank order (-0.0 before +0.0), then index and search.
+struct SortedModel {
+  std::vector<double> v;
+  bool sorted = true;
+
+  void add(double x) {
+    v.push_back(x);
+    sorted = false;
+  }
+  const std::vector<double>& ranked() {
+    if (!sorted) std::sort(v.begin(), v.end(), stats::Distribution::before);
+    sorted = true;
+    return v;
+  }
+  double quantile(double q) {
+    const std::vector<double>& s = ranked();
+    if (s.empty()) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const double pos = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return s[lo] * (1.0 - frac) + s[hi] * frac;
+  }
+  double min() { return v.empty() ? 0.0 : ranked().front(); }
+  double max() { return v.empty() ? 0.0 : ranked().back(); }
+  double ratio_above(double t) {
+    const std::vector<double>& s = ranked();
+    if (s.empty()) return 0.0;
+    const auto it = std::upper_bound(s.begin(), s.end(), t);
+    return static_cast<double>(s.end() - it) / static_cast<double>(s.size());
+  }
+  double ratio_below(double t) {
+    const std::vector<double>& s = ranked();
+    if (s.empty()) return 0.0;
+    const auto it = std::lower_bound(s.begin(), s.end(), t);
+    return static_cast<double>(it - s.begin()) / static_cast<double>(s.size());
+  }
+};
+
+/// A sample drawn to collide: small integers (duplicates), both signed
+/// zeros, negatives, wide magnitudes and the infinities.
+double colliding_sample(sim::Rng& rng) {
+  switch (rng.uniform_int(8)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return static_cast<double>(rng.uniform_int(7)) - 3.0;
+    case 3: return rng.normal(0.0, 1.0);
+    case 4: return rng.uniform(-1e6, 1e6);
+    case 5: return rng.chance(0.5) ? 1e-300 : -1e-300;
+    case 6: return rng.chance(0.5) ? HUGE_VAL : -HUGE_VAL;
+    default: return rng.uniform(0.0, 500.0);
+  }
+}
+
+TEST(PropDistribution, SelectionMatchesSortedModel) {
+  prop::for_all([](sim::Rng& rng, int c) {
+    stats::Distribution d;
+    SortedModel model;
+    const auto digest = [&d] {
+      app::Fnv f;
+      f.dist(d);
+      return f.h;
+    };
+    const auto threshold = [&rng, &model] {
+      // Often exactly a sample (ties at the threshold), else anywhere.
+      if (!model.v.empty() && rng.chance(0.5)) {
+        return model.v[rng.uniform_int(static_cast<std::uint32_t>(model.v.size()))];
+      }
+      return colliding_sample(rng);
+    };
+    // One read of each kind, compared bit for bit; no read moves the
+    // multiset's digest.
+    const auto read_all = [&](double q) {
+      const std::uint64_t before = digest();
+      EXPECT_EQ(bits(d.quantile(q)), bits(model.quantile(q))) << "q " << q;
+      const double t = threshold();
+      EXPECT_EQ(bits(d.ratio_above(t)), bits(model.ratio_above(t))) << "t " << t;
+      EXPECT_EQ(bits(d.ratio_below(t)), bits(model.ratio_below(t))) << "t " << t;
+      EXPECT_EQ(bits(d.ccdf(t)), bits(model.ratio_above(t))) << "t " << t;
+      EXPECT_EQ(bits(d.min()), bits(model.min()));
+      EXPECT_EQ(bits(d.max()), bits(model.max()));
+      EXPECT_EQ(digest(), before);
+      EXPECT_EQ(d.count(), model.v.size());
+    };
+
+    read_all(rng.uniform());  // empty: every read is 0
+    // Sizes up to 2 000, most of them small so ties and edges dominate.
+    const std::uint32_t n =
+        1 + rng.uniform_int(c % 4 == 0 ? 2000 : (c % 4 == 1 ? 60 : 8));
+    while (d.count() < n) {
+      if (rng.chance(0.2)) {
+        stats::Distribution other;
+        const std::uint32_t k = 1 + rng.uniform_int(n - static_cast<std::uint32_t>(d.count()));
+        for (std::uint32_t i = 0; i < k; ++i) {
+          const double x = colliding_sample(rng);
+          other.add(x);
+          model.add(x);
+        }
+        if (rng.chance(0.5)) (void)other.quantile(rng.uniform());  // permuted
+        d.add_all(other);
+      } else {
+        const double x = colliding_sample(rng);
+        d.add(x);
+        model.add(x);
+      }
+      if (rng.chance(0.1)) read_all(rng.uniform());
+      if (::testing::Test::HasFailure()) return;
+    }
+    for (const double q : {0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75,
+                           0.8, 0.9, 0.95, 0.99, 0.999, 1.0, -0.5, 1.5}) {
+      read_all(q);
+    }
+    for (int i = 0; i < 20; ++i) read_all(rng.uniform());
   });
 }
 

@@ -5,16 +5,16 @@
 //
 // --matrix expands the evaluation matrix (mechanisms {vanilla, zhuge,
 // fastack, abc} x CCAs {gcc, cubic, bbr} x trace classes W1/W2/C1-C3 x
-// station densities) into multi-station scenarios on the indexed pool and
-// prints the figure-oriented report; the chained cell-verdict fingerprint
-// is bit-identical for any --threads value, which --verify-serial proves
-// by re-running serially. With runtime invariants on (a Debug build's
-// default) every cell is checked on the pool, and a non-empty merged
-// checker is printed and fails the run. --record writes the run record
-// (app/record.hpp): every cell and comparison, bit-identical for any
-// --threads value. The two headline cells pinned as golden anchors (Zhuge
-// p95 frame delay < vanilla p95 on W1 and C1) are checked with
-// `scenario_run --check-golden`.
+// station densities) into multi-station scenarios, runs each distinct one
+// once on the indexed pool and prints the figure-oriented report; the
+// chained cell-verdict fingerprint is bit-identical for any --threads
+// value, which --verify-serial proves by re-running serially. With runtime
+// invariants on (a Debug build's default) every run is checked on the
+// pool, and a non-empty merged checker is printed and fails the run.
+// --record writes the run record (app/record.hpp): every cell and
+// comparison, bit-identical for any --threads value. The two headline
+// cells pinned as golden anchors (Zhuge p95 frame delay < vanilla p95 on
+// W1 and C1) are checked with `scenario_run --check-golden`.
 
 #include <cstdio>
 #include <cstdlib>
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
 
   const auto res = zhuge::app::run_eval_matrix(cells, threads);
   zhuge::app::write_eval_report_text(res, std::cout);
-  // The pool merged every cell's checker into this thread's context.
+  // The pool merged every run's checker into this thread's context.
   const std::string inv = zhuge::obs::invariants().summary();
 
   if (!record_path.empty() &&
@@ -148,9 +148,9 @@ int main(int argc, char** argv) {
   std::size_t wins = 0;
   for (const auto& h : res.headline) wins += h.zhuge_wins ? 1 : 0;
   std::fprintf(stderr,
-               "%zu cells, %zu/%zu headline wins (threads %u, "
+               "%zu cells, %zu runs, %zu/%zu headline wins (threads %u, "
                "fingerprint %016llx)\n",
-               res.cells.size(), wins, res.headline.size(), threads,
+               res.cells.size(), res.runs, wins, res.headline.size(), threads,
                static_cast<unsigned long long>(res.fingerprint));
   return rc;
 }
