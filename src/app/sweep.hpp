@@ -12,14 +12,18 @@
 // scenario layer touches is the obs layer. Its settings (what to record)
 // change only outside a pool; its sinks (where records go) are per index:
 // run_indexed_pool() gives each grid index its own obs::Context and
-// merges them into the caller's context serially, in grid order, after
-// the join. Runs therefore record metrics, traces and invariant
-// violations exactly as they would serially, and leave bit-identical
-// sinks for any thread count.
+// merges them into the caller's context one at a time, in grid order, as
+// soon as every earlier index has finished. Runs therefore record
+// metrics, traces and invariant violations exactly as they would
+// serially, and leave bit-identical sinks for any thread count.
 
 #include <atomic>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,6 +93,18 @@ struct Fnv {
 /// Inverse of to_hex16; nullopt unless `s` is 1..16 hex digits.
 [[nodiscard]] std::optional<std::uint64_t> parse_hex16(std::string_view s);
 
+/// A CLI seed or count (`--seed`, `--seeds`, `--threads`): nullopt unless
+/// `s` is one or more decimal digits, with no sign, space or trailing
+/// junk, whose value fits in `T`.
+template <std::unsigned_integral T>
+[[nodiscard]] std::optional<T> parse_decimal(std::string_view s) {
+  T v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
 /// Run `fn(0..n-1)` on `threads` workers pulling indices from a shared
 /// atomic counter; serial on the calling thread when threads <= 1. Each
 /// index is claimed exactly once, so `fn` needs no internal locking as
@@ -97,19 +113,33 @@ struct Fnv {
 /// through this one pool so the bit-identity argument is made in one place.
 ///
 /// Each index records into its own obs::Context (trace ring sized like the
-/// caller's), installed on whichever thread runs it; after the last index
-/// the contexts are merged into the caller's current context in grid
-/// order. The serial path does the same, so `threads=1` and `threads=8`
-/// leave the caller's sinks bit-identical.
+/// caller's), installed on whichever thread runs it. When an index ends,
+/// every finished context of the grid-order prefix is merged into the
+/// caller's current context and freed, so the merge order is the grid
+/// order and a finished run's records wait only on earlier indices still
+/// running, not on the whole grid. The serial path does the same, so
+/// `threads=1` and `threads=8` leave the caller's sinks bit-identical.
 template <typename Fn>
 void run_indexed_pool(std::size_t n, unsigned threads, Fn&& fn) {
   obs::Context& caller = obs::current();
-  std::vector<obs::Context> sinks;
-  sinks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) sinks.emplace_back(caller.tracer.capacity());
-  const auto run = [&sinks, &fn](std::size_t i) {
-    const obs::ContextScope scope(sinks[i]);
-    fn(i);
+  std::vector<std::unique_ptr<obs::Context>> sinks(n);
+  for (auto& sink : sinks) {
+    sink = std::make_unique<obs::Context>(caller.tracer.capacity());
+  }
+  std::mutex merge_mu;
+  std::vector<bool> done(n, false);  // guarded by merge_mu
+  std::size_t merged = 0;            // guarded by merge_mu
+  const auto run = [&](std::size_t i) {
+    {
+      const obs::ContextScope scope(*sinks[i]);
+      fn(i);
+    }
+    const std::lock_guard<std::mutex> lock(merge_mu);
+    done[i] = true;
+    for (; merged < n && done[merged]; ++merged) {
+      caller.merge(*sinks[merged]);
+      sinks[merged].reset();
+    }
   };
 
   const std::size_t n_workers = std::min<std::size_t>(std::max(1u, threads), n);
@@ -130,7 +160,6 @@ void run_indexed_pool(std::size_t n, unsigned threads, Fn&& fn) {
     }
     for (auto& t : pool) t.join();
   }
-  for (const obs::Context& sink : sinks) caller.merge(sink);
 }
 
 /// One grid point: a labelled spec plus the seed to run it under (`seed`

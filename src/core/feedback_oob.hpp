@@ -193,7 +193,6 @@ class OobFeedbackUpdater {
 
   /// Outstanding token budget (tests / introspection).
   [[nodiscard]] Duration token_total() const { return token_total_; }
-  [[nodiscard]] std::size_t delta_count() const { return delta_history_.sample_count(); }
   [[nodiscard]] Duration applied_shift() const { return applied_shift_; }
   [[nodiscard]] Duration observed_shift() const { return observed_shift_; }
   [[nodiscard]] std::size_t pending_holds() const {

@@ -343,7 +343,6 @@ class ZhugeFlow {
 
   [[nodiscard]] FortuneTeller& fortune_teller() { return teller_; }
   [[nodiscard]] const net::FlowId& flow() const { return flow_; }
-  [[nodiscard]] bool is_inband() const { return inband_ != nullptr; }
   [[nodiscard]] FlowMode mode() const {
     return level_ == obs::LadderLevel::kFull ? FlowMode::kActive
                                              : FlowMode::kDegraded;
@@ -352,7 +351,6 @@ class ZhugeFlow {
   [[nodiscard]] const std::vector<obs::LadderTransition>& ladder_log() const {
     return ladder_log_;
   }
-  [[nodiscard]] Duration current_settle() const { return settle_; }
   [[nodiscard]] std::uint64_t degrade_count() const { return degrade_count_; }
   [[nodiscard]] std::uint64_t reactivate_count() const { return reactivate_count_; }
   [[nodiscard]] std::uint64_t flushed_on_teardown() const { return flushed_on_teardown_; }

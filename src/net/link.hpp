@@ -110,9 +110,6 @@ class PointToPointLink {
     return true;
   }
 
-  /// Attach/replace the delivery sink.
-  void set_sink(PacketHandler sink) { sink_ = std::move(sink); }
-
   /// Provide an RNG for jitter and random loss; without one, jitter_max
   /// and loss_prob are ignored.
   void set_rng(sim::Rng* rng) { rng_ = rng; }

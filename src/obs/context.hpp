@@ -8,10 +8,11 @@
 // Serial callers record into the default context, which obs::metrics(),
 // tracer(), invariants() and reset() act on when nothing else is
 // installed. app::run_indexed_pool gives every grid index a fresh
-// context, installs it on the worker running that index, and after the
-// join merges the contexts into the caller's, serially and in grid order
-// (Context::merge). Serial and pooled runs therefore leave bit-identical
-// sinks, and no two workers ever write the same one.
+// context, installs it on the worker running that index, and merges the
+// contexts into the caller's one at a time and in grid order, each once
+// every earlier index has finished (Context::merge). Serial and pooled
+// runs therefore leave bit-identical sinks, and no two workers ever write
+// the same one.
 
 #include <cstddef>
 

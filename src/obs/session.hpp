@@ -1,6 +1,6 @@
-#pragma once  // zlint-allow(include-graph): consumed outside src/ — bench/bench_util.hpp and examples/ include it; no src-internal TU does
-// CLI observability session, shared by every entrypoint (benches, examples,
-// tools). Parses
+#pragma once  // zlint-allow(include-graph): consumed outside src/ — bench/figures.cpp and examples/ include it; no src-internal TU does
+// CLI observability session, shared by the figures binary and the
+// examples. Parses
 //   --trace <file>     enable the event tracer, dump it on exit as
 //                      Chrome trace_event JSON
 //   --metrics <file>   enable the metrics registry, dump JSON on exit
@@ -12,9 +12,8 @@
 // from the calling thread's current context (obs/context.hpp), into which
 // pooled runs (app::run_indexed_pool) merge their records in grid order,
 // so a session covers serial and pooled runs alike. With no flags,
-// instrumentation stays disabled and the run is unchanged. Extracted from
-// bench/bench_util.hpp so examples and tools emit metrics exactly the
-// same way the figure benches do.
+// instrumentation stays disabled and the run is unchanged. The examples
+// emit metrics exactly the same way bench/figures.cpp does.
 
 #include <cstdio>
 #include <string>

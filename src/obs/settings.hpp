@@ -8,7 +8,7 @@
 // is one load and one predicted branch with no thread-pointer access.
 // Contract: settings change only outside a pool — the setters run before
 // app::run_indexed_pool starts its workers and after it joins them — so
-// workers only ever read them.
+// workers, and the merges they run, only ever read them.
 
 namespace zhuge::obs {
 

@@ -65,16 +65,6 @@ bool parse_ladder_level(std::string_view name, LadderLevel* out) {
   return false;
 }
 
-const char* ladder_reason_name(LadderReason reason) {
-  switch (reason) {
-    case LadderReason::kFeedbackSilence: return "feedback_silence";
-    case LadderReason::kPredictionDivergence: return "prediction_divergence";
-    case LadderReason::kRecoveryProbe: return "recovery_probe";
-    case LadderReason::kForced: return "forced";
-  }
-  return "?";
-}
-
 RecoverySlo compute_recovery_slo(const SloInputs& in) {
   RecoverySlo slo;
 
@@ -222,17 +212,6 @@ void SloAccumulator::add(const std::string& case_name, const RecoverySlo& slo) {
     }
   }
   rows_.push_back(Row{case_name, slo});
-}
-
-void SloAccumulator::merge(const SloAccumulator& other) {
-  cases_ += other.cases_;
-  triggered_ += other.triggered_;
-  recovered_ += other.recovered_;
-  detect_ms_.merge(other.detect_ms_);
-  recover_ms_.merge(other.recover_ms_);
-  frames_lost_.merge(other.frames_lost_);
-  p95_ratio_.merge(other.p95_ratio_);
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
 }
 
 void write_slo_report_text(const SloAccumulator& a, std::ostream& out) {

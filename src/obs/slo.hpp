@@ -44,7 +44,6 @@ enum class LadderReason : std::uint8_t {
   kRecoveryProbe = 2,         ///< settle timer elapsed with healthy signals
   kForced = 3,                ///< configured initial level or test hook
 };
-[[nodiscard]] const char* ladder_reason_name(LadderReason reason);
 
 /// One ladder move of one flow. `flow_key` disambiguates flows when an
 /// AP aggregates logs; within a flow the log is time-ordered.
@@ -104,14 +103,11 @@ struct RecoverySlo {
 [[nodiscard]] RecoverySlo compute_recovery_slo(const SloInputs& in);
 
 /// Aggregates RecoverySlo verdicts across a chaos matrix into CDFs.
-/// Value-semantic like Attribution so parallel pools can merge run-local
-/// instances deterministically after the fan-out.
 class SloAccumulator {
  public:
   SloAccumulator();
 
   void add(const std::string& case_name, const RecoverySlo& slo);
-  void merge(const SloAccumulator& other);
 
   [[nodiscard]] std::uint64_t cases() const { return cases_; }
   [[nodiscard]] std::uint64_t triggered() const { return triggered_; }

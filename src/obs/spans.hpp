@@ -41,12 +41,6 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount = 8;
 
-/// True for the three frame-level stages.
-[[nodiscard]] constexpr bool stage_is_frame(Stage s) {
-  return s == Stage::kReassembly || s == Stage::kDecodeWait ||
-         s == Stage::kFrameE2e;
-}
-
 [[nodiscard]] constexpr const char* stage_name(Stage s) {
   switch (s) {
     case Stage::kPacing: return "pacing";

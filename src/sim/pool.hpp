@@ -54,13 +54,10 @@ class Pool {
   void release(Index idx) {
     slots_[idx].next_free = free_head_;
     free_head_ = idx;
-    ++free_count_;
   }
 
   /// Slots ever allocated == peak concurrent residency (footprint tests).
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  /// Objects currently resident.
-  [[nodiscard]] std::size_t in_use() const { return slots_.size() - free_count_; }
 
  private:
   static constexpr Index kNil = 0xFFFFFFFFu;
@@ -74,7 +71,6 @@ class Pool {
     if (free_head_ != kNil) {
       const Index idx = free_head_;
       free_head_ = slots_[idx].next_free;
-      --free_count_;
       return idx;
     }
     slots_.emplace_back();
@@ -83,7 +79,6 @@ class Pool {
 
   std::deque<Slot> slots_;  // deque: addresses stable while the pool grows
   Index free_head_ = kNil;
-  std::size_t free_count_ = 0;
 };
 
 }  // namespace zhuge::sim

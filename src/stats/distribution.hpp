@@ -120,6 +120,11 @@ class Heatmap2D {
     ++cells_[bin(y) * bins_ + bin(x)];
   }
 
+  /// Add `other`'s counts cell by cell; both must share lo, hi and bins.
+  void merge(const Heatmap2D& other) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];
+  }
+
   [[nodiscard]] std::size_t bin(double v) const {
     const double c = std::clamp(v, lo_, hi_);
     const double f = std::log2(c / lo_) / std::log2(hi_ / lo_);

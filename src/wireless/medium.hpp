@@ -44,7 +44,6 @@ class Medium {
     if (!busy_) grant_next();
   }
 
-  void set_interferers(int n) { cfg_.interferers = n; }
   [[nodiscard]] int interferers() const { return cfg_.interferers; }
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t interferer_wins() const { return interferer_wins_; }

@@ -65,6 +65,21 @@ TEST(Sweep, CrossSpecSeedsBuildsNamedGrid) {
   EXPECT_EQ(grid[1].seed, 9u);
 }
 
+TEST(Sweep, ParseDecimalIsStrict) {
+  EXPECT_EQ(parse_decimal<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_decimal<std::uint64_t>("42"), 42u);
+  EXPECT_EQ(parse_decimal<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_decimal<unsigned>("4294967295"), 4294967295u);
+  // A sign, junk, nothing, and a value past the type's range.
+  for (const char* bad : {"-1", "+1", "abc", "3x", " 3", "", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_decimal<std::uint64_t>(bad).has_value()) << bad;
+    EXPECT_FALSE(parse_decimal<unsigned>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_decimal<unsigned>("4294967296").has_value());
+}
+
 TEST(Sweep, EightThreadsBitIdenticalToSerial) {
   // Every per-run fingerprint from an 8-thread sweep of the 16-point grid
   // must equal the serial run's, bit for bit.
@@ -236,6 +251,23 @@ TEST(Sweep, PooledRunsRecordLikeSerialRuns) {
     EXPECT_EQ(pooled.violations[v].first_t_ms, serial.violations[v].first_t_ms);
     EXPECT_EQ(pooled.violations[v].count, serial.violations[v].count);
   }
+}
+
+TEST(Sweep, PoolMergesEachRunOnceEarlierRunsFinish) {
+  // A run's records reach the caller's sinks as soon as every earlier
+  // index has finished, not at the join, so a traced grid does not hold
+  // every run's trace ring at once. Serially, index i sees 0..i-1 merged.
+  const AllObsOn on;
+  obs::reset();
+  obs::Registry& caller = obs::metrics();
+  std::vector<std::uint64_t> seen(kPoolIndices, 0);
+  run_indexed_pool(kPoolIndices, 1, [&](std::size_t i) {
+    seen[i] = caller.counter("pool.done").value();
+    ZHUGE_METRIC_ADD("pool.done", 1);
+  });
+  for (std::size_t i = 0; i < kPoolIndices; ++i) EXPECT_EQ(seen[i], i) << i;
+  EXPECT_EQ(caller.counter("pool.done").value(), kPoolIndices);
+  obs::reset();
 }
 #endif  // ZHUGE_OBS_ENABLED
 

@@ -22,13 +22,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "app/chaos.hpp"
 #include "app/record.hpp"
+#include "app/sweep.hpp"
 #include "obs/attrib.hpp"
 #include "obs/invariants.hpp"
 #include "obs/slo.hpp"
@@ -36,7 +36,8 @@
 
 namespace {
 
-void usage(const char* argv0) {
+/// Print the usage text; returns the exit code for a bad command line.
+int usage(const char* argv0) {
   std::printf(
       "usage: %s [--matrix] [--seed N] [--case NAME]... [--list]\n"
       "          [--threads N] [--verify-serial] [--record PATH]\n"
@@ -57,6 +58,7 @@ void usage(const char* argv0) {
       "                   (standard suite only)\n"
       "  -v               also print the invariant summary per failed case\n",
       argv0);
+  return 2;
 }
 
 /// Substring case filter: `--case fb_loss` selects every CCA/profile cell
@@ -102,13 +104,17 @@ int main(int argc, char** argv) {
     if (arg == "--matrix") {
       matrix = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto v = zhuge::app::parse_decimal<std::uint64_t>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      seed = *v;
     } else if (arg == "--case" && i + 1 < argc) {
       only.emplace_back(argv[++i]);
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = zhuge::app::parse_decimal<unsigned>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      threads = *v;
     } else if (arg == "--verify-serial") {
       verify_serial = true;
     } else if (arg == "--record" && i + 1 < argc) {
@@ -120,8 +126,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-v") {
       verbose = true;
     } else {
-      usage(argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 

@@ -17,18 +17,19 @@
 // W1 and C1) are checked with `scenario_run --check-golden`.
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "app/eval.hpp"
 #include "app/record.hpp"
+#include "app/sweep.hpp"
 #include "obs/invariants.hpp"
 
 namespace {
 
-void usage(const char* argv0) {
+/// Print the usage text; returns the exit code for a bad command line.
+int usage(const char* argv0) {
   std::printf(
       "usage: %s --matrix [--spec FILE] [--cell NAME]... [--list]\n"
       "          [--threads N] [--verify-serial] [--record PATH]\n"
@@ -42,6 +43,7 @@ void usage(const char* argv0) {
       "  --verify-serial   re-run serially, fail on fingerprint mismatch\n"
       "  --record PATH     write the run record (JSON, app/record.hpp)\n",
       argv0);
+  return 2;
 }
 
 bool selected(const std::vector<std::string>& only, const std::string& name) {
@@ -77,21 +79,19 @@ int main(int argc, char** argv) {
       list = true;
       matrix = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = zhuge::app::parse_decimal<unsigned>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      threads = *v;
     } else if (arg == "--verify-serial") {
       verify_serial = true;
     } else if (arg == "--record" && i + 1 < argc) {
       record_path = argv[++i];
     } else {
-      usage(argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 
-  if (!matrix) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (!matrix) return usage(argv[0]);
 
   zhuge::app::EvalSpec spec;
   if (!spec_path.empty()) {

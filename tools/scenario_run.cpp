@@ -16,7 +16,6 @@
 // root, where the attribution anchor finds examples/specs/.
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,7 +29,8 @@
 
 namespace {
 
-void usage(const char* argv0) {
+/// Print the usage text; returns the exit code for a bad command line.
+int usage(const char* argv0) {
   std::printf(
       "usage: %s --spec FILE [--seed S] [--seeds N] [--threads N]\n"
       "          [--verify-serial] [--attrib] [--record PATH]\n"
@@ -51,6 +51,7 @@ void usage(const char* argv0) {
       "                    the paper claim no longer holds\n"
       "  --list-golden     print the golden anchor names\n",
       argv0, argv0);
+  return 2;
 }
 
 void print_run(const zhuge::app::SpecRun& run) {
@@ -94,12 +95,18 @@ int main(int argc, char** argv) {
     if (arg == "--spec" && i + 1 < argc) {
       spec_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto v = app::parse_decimal<std::uint64_t>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      seed = *v;
       seed_set = true;
     } else if (arg == "--seeds" && i + 1 < argc) {
-      n_seeds = std::strtoull(argv[++i], nullptr, 10);
+      const auto v = app::parse_decimal<std::uint64_t>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      n_seeds = *v;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = app::parse_decimal<unsigned>(argv[++i]);
+      if (!v) return usage(argv[0]);
+      threads = *v;
     } else if (arg == "--verify-serial") {
       verify_serial = true;
     } else if (arg == "--attrib") {
@@ -120,8 +127,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else {
-      usage(argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 
@@ -130,10 +136,7 @@ int main(int argc, char** argv) {
                               std::cout);
   }
 
-  if (spec_path.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (spec_path.empty()) return usage(argv[0]);
 
   std::string err;
   const auto spec = app::load_scenario_spec(spec_path, &err);
