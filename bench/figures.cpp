@@ -12,8 +12,9 @@
 // output does not depend on the worker count. Figs. 3 and 7 run no
 // scenario and keep their own code. With no NAME every figure runs, in
 // paper order. The flags are ObsSession's (obs/session.hpp). An unknown
-// name or flag prints the figure names and exits 2; violations held by the
-// merged runtime invariant checker are printed and exit 1.
+// name or flag, or a flag missing its value, prints the figure names and
+// exits 2; violations held by the merged runtime invariant checker are
+// printed and exit 1.
 
 #include <algorithm>
 #include <array>
@@ -764,8 +765,6 @@ PredictionAccuracy prediction_accuracy(const ScenarioSpec&,
                                        const MultiStationResult& r) {
   const auto& e = r.prediction_error_ms;
   PredictionAccuracy a;
-  // The mean sums the samples in their current order, so it is read
-  // before the quantiles permute them.
   a.mean = e.mean();
   a.p50 = e.quantile(0.5);
   a.p90 = e.quantile(0.9);
@@ -1087,24 +1086,23 @@ int usage(const std::vector<Figure>& table) {
 
 int run(int argc, char** argv) {
   const std::vector<Figure> table = figure_table();
+  obs::ObsSession obs_session(argc, argv);
+  const auto reject = [&] {
+    obs_session.abandon();
+    return usage(table);
+  };
+  if (!obs_session.error().empty()) return reject();
   std::vector<const Figure*> chosen;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if ((arg == "--trace" || arg == "--metrics") && i + 1 < argc) {
-      ++i;  // ObsSession reads the flag and its value
-      continue;
-    }
-    if (arg == "--attrib") continue;
+  for (const std::string_view arg : obs_session.args()) {
     const auto it = std::find_if(table.begin(), table.end(),
                                  [&](const Figure& f) { return f.name == arg; });
-    if (it == table.end()) return usage(table);
+    if (it == table.end()) return reject();
     chosen.push_back(&*it);
   }
   if (chosen.empty()) {
     for (const Figure& f : table) chosen.push_back(&f);
   }
 
-  const obs::ObsSession obs_session(argc, argv);
   for (const Figure* f : chosen) f->run();
   // The pools merged every run's checker into this thread's context.
   const std::string inv = obs::invariants().summary();

@@ -54,7 +54,8 @@ void report(const char* label, const app::MultiStationResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs(argc, argv);  // --trace/--metrics, same as every bench
+  obs::ObsSession obs(argc, argv);  // --trace/--metrics/--attrib, as in figures
+  if (!obs.only_obs_flags(argv[0])) return 2;
   std::printf("cloud gaming over a City-5G-like link (60 fps, Copa over TCP)\n");
   std::printf("(the paper's intro: cloud gaming demands <96 ms; 5G mmWave fades\n"
               " are exactly the tail events Zhuge targets)\n\n");

@@ -49,7 +49,8 @@ void report(const char* label, const app::MultiStationResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs(argc, argv);  // --trace/--metrics, same as every bench
+  obs::ObsSession obs(argc, argv);  // --trace/--metrics/--attrib, as in figures
+  if (!obs.only_obs_flags(argv[0])) return 2;
   std::printf("zhuge-rtc quickstart: GCC/RTP over Restaurant-WiFi-like channel\n\n");
 
   const auto baseline = app::run_multi_station(spec("none"));

@@ -21,7 +21,8 @@
 using namespace zhuge;
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs(argc, argv);  // --trace/--metrics, same as every bench
+  obs::ObsSession obs(argc, argv);  // --trace/--metrics/--attrib, as in figures
+  if (!obs.only_obs_flags(argv[0])) return 2;
   const auto dur = sim::Duration::seconds(300);
 
   std::printf("synthetic trace classes and their ABW-fluctuation profiles:\n");

@@ -52,7 +52,8 @@ void report(const char* label, const app::MultiStationResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs(argc, argv);  // --trace/--metrics, same as every bench
+  obs::ObsSession obs(argc, argv);  // --trace/--metrics/--attrib, as in figures
+  if (!obs.only_obs_flags(argv[0])) return 2;
   std::printf("video conference on home WiFi with a periodic file transfer\n");
   std::printf("(GCC over RTP/RTCP; the transfer toggles every 30 s for 3 min)\n\n");
 

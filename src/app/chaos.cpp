@@ -1,7 +1,5 @@
 #include "app/chaos.hpp"
 
-#include <cstdio>
-#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -36,108 +34,162 @@ TimePoint at(double seconds) {
   return TimePoint::zero() + Duration::from_seconds(seconds);
 }
 
-ChaosCase make_case(std::string name, std::uint64_t seed, double start_s,
-                    double end_s) {
+/// One fault class: when it strikes, how long the run lasts, how long the
+/// CCA may settle after it clears before goodput is judged, whether the
+/// watchdog must fire, and what it injects over its window.
+struct FaultClass {
+  const char* name;
+  double start_s, end_s;  ///< fault window
+  double duration_s;      ///< whole-run length
+  double settle_s;        ///< post-fault settle before judging goodput
+  bool expect_degrade;    ///< the watchdog must fail open during the case
+  void (*inject)(fault::FaultPlan&, const Window&);
+};
+
+/// The seven incidents, one per fault class the subsystem models.
+constexpr FaultClass kIncidents[] = {
+    // Downlink wireless blackout: the client vanishes for 1.5 s. Total
+    // loss drops every in-flight packet; give GCC's ramp room before
+    // judging recovery (same reasoning as uplink_starvation).
+    {"downlink_blackout", 10.0, 11.5, 30.0, 6.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.downlink_wireless.blackouts = {w};
+     }},
+    // Uplink feedback starvation: every client->AP packet dies for 2 s
+    // while downlink data keeps flowing. The watchdog MUST fail open. Two
+    // seconds with zero feedback drives GCC to its rate floor; the ramp
+    // back is deliberately slow, so judge recovery once it is done.
+    {"uplink_starvation", 10.0, 12.0, 35.0, 8.0, true,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.uplink_wireless.blackouts = {w};
+     }},
+    // Gilbert-Elliott burst loss on the WAN downlink for 3 s.
+    {"wan_burst_loss", 10.0, 13.0, 25.0, 2.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.downlink_wan.burst =
+           fault::GilbertElliott{/*p_enter_bad=*/0.02, /*p_exit_bad=*/0.25,
+                                 /*loss_good=*/0.0, /*loss_bad=*/0.5};
+       f.downlink_wan.active = {w};
+     }},
+    // Duplication + reordering on the WAN downlink for 3 s: the in-band
+    // updater must still emit strictly monotone AP-built TWCC.
+    {"dup_reorder", 10.0, 13.0, 25.0, 2.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.downlink_wan.dup_prob = 0.10;
+       f.downlink_wan.reorder_prob = 0.10;
+       f.downlink_wan.reorder_delay = Duration::millis(5);
+       f.downlink_wan.active = {w};
+     }},
+    // Uplink fade: feedback crosses the wired uplink 60 ms late for 3 s.
+    {"uplink_fade", 10.0, 13.0, 25.0, 2.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.uplink_wan.fade_delay = Duration::millis(60);
+       f.uplink_wan.fades = {w};
+     }},
+    // Mid-flow AP optimiser restart: all ZhugeFlow state wiped at 11 s.
+    {"ap_restart", 11.0, 11.0, 25.0, 2.0, false,
+     [](fault::FaultPlan& f, const Window& w) { f.ap_restarts = {w.start}; }},
+    // AP clock steps 300 ms forward at 10.5 s and back at 12 s.
+    {"clock_jump", 10.5, 12.0, 25.0, 2.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.clock_jumps = {fault::ClockJump{w.start, Duration::millis(300)},
+                        fault::ClockJump{w.end, Duration::millis(-300)}};
+     }},
+};
+
+/// The four feedback-path fault kinds, split across the two control-loop
+/// boundaries so the matrix exercises both: total loss and delay spikes
+/// hit the client->AP RTCP ingress, duplication and reordering hit the
+/// AP-rewritten feedback on its way to the servers.
+constexpr FaultClass kFeedbackFaults[] = {
+    // 2 s of total feedback silence: the watchdog MUST escalate, and the
+    // CCA's ramp back from its floor needs the long settle.
+    {"fb_loss", 10.0, 12.0, 35.0, 8.0, true,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.uplink_rtcp.loss_prob = 1.0;
+       f.uplink_rtcp.active = {w};
+     }},
+    {"fb_dup", 10.0, 13.0, 28.0, 4.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.ap_feedback.dup_prob = 0.3;
+       f.ap_feedback.active = {w};
+     }},
+    {"fb_reorder", 10.0, 13.0, 28.0, 4.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.ap_feedback.reorder_prob = 0.3;
+       f.ap_feedback.reorder_delay = Duration::millis(10);
+       f.ap_feedback.active = {w};
+     }},
+    {"fb_spike", 10.0, 13.0, 28.0, 4.0, false,
+     [](fault::FaultPlan& f, const Window& w) {
+       f.uplink_rtcp.spike_prob = 0.9;
+       f.uplink_rtcp.spike_delay = Duration::millis(120);
+       f.uplink_rtcp.active = {w};
+     }},
+};
+
+/// The matrix's sender CCAs and channel profiles.
+constexpr struct {
+  const char* name;
+  SpecFlowKind kind;
+} kCcas[] = {
+    {"gcc", SpecFlowKind::kRtpGcc},
+    {"cubic", SpecFlowKind::kTcpCubic},
+    {"bbr", SpecFlowKind::kTcpBbr},
+};
+constexpr struct {
+  const char* name;
+  int mcs;
+  QdiscKind qdisc;
+} kProfiles[] = {
+    {"steady", 7, QdiscKind::kFifo},
+    {"stressed", 3, QdiscKind::kCoDel},
+};
+
+/// The healthy baseline at `seed` with `fc` injected.
+ChaosCase make_case(std::string name, std::uint64_t seed, const FaultClass& fc) {
   ChaosCase c;
   c.name = std::move(name);
   c.spec = chaos_base(seed);
-  c.fault_start = at(start_s);
-  c.fault_end = at(end_s);
+  c.spec.duration_s = fc.duration_s;
+  c.fault_start = at(fc.start_s);
+  c.fault_end = at(fc.end_s);
+  c.post_settle = Duration::from_seconds(fc.settle_s);
+  c.expect_degrade = fc.expect_degrade;
+  fault::FaultPlan f;
+  fc.inject(f, Window{c.fault_start, c.fault_end});
+  c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
   return c;
 }
 
 }  // namespace
 
-std::vector<ChaosCase> standard_chaos_suite(std::uint64_t seed) {
+std::vector<ChaosCase> chaos_suite(std::uint64_t seed) {
   std::vector<ChaosCase> suite;
-
-  {  // Downlink wireless blackout: the client vanishes for 1.5 s.
-    ChaosCase c = make_case("downlink_blackout", seed, 10.0, 11.5);
-    fault::FaultPlan f;
-    f.downlink_wireless.blackouts = {
-        Window{c.fault_start, c.fault_end}};
-    // 1.5 s of total loss drops every in-flight packet; give GCC's ramp
-    // room before judging recovery (same reasoning as uplink_starvation).
-    c.spec.duration_s = 30.0;
-    c.post_settle = Duration::seconds(6);
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
+  for (const FaultClass& fc : kIncidents) {
+    suite.push_back(make_case(fc.name, seed, fc));
   }
-
-  {  // Uplink feedback starvation: every client->AP packet dies for 2 s
-     // while downlink data keeps flowing. The watchdog MUST fail open.
-    ChaosCase c = make_case("uplink_starvation", seed, 10.0, 12.0);
-    fault::FaultPlan f;
-    f.uplink_wireless.blackouts = {
-        Window{c.fault_start, c.fault_end}};
-    c.expect_degrade = true;
-    // Two seconds with zero feedback drives GCC to its rate floor; the
-    // ramp back is deliberately slow, so judge recovery once it is done.
-    c.spec.duration_s = 35.0;
-    c.post_settle = Duration::seconds(8);
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
+  for (const FaultClass& fc : kFeedbackFaults) {
+    for (const auto& cca : kCcas) {
+      for (const auto& prof : kProfiles) {
+        ChaosCase c = make_case(
+            std::string(fc.name) + "/" + cca.name + "/" + prof.name, seed, fc);
+        c.spec.flows.front().kind = cca.kind;
+        c.spec.stations.front().mcs = prof.mcs;
+        c.spec.stations.front().qdisc = prof.qdisc;
+        suite.push_back(std::move(c));
+      }
+    }
   }
-
-  {  // Gilbert-Elliott burst loss on the WAN downlink for 3 s.
-    ChaosCase c = make_case("wan_burst_loss", seed, 10.0, 13.0);
-    fault::FaultPlan f;
-    f.downlink_wan.burst =
-        fault::GilbertElliott{/*p_enter_bad=*/0.02, /*p_exit_bad=*/0.25,
-                              /*loss_good=*/0.0, /*loss_bad=*/0.5};
-    f.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
-  }
-
-  {  // Duplication + reordering on the WAN downlink for 3 s: the in-band
-     // updater must still emit strictly monotone AP-built TWCC.
-    ChaosCase c = make_case("dup_reorder", seed, 10.0, 13.0);
-    fault::FaultPlan f;
-    f.downlink_wan.dup_prob = 0.10;
-    f.downlink_wan.reorder_prob = 0.10;
-    f.downlink_wan.reorder_delay = Duration::millis(5);
-    f.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
-  }
-
-  {  // Uplink fade: feedback crosses the wired uplink 60 ms late for 3 s.
-    ChaosCase c = make_case("uplink_fade", seed, 10.0, 13.0);
-    fault::FaultPlan f;
-    f.uplink_wan.fade_delay = Duration::millis(60);
-    f.uplink_wan.fades = {Window{c.fault_start, c.fault_end}};
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
-  }
-
-  {  // Mid-flow AP optimiser restart: all ZhugeFlow state wiped at 11 s.
-    ChaosCase c = make_case("ap_restart", seed, 11.0, 11.0);
-    fault::FaultPlan f;
-    f.ap_restarts = {c.fault_start};
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
-  }
-
-  {  // AP clock steps 300 ms forward at 10.5 s and back at 12 s.
-    ChaosCase c = make_case("clock_jump", seed, 10.5, 12.0);
-    fault::FaultPlan f;
-    f.clock_jumps = {
-        fault::ClockJump{c.fault_start, Duration::millis(300)},
-        fault::ClockJump{c.fault_end, Duration::millis(-300)}};
-    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-    suite.push_back(std::move(c));
-  }
-
   return suite;
 }
 
-ChaosVerdict run_chaos_case(const ChaosCase& c, obs::Attribution* attrib_out) {
+ChaosVerdict run_chaos_case(const ChaosCase& c) {
   ChaosVerdict v;
   v.name = c.name;
 
-  const MultiStationResult r = run_multi_station(c.spec);
-  if (attrib_out != nullptr) attrib_out->merge(r.attrib);
+  MultiStationResult r = run_multi_station(c.spec);
+  v.attrib = std::move(r.attrib);
 
   // Goodput recovery: compare the steady window just before the fault
   // against the window after the fault cleared and the CCA had 2 s to
@@ -207,97 +259,6 @@ std::string format_verdict(const ChaosVerdict& v) {
   return line;
 }
 
-// ---------------------------------------------------------------------------
-// Chaos matrix
-// ---------------------------------------------------------------------------
-
-std::vector<ChaosCase> chaos_matrix(std::uint64_t seed) {
-  struct MatrixCca {
-    const char* name;
-    SpecFlowKind kind;
-  };
-  static constexpr MatrixCca kCcas[] = {
-      {"gcc", SpecFlowKind::kRtpGcc},
-      {"cubic", SpecFlowKind::kTcpCubic},
-      {"bbr", SpecFlowKind::kTcpBbr},
-  };
-
-  struct MatrixProfile {
-    const char* name;
-    int mcs;
-    QdiscKind qdisc;
-  };
-  static constexpr MatrixProfile kProfiles[] = {
-      {"steady", 7, QdiscKind::kFifo},
-      {"stressed", 3, QdiscKind::kCoDel},
-  };
-
-  // The four feedback-path fault kinds, split across the two control-loop
-  // boundaries so the matrix exercises both: total loss and delay spikes
-  // hit the client->AP RTCP ingress, duplication and reordering hit the
-  // AP-rewritten feedback on its way to the servers.
-  enum class FaultKind : std::uint8_t { kLoss, kDup, kReorder, kSpike };
-  struct MatrixFault {
-    const char* name;
-    FaultKind kind;
-    double start_s, end_s;     ///< fault window
-    double duration_s;         ///< whole-run length
-    double settle_s;           ///< post-fault settle before judging goodput
-    bool expect_degrade;       ///< the ladder must escalate during the case
-  };
-  static constexpr MatrixFault kFaults[] = {
-      // 2 s of total feedback silence: the watchdog MUST escalate, and the
-      // CCA's ramp back from its floor needs the long settle.
-      {"fb_loss", FaultKind::kLoss, 10.0, 12.0, 35.0, 8.0, true},
-      {"fb_dup", FaultKind::kDup, 10.0, 13.0, 28.0, 4.0, false},
-      {"fb_reorder", FaultKind::kReorder, 10.0, 13.0, 28.0, 4.0, false},
-      {"fb_spike", FaultKind::kSpike, 10.0, 13.0, 28.0, 4.0, false},
-  };
-
-  std::vector<ChaosCase> cases;
-  cases.reserve(std::size(kFaults) * std::size(kCcas) * std::size(kProfiles));
-  for (const auto& fk : kFaults) {
-    for (const auto& cca : kCcas) {
-      for (const auto& prof : kProfiles) {
-        ChaosCase c = make_case(std::string(fk.name) + "/" + cca.name + "/" +
-                                    prof.name,
-                                seed, fk.start_s, fk.end_s);
-        fault::FaultPlan f;
-        c.spec.flows.front().kind = cca.kind;
-        c.spec.stations.front().mcs = prof.mcs;
-        c.spec.stations.front().qdisc = prof.qdisc;
-        c.spec.duration_s = fk.duration_s;
-        c.post_settle = Duration::from_seconds(fk.settle_s);
-        c.expect_degrade = fk.expect_degrade;
-        const Window w{c.fault_start, c.fault_end};
-        switch (fk.kind) {
-          case FaultKind::kLoss:
-            f.uplink_rtcp.loss_prob = 1.0;
-            f.uplink_rtcp.active = {w};
-            break;
-          case FaultKind::kDup:
-            f.ap_feedback.dup_prob = 0.3;
-            f.ap_feedback.active = {w};
-            break;
-          case FaultKind::kReorder:
-            f.ap_feedback.reorder_prob = 0.3;
-            f.ap_feedback.reorder_delay = Duration::millis(10);
-            f.ap_feedback.active = {w};
-            break;
-          case FaultKind::kSpike:
-            f.uplink_rtcp.spike_prob = 0.9;
-            f.uplink_rtcp.spike_delay = Duration::millis(120);
-            f.uplink_rtcp.active = {w};
-            break;
-        }
-        c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
-        cases.push_back(std::move(c));
-      }
-    }
-  }
-  return cases;
-}
-
 std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v) {
   Fnv f;
   f.bytes(v.name.data(), v.name.size());
@@ -329,28 +290,25 @@ std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v) {
   return f.h;
 }
 
-ChaosMatrixResult chain_chaos_verdicts(std::vector<ChaosVerdict> verdicts) {
-  ChaosMatrixResult out;
-  out.verdicts = std::move(verdicts);
+ChaosSuiteResult run_chaos_suite(const std::vector<ChaosCase>& cases,
+                                 unsigned threads) {
+  ChaosSuiteResult out;
+  out.verdicts.resize(cases.size());
+  run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
+    out.verdicts[i] = run_chaos_case(cases[i]);
+  });
+  // Aggregation is serial and in case order regardless of which worker
+  // finished first, so the fingerprint, the SLO rows and the attribution
+  // are stable.
   Fnv chain;
-  for (const auto& v : out.verdicts) {
+  for (const ChaosVerdict& v : out.verdicts) {
     chain.u64(chaos_verdict_fingerprint(v));
     out.slo.add(v.name, v.slo);
+    out.attrib.merge(v.attrib);
     if (!v.passed) ++out.failed;
   }
   out.fingerprint = chain.h;
   return out;
-}
-
-ChaosMatrixResult run_chaos_matrix(const std::vector<ChaosCase>& cases,
-                                   unsigned threads) {
-  std::vector<ChaosVerdict> verdicts(cases.size());
-  run_indexed_pool(cases.size(), threads, [&](std::size_t i) {
-    verdicts[i] = run_chaos_case(cases[i]);
-  });
-  // Aggregation is serial and in grid order regardless of which worker
-  // finished first, so the fingerprint and the SLO rows are stable.
-  return chain_chaos_verdicts(std::move(verdicts));
 }
 
 }  // namespace zhuge::app

@@ -1,13 +1,13 @@
 #pragma once
-// Chaos harness: named fault scenarios over the end-to-end topology plus
-// the recovery verdicts the robustness claims rest on.
+// Chaos harness: one list of named fault scenarios over the end-to-end
+// topology plus the recovery verdicts the robustness claims rest on.
 //
 // Each ChaosCase is one adverse condition injected into an otherwise
 // healthy run. A case passes when, after the fault clears:
 //   * flow 0's goodput is back within tolerance of its pre-fault level,
 //   * no feedback packet was stranded inside Zhuge state, and
 //   * no runtime invariant (obs/invariants.hpp) was violated — checked
-//     whenever the setting is on, in a serial run or on the pool alike.
+//     whenever the setting is on (chaos_run always turns it on).
 // Cases that starve the uplink additionally assert the watchdog actually
 // failed open (a watchdog that never fires is indistinguishable from no
 // watchdog). Lives in src/app (not src/fault) because verdicts are
@@ -18,6 +18,7 @@
 
 #include "app/scenario.hpp"
 #include "fault/fault.hpp"
+#include "obs/attrib.hpp"
 #include "obs/slo.hpp"
 
 namespace zhuge::app {
@@ -55,6 +56,10 @@ struct ChaosVerdict {
   /// (obs::compute_recovery_slo): time-to-detect, time-to-recover,
   /// per-level dwell, frames lost while degraded, post-recovery tail.
   obs::RecoverySlo slo{};
+
+  /// The run's per-stage latency attribution: empty unless attribution
+  /// was enabled (obs::set_attrib_enabled) when the case ran.
+  obs::Attribution attrib;
 };
 
 /// Common healthy baseline every case perturbs and the goldens share:
@@ -63,41 +68,36 @@ struct ChaosVerdict {
 /// read them). MCS mode (no external trace) keeps the suite self-contained.
 [[nodiscard]] ScenarioSpec chaos_base(std::uint64_t seed);
 
-/// The standard suite: every fault class the subsystem models, each as a
-/// bounded incident in a 25 s run (fault at 10 s, cleared well before the
-/// end). Deterministic in `seed`.
-[[nodiscard]] std::vector<ChaosCase> standard_chaos_suite(std::uint64_t seed);
+/// The chaos suite, in one fixed order. First the seven incidents, one
+/// per fault class the subsystem models, each bounded in a 25-35 s run
+/// (fault at 10-11 s, cleared well before the end): downlink_blackout,
+/// uplink_starvation, wan_burst_loss, dup_reorder, uplink_fade,
+/// ap_restart, clock_jump. Then the 24-case feedback-path matrix: four
+/// fault kinds (total feedback loss, duplication, reordering, delay
+/// spikes, split across the uplink-RTCP and AP-rewritten-feedback
+/// boundaries so both are exercised) x three sender CCAs (RTP/GCC,
+/// TCP/CUBIC, TCP/BBR) x two channel profiles (steady: MCS 7 + FIFO;
+/// stressed: MCS 3 + CoDel), named "<fault>/<cca>/<profile>" in that
+/// nesting order. Deterministic in `seed`; a name filter keeps the
+/// relative order, so any subset chains to the same fingerprint wherever
+/// it is selected from.
+[[nodiscard]] std::vector<ChaosCase> chaos_suite(std::uint64_t seed);
 
-/// Run one case and judge it. When `attrib_out` is non-null the run's
-/// per-stage latency attribution is merged into it (enable the switch via
-/// obs::set_attrib_enabled first, or the run records nothing) — chaos_run
-/// uses this to build a suite-wide latency-budget report.
-[[nodiscard]] ChaosVerdict run_chaos_case(const ChaosCase& c,
-                                          obs::Attribution* attrib_out = nullptr);
+/// Run one case and judge it. The verdict carries the run's latency
+/// attribution, which records only when obs::set_attrib_enabled is on.
+[[nodiscard]] ChaosVerdict run_chaos_case(const ChaosCase& c);
 
 /// One-line human-readable verdict summary.
 [[nodiscard]] std::string format_verdict(const ChaosVerdict& v);
 
-// ---------------------------------------------------------------------------
-// Chaos matrix: feedback-path fault kinds x sender CCAs x channel profiles
-// ---------------------------------------------------------------------------
-
-/// The recovery-SLO chaos matrix: four feedback-path fault kinds (total
-/// feedback loss, duplication, reordering, delay spikes — split across the
-/// uplink-RTCP and AP-rewritten-feedback boundaries so both are exercised)
-/// crossed with three sender CCAs (RTP/GCC, TCP/CUBIC, TCP/BBR) and two
-/// channel profiles (steady: MCS 7 + FIFO; stressed: MCS 3 + CoDel).
-/// 4 x 3 x 2 = 24 cases named "<fault>/<cca>/<profile>", deterministic in
-/// `seed`.
-[[nodiscard]] std::vector<ChaosCase> chaos_matrix(std::uint64_t seed);
-
-/// Everything one matrix run produces. `fingerprint` chains the per-case
-/// verdict fingerprints in grid order, so two matrix runs are equal iff
-/// every verdict (including its SLO numbers) is bit-identical — the
+/// Everything one suite run produces. `fingerprint` chains the per-case
+/// verdict fingerprints in case order, so two runs are equal iff every
+/// verdict (including its SLO numbers) is bit-identical: the
 /// serial-vs-parallel identity the tests assert.
-struct ChaosMatrixResult {
-  std::vector<ChaosVerdict> verdicts;  ///< grid order, not completion order
+struct ChaosSuiteResult {
+  std::vector<ChaosVerdict> verdicts;  ///< case order, not completion order
   obs::SloAccumulator slo;             ///< per-case rows + aggregate CDFs
+  obs::Attribution attrib;             ///< every verdict's, merged in order
   std::uint64_t fingerprint = 0;
   int failed = 0;
 };
@@ -105,21 +105,18 @@ struct ChaosMatrixResult {
 /// FNV-1a64 over every numeric field of the verdict (goodputs, counters,
 /// the whole RecoverySlo) plus the case name. Complements the result
 /// fingerprint, which leaves the ladder log out as observability output;
-/// the SLO numbers derived from it are covered here.
+/// the SLO numbers derived from it are covered here. The attribution,
+/// observability output too, is left out.
 [[nodiscard]] std::uint64_t chaos_verdict_fingerprint(const ChaosVerdict& v);
 
-/// Chain the verdict fingerprints and fill the SLO accumulator, serially
-/// in the given order. run_chaos_matrix ends here; chaos_run's standard
-/// suite, which runs its cases one by one, judges its verdicts the same way.
-[[nodiscard]] ChaosMatrixResult chain_chaos_verdicts(
-    std::vector<ChaosVerdict> verdicts);
-
-/// Run `cases` on `threads` workers (app::run_indexed_pool). Runtime
-/// invariants are checked whenever the setting is on, inside the pool as
-/// in a serial run: each case's verdict counts its own violations, and
-/// the merged checker lands in the caller's obs context in grid order.
-/// Verdicts land in grid order and are bit-identical for any thread count.
-[[nodiscard]] ChaosMatrixResult run_chaos_matrix(
+/// Run `cases` on `threads` workers (app::run_indexed_pool; 0 or 1 runs
+/// them serially on the calling thread). Runtime invariants are checked
+/// whenever the setting is on: each verdict counts its own run's
+/// violations, and every case's checker is merged into the caller's obs
+/// context in case order. Verdicts, SLO rows and the merged attribution
+/// are aggregated in case order, so they are bit-identical for any thread
+/// count.
+[[nodiscard]] ChaosSuiteResult run_chaos_suite(
     const std::vector<ChaosCase>& cases, unsigned threads);
 
 }  // namespace zhuge::app

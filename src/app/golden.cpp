@@ -97,7 +97,7 @@ std::optional<ScenarioSpec> golden_scenario_spec(const std::string& name) {
     spec.flows.insert(spec.flows.end(), 2, bulk);
   } else if (name == "chaos_burst") {
     // The chaos suite's wan_burst_loss incident, verbatim.
-    for (ChaosCase& c : standard_chaos_suite(1)) {
+    for (ChaosCase& c : chaos_suite(1)) {
       if (c.name == "wan_burst_loss") spec = std::move(c.spec);
     }
   } else {

@@ -270,7 +270,7 @@ Json eval_record(const std::string& name, std::uint64_t seed,
 }
 
 Json chaos_record(const std::string& name, std::uint64_t seed,
-                  const ChaosMatrixResult& res) {
+                  const ChaosSuiteResult& res) {
   Json rec = make_record("chaos_run", name, seed, res.fingerprint);
   Json verdicts = Json::make_array();
   for (const ChaosVerdict& v : res.verdicts) verdicts.push(verdict_entry(v));
@@ -297,6 +297,7 @@ Json chaos_record(const std::string& name, std::uint64_t seed,
   h->set("recovered", count(a.recovered()));
   rec.set("verdicts", std::move(verdicts));
   rec.set("slo", std::move(slo));
+  if (!res.attrib.empty()) add_attrib(rec, res.attrib);
   return rec;
 }
 

@@ -2,7 +2,7 @@
 // The run record: the one machine-readable form of every run.
 //
 // Every tool that reports numbers for a program to read (scenario_run,
-// eval_run, chaos_run and latency_attrib, each with `--record PATH`) and
+// eval_run, chaos_run and trace_summarize, each with `--record PATH`) and
 // every golden file under tests/golden/ is one versioned JSON document:
 //
 //   {"schema": "zhuge.run/1",
@@ -12,7 +12,7 @@
 //    ...one section per result kind...}
 //
 // The sections are "runs" (a spec sweep), "cells" + "comparisons" (the
-// eval matrix), "verdicts" + "slo" (a chaos suite or matrix) and
+// eval matrix), "verdicts" + "slo" (a chaos suite run) and
 // "attrib" (latency attribution with the aggregate stage CDFs). Keys are
 // written in sorted order and numbers at %.17g, so every value
 // round-trips bit-exactly; a non-finite number is written as null, which
@@ -66,11 +66,12 @@ inline constexpr std::string_view kRunRecordSchema = "zhuge.run/1";
 [[nodiscard]] Json eval_record(const std::string& name, std::uint64_t seed,
                                const EvalMatrixResult& res);
 
-/// A chaos suite or matrix (tool "chaos_run"): every verdict with its
-/// recovery SLO, and the "slo" aggregate with the CDFs of time-to-detect,
-/// time-to-recover, frames lost and the post/healthy p95 ratio.
+/// A chaos suite run (tool "chaos_run"): every verdict with its recovery
+/// SLO, the "slo" aggregate with the CDFs of time-to-detect,
+/// time-to-recover, frames lost and the post/healthy p95 ratio, and an
+/// "attrib" section when any case recorded latency attribution.
 [[nodiscard]] Json chaos_record(const std::string& name, std::uint64_t seed,
-                                const ChaosMatrixResult& res);
+                                const ChaosSuiteResult& res);
 
 /// Add the "attrib" section and the `stage.<name>.p95_us` headline keys.
 void add_attrib(Json& record, const obs::Attribution& attrib);

@@ -70,7 +70,7 @@ void Attribution::record_packet(std::uint32_t flow_key, bool optimized,
   obs(Stage::kAir, air_us);
   obs(Stage::kE2e, e2e_us);
 
-  // Replayable span record (tools/latency_attrib --trace, trace_summarize).
+  // Replayable span record (tools/trace_summarize).
   ZHUGE_TRACE(sim::TimePoint(delivered_ns), "span", "pkt",
               {"flow", static_cast<double>(flow_key)},
               {"zhuge", optimized ? 1.0 : 0.0}, {"pacing_us", pacing_us},

@@ -2,7 +2,8 @@
 // Loader for exported traces: reads the Chrome trace_event JSON that
 // write_chrome_trace writes (obs/export.hpp) back into events with owned
 // strings, through the repo's one JSON codec (obs/json.hpp). Used by
-// tools/trace_summarize, tools/latency_attrib and the round-trip tests.
+// tools/trace_summarize (which also replays span records into
+// obs::Attribution) and the round-trip tests.
 
 #include <iosfwd>
 #include <string>

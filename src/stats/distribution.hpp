@@ -18,15 +18,21 @@ namespace zhuge::stats {
 /// samples in place, so a Distribution is a multiset and its sample order
 /// is never part of its value. Samples are ranked by before(), under
 /// which -0.0 precedes +0.0: equal-ranked samples are then bit-identical,
-/// and every read is a function of the multiset alone. NaN samples are
-/// not supported.
+/// and every order-statistic read is a function of the multiset alone.
+/// The mean is a running sum kept by add()/add_all(), so it depends on
+/// the order samples were added in but never on earlier reads. NaN
+/// samples are not supported.
 class Distribution {
  public:
-  void add(double v) { samples_.push_back(v); }
+  void add(double v) {
+    samples_.push_back(v);
+    sum_ += v;
+  }
 
   /// Add every sample of `other` (the multiset union).
   void add_all(const Distribution& other) {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    sum_ += other.sum_;
   }
 
   void reserve(std::size_t n) { samples_.reserve(n); }
@@ -35,18 +41,7 @@ class Distribution {
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
   [[nodiscard]] double mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0.0;
-    for (double v : samples_) s += v;
-    return s / static_cast<double>(samples_.size());
-  }
-
-  [[nodiscard]] double stddev() const {
-    if (samples_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0.0;
-    for (double v : samples_) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(samples_.size() - 1));
+    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
   }
 
   /// Quantile by linear interpolation between the order statistics at
@@ -107,6 +102,7 @@ class Distribution {
   }
 
   mutable std::vector<double> samples_;
+  double sum_ = 0.0;
 };
 
 /// Fixed-bin 2-D histogram used for the Fig. 19 estimated-vs-real heatmap.

@@ -72,9 +72,10 @@ EvalSpec small_eval_spec() {
   return spec;
 }
 
+/// The chaos suite's cases whose name contains `filter`, in suite order.
 std::vector<ChaosCase> chaos_subset(const std::string& filter) {
   std::vector<ChaosCase> out;
-  for (ChaosCase& c : chaos_matrix(1)) {
+  for (ChaosCase& c : chaos_suite(1)) {
     if (c.name.find(filter) != std::string::npos) out.push_back(std::move(c));
   }
   return out;
@@ -96,7 +97,7 @@ TEST(RunRecord, HeaderCarriesSchemaProvenanceAndFingerprint) {
   round_trip(rec);
 
   // A trace replay has no run to fingerprint: null, and still a record.
-  const Json replay = make_record("latency_attrib", "t.jsonl", 0, std::nullopt);
+  const Json replay = make_record("trace_summarize", "t.jsonl", 0, std::nullopt);
   EXPECT_EQ(at(replay, "fingerprint").kind(), Json::Kind::kNull);
   round_trip(replay);
 }
@@ -137,8 +138,8 @@ TEST(RunRecord, EvalRecordIsByteIdenticalAcrossThreadCounts) {
 TEST(RunRecord, ChaosRecordIsByteIdenticalAcrossThreadCounts) {
   const auto cases = chaos_subset("fb_dup/");
   ASSERT_EQ(cases.size(), 6u);
-  EXPECT_EQ(chaos_record("c", 1, run_chaos_matrix(cases, 4)).dump(2),
-            chaos_record("c", 1, run_chaos_matrix(cases, 1)).dump(2));
+  EXPECT_EQ(chaos_record("c", 1, run_chaos_suite(cases, 4)).dump(2),
+            chaos_record("c", 1, run_chaos_suite(cases, 1)).dump(2));
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ TEST(RunRecord, AttribScopeCarriesEveryStageValue) {
   a.record_packet(2, false, 1000, 3000, 9000, span);
   a.record_packet(2, false, 1000, 3500, 12000, span);
 
-  Json rec = make_record("latency_attrib", "unit", 0, std::nullopt);
+  Json rec = make_record("trace_summarize", "unit", 0, std::nullopt);
   add_attrib(rec, a);
   rec = round_trip(rec);
   const Json& section = at(rec, "attrib");
@@ -321,7 +322,7 @@ TEST(RunRecord, EvalCellCarriesEveryField) {
 }
 
 TEST(RunRecord, ChaosVerdictCarriesEveryField) {
-  const auto res = run_chaos_matrix(chaos_subset("fb_loss/gcc/steady"), 1);
+  const auto res = run_chaos_suite(chaos_subset("fb_loss/gcc/steady"), 1);
   ASSERT_EQ(res.verdicts.size(), 1u);
   const Json rec = round_trip(chaos_record("c", 1, res));
   EXPECT_EQ(hex_at(rec, "fingerprint"), res.fingerprint);

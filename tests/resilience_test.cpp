@@ -4,9 +4,9 @@
 // instant re-trip after a recovery probe), PassThrough is fingerprint-
 // identical to running without Zhuge on the dense 64-station churn spec,
 // feedback-path fault injection is bit-identical across repeats and
-// diverges across seeds, and the chaos matrix is serial-vs-parallel
-// bit-identical with the recovery SLO of one canonical case pinned as a
-// golden anchor.
+// diverges across seeds, and the chaos suite's feedback-path matrix is
+// serial-vs-parallel bit-identical with the recovery SLO of one canonical
+// case pinned as a golden anchor.
 
 #include <gtest/gtest.h>
 
@@ -343,11 +343,12 @@ TEST(ResilienceDeterminism, FeedbackFaultsActuallyPerturbTheRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos matrix: parallel identity + pinned recovery-SLO anchor
+// Feedback-path chaos matrix: parallel identity + pinned recovery-SLO anchor
 // ---------------------------------------------------------------------------
 
-std::vector<ChaosCase> matrix_subset(const std::string& substr) {
-  auto cases = chaos_matrix(1);
+/// The chaos suite's cases whose name contains `substr`, in suite order.
+std::vector<ChaosCase> suite_subset(const std::string& substr) {
+  auto cases = chaos_suite(1);
   std::erase_if(cases, [&](const ChaosCase& c) {
     return c.name.find(substr) == std::string::npos;
   });
@@ -357,12 +358,12 @@ std::vector<ChaosCase> matrix_subset(const std::string& substr) {
 // One CCA row of the matrix (4 fault kinds x 2 profiles) run serially and
 // on a 4-thread pool: verdicts — including every SLO number — must chain
 // to the same fingerprint, and every case must pass. The full 24-case grid
-// is exercised by chaos_run --matrix --verify-serial in CI.
+// is exercised by chaos_run --threads 8 --verify-serial in CI.
 TEST(ResilienceMatrix, SerialAndParallelBitIdentical) {
-  const auto cases = matrix_subset("/gcc/");
+  const auto cases = suite_subset("/gcc/");
   ASSERT_EQ(cases.size(), 8u);
-  const auto serial = run_chaos_matrix(cases, 1);
-  const auto parallel = run_chaos_matrix(cases, 4);
+  const auto serial = run_chaos_suite(cases, 1);
+  const auto parallel = run_chaos_suite(cases, 4);
   EXPECT_EQ(serial.fingerprint, parallel.fingerprint);
   EXPECT_EQ(serial.failed, 0);
   EXPECT_EQ(parallel.failed, 0);
@@ -374,11 +375,11 @@ TEST(ResilienceMatrix, SerialAndParallelBitIdentical) {
 // exact values so any behavioural drift in the watchdog, the ladder, or
 // the SLO accounting is caught — not just "it still passes".
 // Regenerate after *justified* drift with:
-//   ./build/tools/chaos_run --matrix --case fb_loss/gcc/steady --record case.json
+//   ./build/tools/chaos_run --case fb_loss/gcc/steady --record case.json
 TEST(ResilienceMatrix, RecoverySloGoldenAnchorFbLossGccSteady) {
-  const auto cases = matrix_subset("fb_loss/gcc/steady");
+  const auto cases = suite_subset("fb_loss/gcc/steady");
   ASSERT_EQ(cases.size(), 1u);
-  const auto res = run_chaos_matrix(cases, 1);
+  const auto res = run_chaos_suite(cases, 1);
   ASSERT_EQ(res.verdicts.size(), 1u);
   const ChaosVerdict& v = res.verdicts[0];
 

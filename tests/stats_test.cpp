@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -363,6 +364,23 @@ TEST(Distribution, FingerprintDigestIsTheSampleMultiset) {
   // Duplicate pairs cancel in the xor fold but not in the sum.
   EXPECT_NE(digest({1.0, 1.0}), digest({2.0, 2.0}));
   EXPECT_NE(digest({}), digest({0.0}));
+}
+
+TEST(Distribution, MeanDoesNotDependOnEarlierReads) {
+  // Quantile reads permute the samples in place; the mean must not follow
+  // them. With a sum over storage order the low bits of this mean moved.
+  sim::Rng rng(7);
+  Distribution d;
+  for (int i = 0; i < 100000; ++i) d.add(rng.uniform(0.0, 500.0));
+  Distribution whole;
+  whole.add_all(d);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::uint64_t before = bits(d.mean());
+  (void)d.quantile(0.5);
+  (void)d.quantile(0.99);
+  EXPECT_EQ(bits(d.mean()), before);
+  (void)whole.quantile(0.25);
+  EXPECT_EQ(bits(whole.mean()), before);
 }
 
 TEST(Heatmap2D, BinsAreLogSpacedAndRowNormalised) {
