@@ -13,8 +13,9 @@
 // scenario and keep their own code. With no NAME every figure runs, in
 // paper order. The flags are ObsSession's (obs/session.hpp). An unknown
 // name or flag, or a flag missing its value, prints the figure names and
-// exits 2; violations held by the merged runtime invariant checker are
-// printed and exit 1.
+// exits 2, as does a --trace/--metrics file that cannot be written;
+// violations held by the merged runtime invariant checker are printed and
+// exit 1.
 
 #include <algorithm>
 #include <array>
@@ -1087,16 +1088,12 @@ int usage(const std::vector<Figure>& table) {
 int run(int argc, char** argv) {
   const std::vector<Figure> table = figure_table();
   obs::ObsSession obs_session(argc, argv);
-  const auto reject = [&] {
-    obs_session.abandon();
-    return usage(table);
-  };
-  if (!obs_session.error().empty()) return reject();
+  if (!obs_session.error().empty()) return usage(table);
   std::vector<const Figure*> chosen;
   for (const std::string_view arg : obs_session.args()) {
     const auto it = std::find_if(table.begin(), table.end(),
                                  [&](const Figure& f) { return f.name == arg; });
-    if (it == table.end()) return reject();
+    if (it == table.end()) return usage(table);
     chosen.push_back(&*it);
   }
   if (chosen.empty()) {
@@ -1104,6 +1101,7 @@ int run(int argc, char** argv) {
   }
 
   for (const Figure* f : chosen) f->run();
+  if (!obs_session.write()) return 2;
   // The pools merged every run's checker into this thread's context.
   const std::string inv = obs::invariants().summary();
   if (inv.empty()) return 0;

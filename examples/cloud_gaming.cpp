@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
               "deltas, so the sender backs off before a blockage fade strands a\n"
               "whole flight of frames — without touching the game server (unlike\n"
               "ABC, which needs a new sender CCA and receiver echo support).\n");
-  return 0;
+  return obs.write() ? 0 : 2;
 }

@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   std::printf("\nevents executed: baseline %llu, zhuge %llu\n",
               static_cast<unsigned long long>(baseline.events_executed),
               static_cast<unsigned long long>(zhuge_run.events_executed));
-  return 0;
+  return obs.write() ? 0 : 2;
 }

@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
               r.flows.front().network_rtt_ms.quantile(0.99),
               static_cast<unsigned long long>(r.flows.front().frames_decoded));
   std::filesystem::remove(path);
-  return 0;
+  return obs.write() ? 0 : 2;
 }

@@ -64,5 +64,5 @@ int main(int argc, char** argv) {
   std::printf("\nZhuge's Feedback Updater builds the TWCC reports at the AP from\n"
               "predicted per-packet delays, so GCC learns about the transfer's\n"
               "queue before delayed frames ever reach the viewer.\n");
-  return 0;
+  return obs.write() ? 0 : 2;
 }

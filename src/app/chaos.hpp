@@ -7,7 +7,8 @@
 //   * flow 0's goodput is back within tolerance of its pre-fault level,
 //   * no feedback packet was stranded inside Zhuge state, and
 //   * no runtime invariant (obs/invariants.hpp) was violated — checked
-//     whenever the setting is on (chaos_run always turns it on).
+//     whenever the setting is on (`scenario_run --chaos` always turns
+//     it on).
 // Cases that starve the uplink additionally assert the watchdog actually
 // failed open (a watchdog that never fires is indistinguishable from no
 // watchdog). Lives in src/app (not src/fault) because verdicts are

@@ -19,8 +19,9 @@
 //
 // Headline comparisons (Zhuge p95 frame delay < vanilla p95 per trace
 // class) are derived from the cells; two of them are pinned as golden
-// anchors (app/golden.hpp) under the `repro` ctest label. tools/eval_run
-// prints the text report and writes the run record (app/record.hpp).
+// anchors (app/golden.hpp) under the `repro` ctest label. `scenario_run
+// --eval` prints the text report and writes the run record
+// (app/record.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -45,7 +46,7 @@ enum class EvalCca : std::uint8_t { kGcc, kCubic, kBbr };
 [[nodiscard]] const char* eval_mechanism_name(ApMode mode);
 
 /// Declarative evaluation matrix. The defaults reproduce the paper's full
-/// tournament; tools/eval_run can load a narrowed spec from JSON
+/// tournament; `scenario_run --eval FILE` loads a narrowed spec from JSON
 /// (strictly validated — a typo'd axis would silently shrink the matrix
 /// while claiming full coverage, so unknown keys and bad axis values fail
 /// with line-numbered errors).

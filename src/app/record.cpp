@@ -233,7 +233,7 @@ Json spec_record(const std::string& name, const std::vector<SpecRun>& runs) {
 
 Json eval_record(const std::string& name, std::uint64_t seed,
                  const EvalMatrixResult& res) {
-  Json rec = make_record("eval_run", name, seed, res.fingerprint);
+  Json rec = make_record("scenario_run", name, seed, res.fingerprint);
   Json cells = Json::make_array();
   for (const EvalCell& c : res.cells) cells.push(cell_entry(c));
   Json comparisons = Json::make_array();
@@ -271,7 +271,7 @@ Json eval_record(const std::string& name, std::uint64_t seed,
 
 Json chaos_record(const std::string& name, std::uint64_t seed,
                   const ChaosSuiteResult& res) {
-  Json rec = make_record("chaos_run", name, seed, res.fingerprint);
+  Json rec = make_record("scenario_run", name, seed, res.fingerprint);
   Json verdicts = Json::make_array();
   for (const ChaosVerdict& v : res.verdicts) verdicts.push(verdict_entry(v));
 

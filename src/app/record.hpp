@@ -1,8 +1,8 @@
 #pragma once
 // The run record: the one machine-readable form of every run.
 //
-// Every tool that reports numbers for a program to read (scenario_run,
-// eval_run, chaos_run and trace_summarize, each with `--record PATH`) and
+// Every tool that reports numbers for a program to read (scenario_run in
+// each of its run modes and trace_summarize, each with `--record PATH`) and
 // every golden file under tests/golden/ is one versioned JSON document:
 //
 //   {"schema": "zhuge.run/1",
@@ -58,7 +58,7 @@ inline constexpr std::string_view kRunRecordSchema = "zhuge.run/1";
 [[nodiscard]] Json spec_record(const std::string& name,
                                const std::vector<SpecRun>& runs);
 
-/// The eval matrix (tool "eval_run"): every cell, every headline
+/// The eval matrix (tool "scenario_run"): every cell, every headline
 /// comparison, and a headline of cell and comparison counts and the number
 /// of Zhuge wins. A matrix of one axis point (a golden anchor) also
 /// carries each mechanism's `<mechanism>_{frame_p95_ms,delayed_ratio,
@@ -66,7 +66,7 @@ inline constexpr std::string_view kRunRecordSchema = "zhuge.run/1";
 [[nodiscard]] Json eval_record(const std::string& name, std::uint64_t seed,
                                const EvalMatrixResult& res);
 
-/// A chaos suite run (tool "chaos_run"): every verdict with its recovery
+/// A chaos suite run (tool "scenario_run"): every verdict with its recovery
 /// SLO, the "slo" aggregate with the CDFs of time-to-detect,
 /// time-to-recover, frames lost and the post/healthy p95 ratio, and an
 /// "attrib" section when any case recorded latency attribution.

@@ -114,10 +114,6 @@ struct UplinkDecision {
   Duration delay = Duration::zero();  ///< meaningful for kDelay
 };
 
-/// Binary degradation view kept for callers that only care whether any
-/// intervention is still running (kActive == ladder level Full).
-enum class FlowMode : std::uint8_t { kActive, kDegraded };
-
 /// Per-flow Zhuge state machine.
 class ZhugeFlow {
  public:
@@ -343,10 +339,6 @@ class ZhugeFlow {
 
   [[nodiscard]] FortuneTeller& fortune_teller() { return teller_; }
   [[nodiscard]] const net::FlowId& flow() const { return flow_; }
-  [[nodiscard]] FlowMode mode() const {
-    return level_ == obs::LadderLevel::kFull ? FlowMode::kActive
-                                             : FlowMode::kDegraded;
-  }
   [[nodiscard]] obs::LadderLevel level() const { return level_; }
   [[nodiscard]] const std::vector<obs::LadderTransition>& ladder_log() const {
     return ladder_log_;

@@ -134,7 +134,6 @@ struct Packet {
 
   // ---- oracle fields (measurement only; never read by protocol logic) ----
   TimePoint ap_enqueue_time;   ///< arrival at the AP downlink queue
-  TimePoint head_time;         ///< when the packet became queue head
   TimePoint delivered_time;    ///< arrival at final receiver
   double predicted_delay_ms = -1.0;  ///< Fortune Teller estimate, if any
   obs::PacketSpan span;        ///< per-stage latency stamps (obs/spans.hpp)

@@ -57,9 +57,9 @@ inline constexpr std::size_t kStageCount = 8;
 
 /// Per-packet stage stamps, embedded in net::Packet as an oracle field.
 /// -1 = never stamped (stage skipped at aggregation time). The remaining
-/// boundaries reuse the Packet's existing oracle timestamps (sent_time,
-/// ap_enqueue_time, delivered_time), so the span only carries what no
-/// existing field records.
+/// boundaries reuse the Packet's origin timestamp (sent_time) and its two
+/// oracle timestamps (ap_enqueue_time, delivered_time), so the span only
+/// carries what no existing field records.
 struct PacketSpan {
   std::int64_t paced_ns = -1;       ///< handed to the sender's pacer
   std::int64_t ap_dequeue_ns = -1;  ///< left the AP qdisc into an AMPDU

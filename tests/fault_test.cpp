@@ -353,7 +353,7 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
   sim.schedule_at(at(10), [&] {
     EXPECT_EQ(zf.handle_uplink(tcp_ack(flow, 1)), core::UplinkAction::kDelay);
     zf.check_watchdog(sim.now());
-    EXPECT_EQ(zf.mode(), core::FlowMode::kActive);
+    EXPECT_EQ(zf.level(), obs::LadderLevel::kFull);
   });
 
   // Uplink goes silent while downlink keeps flowing: at 300 ms the
@@ -362,7 +362,7 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
     Packet d = tcp_data(flow);
     zf.on_downlink(d, q);
     zf.check_watchdog(sim.now());
-    EXPECT_EQ(zf.mode(), core::FlowMode::kDegraded);
+    EXPECT_NE(zf.level(), obs::LadderLevel::kFull);
     EXPECT_EQ(zf.pending_feedback(), 0u);  // degrade flushed everything
   });
 
@@ -370,7 +370,7 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
   sim.schedule_at(at(350), [&] {
     EXPECT_EQ(zf.handle_uplink(tcp_ack(flow, 2)), core::UplinkAction::kForward);
     zf.check_watchdog(sim.now());
-    EXPECT_EQ(zf.mode(), core::FlowMode::kDegraded);  // settle not elapsed
+    EXPECT_NE(zf.level(), obs::LadderLevel::kFull);  // settle not elapsed
   });
 
   // Feedback demonstrably alive after the settle period: the ladder steps
@@ -379,7 +379,6 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
   sim.schedule_at(at(450), [&] {
     EXPECT_EQ(zf.handle_uplink(tcp_ack(flow, 3)), core::UplinkAction::kForward);
     zf.check_watchdog(sim.now());
-    EXPECT_EQ(zf.mode(), core::FlowMode::kDegraded);
     EXPECT_EQ(zf.level(), obs::LadderLevel::kClampedPredict);
   });
 
@@ -387,7 +386,6 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
   sim.schedule_at(at(600), [&] {
     EXPECT_EQ(zf.handle_uplink(tcp_ack(flow, 4)), core::UplinkAction::kDelay);
     zf.check_watchdog(sim.now());
-    EXPECT_EQ(zf.mode(), core::FlowMode::kActive);
     EXPECT_EQ(zf.level(), obs::LadderLevel::kFull);
   });
 
@@ -423,7 +421,7 @@ TEST(Watchdog, PredictionDivergenceFailsOpen) {
     zf.check_watchdog(sim.now());
   });
   sim.run();
-  EXPECT_EQ(zf.mode(), core::FlowMode::kDegraded);
+  EXPECT_NE(zf.level(), obs::LadderLevel::kFull);
   EXPECT_EQ(zf.degrade_count(), 1u);
 }
 
@@ -446,7 +444,7 @@ TEST(Watchdog, DisabledNeverDegrades) {
     zf.check_watchdog(sim.now());
   });
   sim.run();
-  EXPECT_EQ(zf.mode(), core::FlowMode::kActive);
+  EXPECT_EQ(zf.level(), obs::LadderLevel::kFull);
   EXPECT_EQ(zf.degrade_count(), 0u);
 }
 

@@ -55,7 +55,7 @@ TEST(Golden, UpdateWritesThePinnedBytes) {
 }
 
 TEST(Golden, TrimKeepsTheGoldenSubset) {
-  Json rec = make_record("eval_run", "x", 3, 0xDEADBEEFCAFEF00Dull);
+  Json rec = make_record("scenario_run", "x", 3, 0xDEADBEEFCAFEF00Dull);
   rec.set("cells", Json::make_array());
   const Json g = trim_to_golden(rec);
   ASSERT_EQ(g.object().size(), 5u);

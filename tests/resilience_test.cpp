@@ -358,7 +358,7 @@ std::vector<ChaosCase> suite_subset(const std::string& substr) {
 // One CCA row of the matrix (4 fault kinds x 2 profiles) run serially and
 // on a 4-thread pool: verdicts — including every SLO number — must chain
 // to the same fingerprint, and every case must pass. The full 24-case grid
-// is exercised by chaos_run --threads 8 --verify-serial in CI.
+// is exercised by `scenario_run --chaos --threads 8 --verify-serial` in CI.
 TEST(ResilienceMatrix, SerialAndParallelBitIdentical) {
   const auto cases = suite_subset("/gcc/");
   ASSERT_EQ(cases.size(), 8u);
@@ -375,7 +375,7 @@ TEST(ResilienceMatrix, SerialAndParallelBitIdentical) {
 // exact values so any behavioural drift in the watchdog, the ladder, or
 // the SLO accounting is caught — not just "it still passes".
 // Regenerate after *justified* drift with:
-//   ./build/tools/chaos_run --case fb_loss/gcc/steady --record case.json
+//   ./build/tools/scenario_run --chaos --only fb_loss/gcc/steady --record case.json
 TEST(ResilienceMatrix, RecoverySloGoldenAnchorFbLossGccSteady) {
   const auto cases = suite_subset("fb_loss/gcc/steady");
   ASSERT_EQ(cases.size(), 1u);
