@@ -484,7 +484,7 @@ void fig07() {
   const auto tr = trace::step_trace(10e6, 0.5e6, Duration::millis(5),
                                     Duration::millis(200));
   wireless::Channel channel(&tr);
-  wireless::Medium medium(simu, rng, {});
+  wireless::Medium medium(simu, rng);
   queue::DropTailFifo qdisc(-1);
   wireless::WifiLink::Config wcfg;
   wcfg.mpdu_loss_prob = 0.0;

@@ -350,7 +350,7 @@ void BM_ApDownlinkDispatch(benchmark::State& state) {
   constexpr int kFlows = 24;
   sim::Simulator simu;
   sim::Rng rng(3);
-  wireless::Medium medium(simu, rng, {});
+  wireless::Medium medium(simu, rng);
   std::vector<std::unique_ptr<wireless::Channel>> channels;
   app::AccessPoint::Config cfg;
   cfg.mode = app::ApMode::kZhuge;
@@ -454,10 +454,10 @@ void BM_TcpInOrderLoop(benchmark::State& state) {
   net::PointToPointLink up(simu, link_cfg, [&tx](net::Packet&& p) { tx->on_ack(p); });
   tx = std::make_unique<transport::TcpSender>(
       simu, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<FixedWindow>(),
-      transport::TcpSender::Config{}, uids,
+      uids,
       [&down](net::Packet&& p) { down.send(std::move(p)); });
   rx = std::make_unique<transport::TcpReceiver>(
-      simu, transport::TcpReceiver::Config{}, uids,
+      simu, uids,
       [&up](net::Packet&& p) { up.send(std::move(p)); }, nullptr);
   tx->write_frame(0, simu.now(), std::uint64_t{1} << 50);
   simu.run_until(TimePoint::zero() + Duration::seconds(1));  // warm-up

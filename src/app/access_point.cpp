@@ -13,17 +13,10 @@ std::unique_ptr<queue::Qdisc> make_qdisc(QdiscKind kind, std::int64_t limit) {
   switch (kind) {
     case QdiscKind::kFifo:
       return std::make_unique<queue::DropTailFifo>(limit);
-    case QdiscKind::kCoDel: {
-      queue::CoDelConfig cfg;
-      cfg.limit_bytes = limit;
-      return std::make_unique<queue::CoDel>(cfg);
-    }
-    case QdiscKind::kFqCoDel: {
-      queue::FqCoDel::Config cfg;
-      cfg.codel.limit_bytes = limit;
-      cfg.total_limit_bytes = limit;
-      return std::make_unique<queue::FqCoDel>(cfg);
-    }
+    case QdiscKind::kCoDel:
+      return std::make_unique<queue::CoDel>(limit);
+    case QdiscKind::kFqCoDel:
+      return std::make_unique<queue::FqCoDel>(limit);
   }
   return nullptr;
 }
@@ -41,7 +34,7 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, sim::Rng& rng,
       to_server_(std::move(to_server)),
       abc_dequeue_rate_(Duration::millis(200)) {
   if (cfg_.mode == ApMode::kAbc) {
-    abc_router_ = std::make_unique<baseline::AbcRouter>(cfg_.abc);
+    abc_router_ = std::make_unique<baseline::AbcRouter>();
   }
 }
 
@@ -63,9 +56,8 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
     st->wifi->set_dequeue_observer(on_dequeue);
     st->wifi->set_delivery_observer(on_delivered);
   } else {
-    st->cell = std::make_unique<wireless::CellularLink>(
-        sim_, rng_, channel, *st->qdisc, wireless::CellularLink::Config{},
-        to_client_);
+    st->cell = std::make_unique<wireless::CellularLink>(sim_, rng_, channel,
+                                                        *st->qdisc, to_client_);
     st->cell->set_dequeue_observer(on_dequeue);
     st->cell->set_delivery_observer(on_delivered);
   }
@@ -143,7 +135,7 @@ void AccessPoint::add_optimizer(const net::FlowId& flow) {
                   [this](Packet&& p) { send_feedback(std::move(p)); }));
   } else if (cfg_.mode == ApMode::kFastAck) {
     fastack_flows_.insert_or_assign(
-        flow, std::make_unique<baseline::FastAck>(cfg_.fastack));
+        flow, std::make_unique<baseline::FastAck>());
   }
 }
 

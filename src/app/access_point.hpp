@@ -66,8 +66,6 @@ class AccessPoint {
   struct Config {
     ApMode mode = ApMode::kNone;
     core::ZhugeConfig zhuge{};
-    baseline::AbcRouter::Config abc{};
-    baseline::FastAck::Config fastack{};
   };
 
   /// `to_client` receives packets that crossed the wireless downlink;

@@ -206,9 +206,7 @@ void MultiScenario::build() {
   result_.seed = seed_;
 
   const int n_stations = spec_.station_count();
-  wireless::Medium::Config mcfg;
-  mcfg.interferers = spec_.interferers;
-  medium_ = std::make_unique<wireless::Medium>(sim_, *rng_, mcfg);
+  medium_ = std::make_unique<wireless::Medium>(sim_, *rng_, spec_.interferers);
   build_injectors();
 
   // AP -> servers wired uplink.
@@ -336,8 +334,7 @@ void MultiScenario::build_station(int index) {
         uplink_entry_);
   } else {
     up.cell = std::make_unique<wireless::CellularLink>(
-        sim_, *rng_, *up_channels_.back(), *up.qdisc,
-        wireless::CellularLink::Config{}, uplink_entry_);
+        sim_, *rng_, *up_channels_.back(), *up.qdisc, uplink_entry_);
   }
   uplinks_.push_back(std::move(up));
 
@@ -444,9 +441,8 @@ void MultiScenario::arrive(const FlowEvent& ev) {
         f->frame_stats);
     f->rtp_sender->start();
   } else {
-    transport::TcpSender::Config scfg;
     f->tcp_sender = std::make_unique<transport::TcpSender>(
-        sim_, f->flow, make_tcp_cca(ev.kind), scfg, uids_,
+        sim_, f->flow, make_tcp_cca(ev.kind), uids_,
         [this](Packet&& p) { wan_down_->send(std::move(p)); });
     // The per-packet network RTT of a TCP flow is what a server-side
     // capture measures: data departure to ACK arrival. Zhuge's held ACKs
@@ -472,9 +468,8 @@ void MultiScenario::arrive(const FlowEvent& ev) {
         }
       };
     }
-    transport::TcpReceiver::Config rcfg;
     f->tcp_receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, rcfg, uids_,
+        sim_, uids_,
         [this, station](Packet&& p) { client_send_uplink(station, std::move(p)); },
         std::move(on_frame));
     start_tcp_source(*f);

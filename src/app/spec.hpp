@@ -223,7 +223,7 @@ struct ScenarioSpec {
   /// sets watchdog.initial_level: the default kFull runs the normal
   /// watchdog; any other level holds every optimised flow at that level —
   /// kPassThrough is the fingerprint-identical-to-Zhuge-off control. The
-  /// other knobs are the ablation switches (bench/ablation_zhuge).
+  /// other knobs are the ablation switches (`figures ablation`).
   core::ZhugeConfig zhuge{};
 
   /// The fault plan, or an empty one when `faults` is null.

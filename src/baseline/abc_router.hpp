@@ -7,6 +7,7 @@
 // paper draws in §2.3.
 
 #include <algorithm>
+#include <cstdint>
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
@@ -20,15 +21,12 @@ using sim::TimePoint;
 /// Per-link ABC marking engine.
 class AbcRouter {
  public:
-  struct Config {
-    double eta = 0.95;                      ///< capacity utilisation target
-    Duration delay_target = Duration::millis(50);  ///< delta in f = eta*mu - q/delta
-    Duration rate_window = Duration::millis(200);
-  };
+  static constexpr Duration kDelayTarget = Duration::millis(50);  ///< delta in f = eta*mu - q/delta
+  static constexpr Duration kRateWindow = Duration::millis(200);
 
-  AbcRouter() : AbcRouter(Config{}) {}
-  explicit AbcRouter(Config cfg)
-      : cfg_(cfg), dequeue_rate_(cfg.rate_window), arrival_rate_(cfg.rate_window) {}
+  /// `eta` is the capacity utilisation target.
+  explicit AbcRouter(double eta = 0.95)
+      : eta_(eta), dequeue_rate_(kRateWindow), arrival_rate_(kRateWindow) {}
 
   /// Record a departure from the bottleneck queue (capacity estimate mu).
   void on_dequeue(std::int64_t bytes, TimePoint now) {
@@ -46,8 +44,8 @@ class AbcRouter {
 
     // ABC's control law: target rate shrinks with standing queue delay.
     const double tr = std::max(
-        0.0, cfg_.eta * mu - mu * (queue_delay.to_seconds() /
-                                   (2.0 * cfg_.delay_target.to_seconds())));
+        0.0, eta_ * mu - mu * (queue_delay.to_seconds() /
+                                   (2.0 * kDelayTarget.to_seconds())));
 
     // Token counter marks an `tr/cr` fraction of packets accelerate.
     token_ += tr / std::max(cr, 1e3);
@@ -60,7 +58,7 @@ class AbcRouter {
   }
 
  private:
-  Config cfg_;
+  double eta_;
   stats::WindowedRate dequeue_rate_;
   stats::WindowedRate arrival_rate_;
   double token_ = 0.0;

@@ -15,13 +15,8 @@ namespace zhuge::cca {
 /// Window control driven entirely by echoed ABC router marks.
 class AbcSender final : public CongestionControl {
  public:
-  struct Config {
-    std::uint64_t initial_cwnd = 10 * kMss;
-    std::uint64_t min_cwnd = 2 * kMss;
-  };
-
-  AbcSender() : AbcSender(Config{}) {}
-  explicit AbcSender(Config cfg) : cfg_(cfg), cwnd_(cfg.initial_cwnd) {}
+  static constexpr std::uint64_t kInitialCwnd = 10 * kMss;
+  static constexpr std::uint64_t kMinCwnd = 2 * kMss;
 
   void on_ack(const AckEvent& ev) override {
     if (ev.rtt > Duration::zero()) {
@@ -33,7 +28,7 @@ class AbcSender final : public CongestionControl {
         cwnd_ += kMss;
         break;
       case net::AbcMark::kBrake:
-        cwnd_ = cwnd_ > cfg_.min_cwnd + kMss ? cwnd_ - kMss : cfg_.min_cwnd;
+        cwnd_ = cwnd_ > kMinCwnd + kMss ? cwnd_ - kMss : kMinCwnd;
         break;
       case net::AbcMark::kNone:
         // Non-ABC hop on the path: fall back to gentle AIMD growth.
@@ -43,10 +38,10 @@ class AbcSender final : public CongestionControl {
   }
 
   void on_loss(TimePoint, std::uint64_t) override {
-    cwnd_ = std::max(cfg_.min_cwnd, cwnd_ / 2);
+    cwnd_ = std::max(kMinCwnd, cwnd_ / 2);
   }
 
-  void on_rto(TimePoint) override { cwnd_ = cfg_.min_cwnd; }
+  void on_rto(TimePoint) override { cwnd_ = kMinCwnd; }
 
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] double pacing_rate_bps() const override {
@@ -56,8 +51,7 @@ class AbcSender final : public CongestionControl {
   [[nodiscard]] std::string name() const override { return "abc"; }
 
  private:
-  Config cfg_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = kInitialCwnd;
   double srtt_ = 0.0;
 };
 

@@ -17,22 +17,16 @@ namespace zhuge::cca {
 /// Model-based congestion control: rate from max-BW, window from BDP.
 class Bbr final : public CongestionControl {
  public:
-  struct Config {
-    double startup_gain = 2.885;     ///< 2/ln(2)
-    double drain_gain = 0.3465;      ///< 1/startup_gain
-    double cwnd_gain = 2.0;
-    Duration min_rtt_window = Duration::seconds(10);
-    Duration probe_rtt_duration = Duration::millis(200);
-    std::uint64_t min_cwnd = 4 * kMss;
-    std::uint64_t initial_cwnd = 10 * kMss;
-  };
+  static constexpr double kStartupGain = 2.885;  ///< 2/ln(2)
+  static constexpr double kDrainGain = 0.3465;   ///< 1/startup_gain
+  static constexpr double kCwndGain = 2.0;
+  static constexpr Duration kMinRttWindow = Duration::seconds(10);
+  static constexpr Duration kProbeRttDuration = Duration::millis(200);
+  static constexpr std::uint64_t kMinCwnd = 4 * kMss;
+  static constexpr std::uint64_t kInitialCwnd = 10 * kMss;
 
-  Bbr() : Bbr(Config{}) {}
-  explicit Bbr(Config cfg)
-      : cfg_(cfg),
-        cwnd_(cfg.initial_cwnd),
-        max_bw_(Duration::seconds(2)),  // ~10 RTTs at 200 ms
-        min_rtt_(cfg.min_rtt_window) {}
+  Bbr() : max_bw_(Duration::seconds(2)),  // ~10 RTTs at 200 ms
+          min_rtt_(kMinRttWindow) {}
 
   void on_ack(const AckEvent& ev) override {
     if (ev.rtt > Duration::zero()) {
@@ -72,10 +66,10 @@ class Bbr final : public CongestionControl {
             state_ = State::kDrain;
           }
         }
-        pacing_gain_ = cfg_.startup_gain;
+        pacing_gain_ = kStartupGain;
         break;
       case State::kDrain:
-        pacing_gain_ = cfg_.drain_gain;
+        pacing_gain_ = kDrainGain;
         if (ev.bytes_in_flight <= bdp_bytes(bw, rtt)) {
           state_ = State::kProbeBw;
           cycle_start_ = ev.now;
@@ -89,9 +83,9 @@ class Bbr final : public CongestionControl {
         }
         pacing_gain_ = kGainCycle[cycle_index_];
         // Enter PROBE_RTT when the min-RTT estimate is stale.
-        if (ev.now - min_rtt_stamp_ > cfg_.min_rtt_window) {
+        if (ev.now - min_rtt_stamp_ > kMinRttWindow) {
           state_ = State::kProbeRtt;
-          probe_rtt_until_ = ev.now + cfg_.probe_rtt_duration;
+          probe_rtt_until_ = ev.now + kProbeRttDuration;
           min_rtt_stamp_ = ev.now;
         }
         break;
@@ -125,13 +119,13 @@ class Bbr final : public CongestionControl {
     }
     const std::uint64_t bdp = bdp_bytes(bw, rtt);
     if (state_ == State::kProbeRtt) {
-      cwnd_ = cfg_.min_cwnd;
+      cwnd_ = kMinCwnd;
     } else if (state_ == State::kStartup) {
       cwnd_ += ev.acked_bytes;  // exponential growth
     } else {
       cwnd_ = std::max<std::uint64_t>(
-          cfg_.min_cwnd,
-          static_cast<std::uint64_t>(cfg_.cwnd_gain * static_cast<double>(bdp)));
+          kMinCwnd,
+          static_cast<std::uint64_t>(kCwndGain * static_cast<double>(bdp)));
     }
   }
 
@@ -140,7 +134,7 @@ class Bbr final : public CongestionControl {
   }
 
   void on_rto(TimePoint) override {
-    cwnd_ = cfg_.min_cwnd;
+    cwnd_ = kMinCwnd;
     state_ = State::kStartup;
     full_bw_ = 0.0;
     full_bw_rounds_ = 0;
@@ -180,14 +174,13 @@ class Bbr final : public CongestionControl {
     return static_cast<std::uint64_t>(bw_bps / 8.0 * rtt_s);
   }
 
-  Config cfg_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = kInitialCwnd;
   stats::WindowedMean max_bw_;  // used via .max()
   stats::WindowedMin min_rtt_;
   double cached_bw_ = 0.0;
   double cached_rtt_ = 0.0;
   State state_ = State::kStartup;
-  double pacing_gain_ = 2.885;
+  double pacing_gain_ = kStartupGain;
   double full_bw_ = 0.0;
   int full_bw_rounds_ = 0;
   TimePoint last_round_;

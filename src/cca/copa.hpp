@@ -19,16 +19,12 @@ namespace zhuge::cca {
 /// Delay-based congestion control (default mode, delta = 0.5).
 class Copa final : public CongestionControl {
  public:
-  struct Config {
-    double delta = 0.5;               ///< target aggressiveness
-    std::uint64_t initial_cwnd = 10 * kMss;
-    std::uint64_t min_cwnd = 2 * kMss;
-    Duration min_rtt_window = Duration::seconds(10);
-  };
+  static constexpr double kDelta = 0.5;  ///< target aggressiveness
+  static constexpr std::uint64_t kInitialCwnd = 10 * kMss;
+  static constexpr std::uint64_t kMinCwnd = 2 * kMss;
+  static constexpr Duration kMinRttWindow = Duration::seconds(10);
 
-  Copa() : Copa(Config{}) {}
-  explicit Copa(Config cfg)
-      : cfg_(cfg), cwnd_(cfg.initial_cwnd), min_rtt_filter_(cfg.min_rtt_window) {}
+  Copa() : min_rtt_filter_(kMinRttWindow) {}
 
   void on_ack(const AckEvent& ev) override {
     if (ev.rtt <= Duration::zero()) return;
@@ -54,19 +50,19 @@ class Copa final : public CongestionControl {
     // and Copa increases.
     const double target_rate = dq < 1e-6
                                    ? std::numeric_limits<double>::infinity()
-                                   : 1.0 / (cfg_.delta * dq);
+                                   : 1.0 / (kDelta * dq);
 
     update_velocity(ev.now, current_rate < target_rate);
 
     const double step = static_cast<double>(velocity_) /
-                        (cfg_.delta * cwnd_pkts) *
+                        (kDelta * cwnd_pkts) *
                         (static_cast<double>(ev.acked_bytes) / kMss) * kMss;
     if (current_rate < target_rate) {
       cwnd_ += static_cast<std::uint64_t>(step);
     } else {
-      cwnd_ = cwnd_ > static_cast<std::uint64_t>(step) + cfg_.min_cwnd
+      cwnd_ = cwnd_ > static_cast<std::uint64_t>(step) + kMinCwnd
                   ? cwnd_ - static_cast<std::uint64_t>(step)
-                  : cfg_.min_cwnd;
+                  : kMinCwnd;
     }
     last_rtt_ = ev.rtt;
   }
@@ -76,7 +72,7 @@ class Copa final : public CongestionControl {
   }
 
   void on_rto(TimePoint) override {
-    cwnd_ = std::max(cfg_.min_cwnd, cwnd_ / 2);
+    cwnd_ = std::max(kMinCwnd, cwnd_ / 2);
     velocity_ = 1;
   }
 
@@ -114,8 +110,7 @@ class Copa final : public CongestionControl {
     }
   }
 
-  Config cfg_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = kInitialCwnd;
   stats::WindowedMin min_rtt_filter_;
   struct RttSample {
     TimePoint t;

@@ -13,16 +13,11 @@ namespace zhuge::cca {
 /// Loss-based cubic-growth congestion control.
 class Cubic final : public CongestionControl {
  public:
-  struct Config {
-    double c = 0.4;            ///< cubic scaling constant
-    double beta = 0.7;         ///< multiplicative decrease factor
-    bool fast_convergence = true;
-    std::uint64_t initial_cwnd = 10 * kMss;
-    std::uint64_t min_cwnd = 2 * kMss;
-  };
-
-  Cubic() : Cubic(Config{}) {}
-  explicit Cubic(Config cfg) : cfg_(cfg), cwnd_(cfg.initial_cwnd) {}
+  static constexpr double kC = 0.4;     ///< cubic scaling constant
+  static constexpr double kBeta = 0.7;  ///< multiplicative decrease factor
+  static constexpr bool kFastConvergence = true;
+  static constexpr std::uint64_t kInitialCwnd = 10 * kMss;
+  static constexpr std::uint64_t kMinCwnd = 2 * kMss;
 
   void on_ack(const AckEvent& ev) override {
     if (ev.rtt > Duration::zero()) {
@@ -36,8 +31,8 @@ class Cubic final : public CongestionControl {
     // Concave/convex cubic growth toward (and past) w_max.
     const double t = (ev.now - epoch_start_).to_seconds();
     const double target_mss =
-        cfg_.c * std::pow(t - k_, 3.0) + static_cast<double>(w_max_) / kMss;
-    const double target = std::max(target_mss * kMss, static_cast<double>(cfg_.min_cwnd));
+        kC * std::pow(t - k_, 3.0) + static_cast<double>(w_max_) / kMss;
+    const double target = std::max(target_mss * kMss, static_cast<double>(kMinCwnd));
     if (target > static_cast<double>(cwnd_)) {
       // Standard CUBIC per-ACK increment: (target - cwnd)/cwnd per segment.
       const double inc = (target - static_cast<double>(cwnd_)) /
@@ -51,22 +46,22 @@ class Cubic final : public CongestionControl {
   }
 
   void on_loss(TimePoint now, std::uint64_t) override {
-    if (cfg_.fast_convergence && cwnd_ < w_max_) {
+    if (kFastConvergence && cwnd_ < w_max_) {
       w_max_ = static_cast<std::uint64_t>(static_cast<double>(cwnd_) *
-                                          (1.0 + cfg_.beta) / 2.0);
+                                          (1.0 + kBeta) / 2.0);
     } else {
       w_max_ = cwnd_;
     }
-    cwnd_ = std::max(cfg_.min_cwnd,
-                     static_cast<std::uint64_t>(static_cast<double>(cwnd_) * cfg_.beta));
+    cwnd_ = std::max(kMinCwnd,
+                     static_cast<std::uint64_t>(static_cast<double>(cwnd_) * kBeta));
     ssthresh_ = cwnd_;
     epoch_start_ = now;
-    k_ = std::cbrt(static_cast<double>(w_max_) / kMss * (1.0 - cfg_.beta) / cfg_.c);
+    k_ = std::cbrt(static_cast<double>(w_max_) / kMss * (1.0 - kBeta) / kC);
   }
 
   void on_rto(TimePoint now) override {
     on_loss(now, 0);
-    cwnd_ = cfg_.min_cwnd;
+    cwnd_ = kMinCwnd;
   }
 
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
@@ -80,8 +75,7 @@ class Cubic final : public CongestionControl {
   [[nodiscard]] bool in_slow_start() const { return cwnd_ < ssthresh_; }
 
  private:
-  Config cfg_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = kInitialCwnd;
   std::uint64_t ssthresh_ = UINT64_MAX;
   std::uint64_t w_max_ = 0;
   TimePoint epoch_start_;

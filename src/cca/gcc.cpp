@@ -36,14 +36,14 @@ void Gcc::on_feedback(const std::vector<TwccObservation>& observations, TimePoin
   update_receive_rate(observations);
   Duration group_span = Duration::zero();
   for (const auto& o : observations) {
-    // WebRTC InterArrival grouping: packets sent within burst_span of the
+    // WebRTC InterArrival grouping: packets sent within kBurstSpan of the
     // group's first send belong to the same group; the group's timestamps
     // are its last send/recv.
     if (!current_group_.valid) {
       current_group_ = {o.send_time, o.send_time, o.recv_time, true};
       continue;
     }
-    if (o.send_time - current_group_.first_send <= cfg_.burst_span) {
+    if (o.send_time - current_group_.first_send <= kBurstSpan) {
       current_group_.last_send = std::max(current_group_.last_send, o.send_time);
       current_group_.last_recv = std::max(current_group_.last_recv, o.recv_time);
       continue;
@@ -56,18 +56,18 @@ void Gcc::on_feedback(const std::vector<TwccObservation>& observations, TimePoin
           (current_group_.last_recv - prev_group_.last_recv).to_millis();
       const double gradient = d_recv - d_send;
       accumulated_delay_ms_ += gradient;
-      smoothed_delay_ms_ = cfg_.smoothing * smoothed_delay_ms_ +
-                           (1.0 - cfg_.smoothing) * accumulated_delay_ms_;
+      smoothed_delay_ms_ = kSmoothing * smoothed_delay_ms_ +
+                           (1.0 - kSmoothing) * accumulated_delay_ms_;
       const double arrival_ms = current_group_.last_recv.to_millis();
       if (first_arrival_ms_ < 0.0) first_arrival_ms_ = arrival_ms;
       trend_points_.push_back({arrival_ms - first_arrival_ms_, smoothed_delay_ms_});
-      while (trend_points_.size() > cfg_.trendline_window) trend_points_.pop_front();
+      while (trend_points_.size() > kTrendlineWindow) trend_points_.pop_front();
       group_span = Duration::from_millis(std::max(1.0, d_send));
     }
     prev_group_ = current_group_;
     current_group_ = {o.send_time, o.send_time, o.recv_time, true};
   }
-  if (trend_points_.size() >= cfg_.trendline_window / 2) {
+  if (trend_points_.size() >= kTrendlineWindow / 2) {
     update_trendline(now);
     detect(last_slope_, group_span, now);
   }
@@ -97,8 +97,8 @@ void Gcc::detect(double trend, Duration, TimePoint now) {
   // Scale the slope into the threshold's domain, as WebRTC does:
   // modified_trend = slope * gain * sample_window.
   const double samples = static_cast<double>(
-      std::min<std::size_t>(trend_points_.size(), cfg_.trendline_window));
-  const double modified = trend * cfg_.gain * samples;
+      std::min<std::size_t>(trend_points_.size(), kTrendlineWindow));
+  const double modified = trend * kGain * samples;
 
   if (modified > threshold_ms_) {
     // Require persistence (>= 10 ms and 2 consecutive samples) before
@@ -131,8 +131,8 @@ void Gcc::detect(double trend, Duration, TimePoint now) {
                            ? 10.0
                            : std::min(25.0, (now - last_detector_update_).to_millis());
   last_detector_update_ = now;
-  if (std::abs(modified) > threshold_ms_ + cfg_.max_adapt_offset_ms) return;
-  const double k = std::abs(modified) < threshold_ms_ ? cfg_.k_down : cfg_.k_up;
+  if (std::abs(modified) > threshold_ms_ + kMaxAdaptOffsetMs) return;
+  const double k = std::abs(modified) < threshold_ms_ ? kKDown : kKUp;
   threshold_ms_ += k * (std::abs(modified) - threshold_ms_) * dt_ms;
   threshold_ms_ = std::clamp(threshold_ms_, 6.0, 600.0);
 }
@@ -162,7 +162,7 @@ void Gcc::update_rate(TimePoint now) {
     } else {
       avg_max_bps_ = 0.8 * avg_max_bps_ + 0.2 * base;
     }
-    delay_based_rate_ = std::max(cfg_.min_rate_bps, cfg_.decrease_factor * base);
+    delay_based_rate_ = std::max(cfg_.min_rate_bps, kDecreaseFactor * base);
     last_rate_update_ = now;
     // One decrease per overuse signal; wait for the next detector verdict.
     hypothesis_ = Hypothesis::kNormal;
@@ -170,7 +170,7 @@ void Gcc::update_rate(TimePoint now) {
   }
   if (rate_state_ == RateState::kIncrease &&
       (last_rate_update_ == TimePoint{} ||
-       now - last_rate_update_ >= cfg_.response_interval)) {
+       now - last_rate_update_ >= kResponseInterval)) {
     // WebRTC regime switching: multiplicative until the first overuse pins
     // down a link estimate (avg_max), additive probing near that estimate
     // afterwards — refilling a standing queue multiplicatively would
@@ -179,9 +179,9 @@ void Gcc::update_rate(TimePoint now) {
       avg_max_bps_ = -1.0;  // the link got much better; re-probe
     }
     if (avg_max_bps_ > 0.0 && delay_based_rate_ > 0.95 * avg_max_bps_) {
-      delay_based_rate_ += cfg_.additive_increase_bps;
+      delay_based_rate_ += kAdditiveIncreaseBps;
     } else {
-      delay_based_rate_ *= cfg_.increase_factor;
+      delay_based_rate_ *= kIncreaseFactor;
     }
     delay_based_rate_ = std::min(delay_based_rate_, cfg_.max_rate_bps);
     // Never run far ahead of what the path demonstrably delivers.
@@ -197,14 +197,14 @@ void Gcc::on_loss_report(double loss_fraction, TimePoint now) {
   // second): applying the 5 % increase on every 25 ms TWCC report would
   // re-inflate the rate ~7x per second and never let a queue drain.
   if (last_loss_update_ != TimePoint{} &&
-      now - last_loss_update_ < cfg_.loss_update_interval) {
+      now - last_loss_update_ < kLossUpdateInterval) {
     pending_loss_ = std::max(pending_loss_, loss_fraction);
     return;
   }
   loss_fraction = std::max(loss_fraction, pending_loss_);
   pending_loss_ = 0.0;
   last_loss_update_ = now;
-  if (loss_fraction > cfg_.loss_decrease_threshold) {
+  if (loss_fraction > kLossDecreaseThreshold) {
     // The cut anchors at the current operating point: a stale cap value
     // (from an earlier loss episode at a higher link rate) must not make
     // the controller spend seconds cutting through rates it is no longer
@@ -227,7 +227,7 @@ void Gcc::on_loss_report(double loss_fraction, TimePoint now) {
         avg_max_bps_ = 0.8 * avg_max_bps_ + 0.2 * receive_rate_bps_;
       }
     }
-  } else if (loss_fraction < cfg_.loss_increase_threshold && loss_cap_active_) {
+  } else if (loss_fraction < kLossIncreaseThreshold && loss_cap_active_) {
     // Recovery slope: min(multiplicative, additive).
     //  * At low rates (deep cut after a fade) the 5 %/update multiplicative
     //    term is smaller — a cautious ramp that lets the bloated queue
@@ -239,7 +239,7 @@ void Gcc::on_loss_report(double loss_fraction, TimePoint now) {
     loss_based_rate_ = std::min(
         cfg_.max_rate_bps,
         std::min(loss_based_rate_ * 1.05,
-                 loss_based_rate_ + cfg_.loss_additive_recovery_bps));
+                 loss_based_rate_ + kLossAdditiveRecoveryBps));
     // Once the cap has recovered past the delay-based estimate it no
     // longer carries information; release it.
     if (loss_based_rate_ >= delay_based_rate_) loss_cap_active_ = false;

@@ -34,34 +34,34 @@ class Gcc {
     double start_rate_bps = 1e6;
     double min_rate_bps = 150e3;
     double max_rate_bps = 20e6;
-    // Packet grouping (WebRTC InterArrival): packets sent within this span
-    // form one group; gradients are computed between groups, which filters
-    // AMPDU / burst-level jitter out of the delay signal.
-    Duration burst_span = Duration::millis(5);
-    // Trendline estimator.
-    std::size_t trendline_window = 40;
-    double smoothing = 0.9;
-    double gain = 4.0;               ///< threshold comparison gain (k_u-ish)
-    double initial_threshold = 12.5;  ///< ms, adapts online
-    double k_up = 0.0087;
-    double k_down = 0.039;
-    double max_adapt_offset_ms = 15.0;  ///< freeze adaptation beyond this
-    // Rate controller.
-    double increase_factor = 1.08;   ///< multiplicative increase per period
-    double additive_increase_bps = 40e3;  ///< near-convergence probing step
-    double decrease_factor = 0.85;   ///< beta applied to the receive rate
-    Duration response_interval = Duration::millis(100);
-    // Loss controller.
-    double loss_increase_threshold = 0.02;
-    double loss_decrease_threshold = 0.10;
-    Duration loss_update_interval = Duration::millis(800);
-    double loss_additive_recovery_bps = 250e3;  ///< per update, see .cpp
   };
+
+  // Packet grouping (WebRTC InterArrival): packets sent within this span
+  // form one group; gradients are computed between groups, which filters
+  // AMPDU / burst-level jitter out of the delay signal.
+  static constexpr Duration kBurstSpan = Duration::millis(5);
+  // Trendline estimator.
+  static constexpr std::size_t kTrendlineWindow = 40;
+  static constexpr double kSmoothing = 0.9;
+  static constexpr double kGain = 4.0;              ///< threshold comparison gain (k_u-ish)
+  static constexpr double kInitialThreshold = 12.5;  ///< ms, adapts online
+  static constexpr double kKUp = 0.0087;
+  static constexpr double kKDown = 0.039;
+  static constexpr double kMaxAdaptOffsetMs = 15.0;  ///< freeze adaptation beyond this
+  // Rate controller.
+  static constexpr double kIncreaseFactor = 1.08;  ///< multiplicative increase per period
+  static constexpr double kAdditiveIncreaseBps = 40e3;  ///< near-convergence probing step
+  static constexpr double kDecreaseFactor = 0.85;  ///< beta applied to the receive rate
+  static constexpr Duration kResponseInterval = Duration::millis(100);
+  // Loss controller.
+  static constexpr double kLossIncreaseThreshold = 0.02;
+  static constexpr double kLossDecreaseThreshold = 0.10;
+  static constexpr Duration kLossUpdateInterval = Duration::millis(800);
+  static constexpr double kLossAdditiveRecoveryBps = 250e3;  ///< per update, see .cpp
 
   Gcc() : Gcc(Config{}) {}
   explicit Gcc(Config cfg) : cfg_(cfg), delay_based_rate_(cfg.start_rate_bps),
-                                  loss_based_rate_(cfg.start_rate_bps),
-                                  threshold_ms_(cfg.initial_threshold) {}
+                                  loss_based_rate_(cfg.start_rate_bps) {}
 
   /// Feed one TWCC feedback report (observations sorted by send order).
   /// `now` is the sender clock at feedback arrival.
@@ -93,7 +93,7 @@ class Gcc {
   double receive_rate_bps_ = 0.0;
   stats::WindowedRate recv_rate_window_{Duration::millis(500)};
 
-  // Packet-group assembly (burst_span grouping).
+  // Packet-group assembly (kBurstSpan grouping).
   struct Group {
     TimePoint first_send;
     TimePoint last_send;
@@ -115,7 +115,7 @@ class Gcc {
   double last_slope_ = 0.0;
 
   // Overuse detector.
-  double threshold_ms_;
+  double threshold_ms_ = kInitialThreshold;
   Hypothesis hypothesis_ = Hypothesis::kNormal;
   TimePoint overuse_start_;
   int overuse_count_ = 0;

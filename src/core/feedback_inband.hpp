@@ -47,7 +47,6 @@ using sim::TimePoint;
 struct InbandConfig {
   Duration feedback_interval = Duration::millis(25);  ///< TWCC send period
   std::size_t max_entries_per_feedback = 128;
-  std::uint32_t feedback_packet_bytes = 80;  ///< wire size of built TWCC
 
   friend bool operator==(const InbandConfig&, const InbandConfig&) = default;
 };
@@ -55,6 +54,8 @@ struct InbandConfig {
 /// Per-flow in-band feedback constructor.
 class InbandFeedbackUpdater {
  public:
+  static constexpr std::uint32_t kFeedbackPacketBytes = 80;  ///< wire size of built TWCC
+
   /// `send_feedback` receives AP-constructed TWCC packets destined for the
   /// sender (they enter the AP's wired uplink, bypassing the wireless hop).
   InbandFeedbackUpdater(sim::Simulator& simulator, InbandConfig cfg,
@@ -183,7 +184,7 @@ class InbandFeedbackUpdater {
 
       Packet p;
       p.flow = media_flow_.reversed();
-      p.size_bytes = cfg_.feedback_packet_bytes;
+      p.size_bytes = kFeedbackPacketBytes;
       p.sent_time = sim_.now();
       p.header = net::RtcpHeader{std::move(fb)};
       ++feedback_sent_;

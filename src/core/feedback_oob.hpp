@@ -49,7 +49,6 @@ using sim::TimePoint;
 
 /// Configuration for the out-of-band updater.
 struct OobConfig {
-  Duration delta_window = Duration::millis(40);  ///< delta-history span
   /// Per-ACK clamp on the added delay. Must stay safely below the
   /// sender's minimum RTO: an ACK held longer than the RTO fires a
   /// spurious timeout, collapsing the window the mechanism is trying to
@@ -85,14 +84,16 @@ struct OobConfig {
 ///    packets, including retreating pending holds on queue drain.
 class OobFeedbackUpdater {
  public:
+  static constexpr Duration kDeltaWindow = Duration::millis(40);  ///< delta-history span
+
   /// Computation-only mode.
   OobFeedbackUpdater(OobConfig cfg, sim::Rng& rng)
-      : cfg_(cfg), rng_(rng), delta_history_(cfg.delta_window) {}
+      : cfg_(cfg), rng_(rng), delta_history_(kDeltaWindow) {}
 
   /// Full mode: held packets are released through `out`.
   OobFeedbackUpdater(sim::Simulator& simulator, OobConfig cfg, sim::Rng& rng,
                      net::PacketHandler out)
-      : cfg_(cfg), rng_(rng), delta_history_(cfg.delta_window) {
+      : cfg_(cfg), rng_(rng), delta_history_(kDeltaWindow) {
     scheduler_ = std::make_unique<AckScheduler>(simulator, std::move(out));
     // Every hold is floor+extra <= max_pending_shift by construction;
     // declare that as a checked bound so regressions (and faults that

@@ -44,8 +44,6 @@ using sim::TimePoint;
 /// Tuning knobs for the Fortune Teller. Defaults follow the paper.
 struct FortuneTellerConfig {
   Duration window = Duration::millis(40);     ///< avg(.) sliding window
-  Duration burst_resolution = Duration::millis(1);  ///< simultaneity threshold
-  Duration burst_window = Duration::millis(200);    ///< maxBurstSize lookback
   double fallback_rate_bps = 10e6;  ///< used before any departure is seen
   Duration fallback_tx = Duration::millis(2);       ///< tx before any sample
   Duration max_prediction = Duration::seconds(4);   ///< sanity clamp
@@ -59,11 +57,15 @@ struct FortuneTellerConfig {
 /// network-layer queue via on_dequeue(); ask predict() on packet arrival.
 class FortuneTeller {
  public:
+  /// Departures closer together than this are one burst (simultaneity).
+  static constexpr Duration kBurstResolution = Duration::millis(1);
+  static constexpr Duration kBurstWindow = Duration::millis(200);  ///< maxBurstSize lookback
+
   explicit FortuneTeller(FortuneTellerConfig cfg = {})
       : cfg_(cfg),
         tx_rate_(cfg.window),
         dequeue_interval_(cfg.window),
-        burst_max_(cfg.burst_window) {}
+        burst_max_(kBurstWindow) {}
 
   /// Record one packet of this flow leaving the network-layer queue.
   /// Multiple packets aggregated into one AMPDU arrive here at the same
@@ -77,7 +79,7 @@ class FortuneTeller {
 
     if (last_dequeue_ns_ != kNoDequeue) {
       const Duration gap = now - TimePoint{last_dequeue_ns_};
-      if (gap >= cfg_.burst_resolution) {
+      if (gap >= kBurstResolution) {
         // A new burst begins: the previous one is complete.
         finalize_burst(now);
         // Record the inter-departure interval; sub-millisecond gaps are

@@ -74,24 +74,10 @@ struct WatchdogConfig {
   std::uint64_t min_divergence_samples = 200;
   /// Minimum time spent at a degraded level before a step-down probe.
   Duration recovery_settle = Duration::millis(250);
-
-  // ---- graded-ladder tuning ----
   /// Starting level. Anything but Full *pins* the ladder (no watchdog
   /// transitions) — an ablation/verification override, e.g. PassThrough
   /// must be fingerprint-identical to running without Zhuge.
   obs::LadderLevel initial_level = obs::LadderLevel::kFull;
-  /// ClampedPredict: ceiling on any committed prediction.
-  double clamped_max_prediction_ms = 100.0;
-  /// ClampedPredict: with no own-flow dequeue seen this recently, the
-  /// teller's view of the queue is stale — predict zero instead.
-  Duration clamped_staleness = Duration::millis(250);
-  /// Minimum spacing between successive escalations (hysteresis), so one
-  /// sustained trigger climbs the ladder instead of leaping to the top.
-  Duration escalate_holddown = Duration::millis(200);
-  /// A re-escalation within this window of the previous step-down means
-  /// the probe failed: the settle period doubles (capped below).
-  Duration probe_failure_window = Duration::seconds(1);
-  Duration max_recovery_settle = Duration::seconds(4);
 
   friend bool operator==(const WatchdogConfig&, const WatchdogConfig&) = default;
 };
@@ -117,6 +103,20 @@ struct UplinkDecision {
 /// Per-flow Zhuge state machine.
 class ZhugeFlow {
  public:
+  // ---- graded-ladder tuning (the settable thresholds: WatchdogConfig) ----
+  /// ClampedPredict: ceiling on any committed prediction.
+  static constexpr double kClampedMaxPredictionMs = 100.0;
+  /// ClampedPredict: with no own-flow dequeue seen this recently, the
+  /// teller's view of the queue is stale — predict zero instead.
+  static constexpr Duration kClampedStaleness = Duration::millis(250);
+  /// Minimum spacing between successive escalations (hysteresis), so one
+  /// sustained trigger climbs the ladder instead of leaping to the top.
+  static constexpr Duration kEscalateHolddown = Duration::millis(200);
+  /// A re-escalation within this window of the previous step-down means
+  /// the probe failed: the settle period doubles (capped below).
+  static constexpr Duration kProbeFailureWindow = Duration::seconds(1);
+  static constexpr Duration kMaxRecoverySettle = Duration::seconds(4);
+
   /// `send_feedback` is the AP's wired uplink towards the sender; the
   /// in-band updater pushes its self-built TWCC packets through it.
   ZhugeFlow(sim::Simulator& simulator, sim::Rng& rng, net::FlowId flow,
@@ -168,12 +168,11 @@ class ZhugeFlow {
     Duration total = pred.total();
     if (level_ == obs::LadderLevel::kClampedPredict) {
       const bool stale = !saw_own_dequeue_ ||
-                         sim_.now() - last_own_dequeue_ > cfg_.watchdog.clamped_staleness;
+                         sim_.now() - last_own_dequeue_ > kClampedStaleness;
       if (stale) {
         total = Duration::zero();
       } else {
-        const Duration cap =
-            Duration::from_millis(cfg_.watchdog.clamped_max_prediction_ms);
+        const Duration cap = Duration::from_millis(kClampedMaxPredictionMs);
         if (total > cap) total = cap;
       }
     }
@@ -286,7 +285,7 @@ class ZhugeFlow {
       if (silence || diverged) {
         const bool holddown_ok =
             !has_escalated_ ||
-            now - last_escalation_ >= cfg_.watchdog.escalate_holddown;
+            now - last_escalation_ >= kEscalateHolddown;
         if (holddown_ok) {
           escalate(now, silence ? obs::LadderReason::kFeedbackSilence
                                 : obs::LadderReason::kPredictionDivergence);
@@ -405,8 +404,8 @@ class ZhugeFlow {
     // A failed recovery probe (re-escalation shortly after a step-down)
     // doubles the settle period — exponential backoff on reactivation.
     if (has_stepped_down_ &&
-        now - last_step_down_ <= cfg_.watchdog.probe_failure_window) {
-      settle_ = std::min(settle_ * 2.0, cfg_.watchdog.max_recovery_settle);
+        now - last_step_down_ <= kProbeFailureWindow) {
+      settle_ = std::min(settle_ * 2.0, kMaxRecoverySettle);
     }
     last_escalation_ = now;
     has_escalated_ = true;

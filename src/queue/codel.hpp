@@ -11,41 +11,71 @@
 
 namespace zhuge::queue {
 
-/// Shared CoDel control-law state, reused per-flow by FqCoDel.
+/// The RFC 8289 control law: its per-queue state and dequeue decision,
+/// shared by the standalone CoDel qdisc and every FqCoDel flow queue.
 struct CoDelState {
+  static constexpr Duration kTarget = Duration::millis(5);
+  static constexpr Duration kInterval = Duration::millis(100);
+  static constexpr std::uint32_t kMtu = 1514;
+
   bool dropping = false;
   std::uint32_t count = 0;        ///< drops since entering dropping state
   std::uint32_t last_count = 0;
   TimePoint first_above_time{};   ///< when sojourn first exceeded target
   bool has_first_above = false;
   TimePoint drop_next{};          ///< next scheduled drop while dropping
+
+  /// Decide the fate of a head packet that waited `sojourn`, with
+  /// `queue_bytes` still queued behind it. Returns true to deliver, false
+  /// to drop.
+  bool decide(TimePoint now, Duration sojourn, std::int64_t queue_bytes) {
+    const bool below = sojourn < kTarget || queue_bytes <= kMtu;
+    if (below) {
+      has_first_above = false;
+      dropping = false;
+      return true;
+    }
+    if (!dropping) {
+      if (!has_first_above) {
+        first_above_time = now + kInterval;
+        has_first_above = true;
+        return true;
+      }
+      if (now < first_above_time) return true;
+      // Enter dropping state; drop this packet.
+      dropping = true;
+      const std::uint32_t delta = count - last_count;
+      count = (delta > 1 && now - drop_next < kInterval * 16) ? delta : 1;
+      last_count = count;
+      drop_next = control_law(now, count);
+      return false;
+    }
+    // In dropping state: drop whenever we pass drop_next.
+    if (now >= drop_next) {
+      ++count;
+      drop_next = control_law(drop_next, count);
+      return false;
+    }
+    return true;
+  }
+
+  /// The next drop time shortens with sqrt(count).
+  static TimePoint control_law(TimePoint t, std::uint32_t count) {
+    const double scaled =
+        kInterval.to_seconds() / std::sqrt(static_cast<double>(count == 0 ? 1 : count));
+    return t + Duration::from_seconds(scaled);
+  }
 };
-
-/// Parameters from RFC 8289 defaults.
-struct CoDelConfig {
-  Duration target = Duration::millis(5);
-  Duration interval = Duration::millis(100);
-  std::int64_t limit_bytes = 5'000'000;  ///< hard tail-drop backstop
-  std::uint32_t mtu = 1514;
-};
-
-namespace detail {
-
-/// control_law: next drop time shortens with sqrt(count).
-inline TimePoint codel_control_law(TimePoint t, Duration interval, std::uint32_t count) {
-  const double scaled = interval.to_seconds() / std::sqrt(static_cast<double>(count == 0 ? 1 : count));
-  return t + Duration::from_seconds(scaled);
-}
-
-}  // namespace detail
 
 /// Standalone CoDel qdisc over a single FIFO.
 class CoDel : public Qdisc {
  public:
-  explicit CoDel(CoDelConfig cfg = {}) : Qdisc("queue.codel"), cfg_(cfg) {}
+  /// `limit_bytes` is the hard tail-drop backstop.
+  explicit CoDel(std::int64_t limit_bytes = 5'000'000)
+      : Qdisc("queue.codel"), limit_bytes_(limit_bytes) {}
 
   bool enqueue(Packet&& p, TimePoint now) override {
-    if (bytes_ + p.size_bytes > cfg_.limit_bytes) {
+    if (bytes_ + p.size_bytes > limit_bytes_) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");
       return false;
@@ -71,8 +101,7 @@ class CoDel : public Qdisc {
       head_since_ = queue_.empty() ? std::optional<TimePoint>{} : now;
 
       const Duration sojourn = now - e.enqueue_time;
-      const bool ok_to_deliver = decide(now, sojourn);
-      if (ok_to_deliver) {
+      if (state_.decide(now, sojourn, bytes_)) {
         obs_dequeued(e.packet, now, sojourn);
         return std::move(e.packet);
       }
@@ -94,41 +123,7 @@ class CoDel : public Qdisc {
     TimePoint enqueue_time;
   };
 
-  /// RFC 8289 dequeue decision. Returns true to deliver, false to drop.
-  bool decide(TimePoint now, Duration sojourn) {
-    const bool below = sojourn < cfg_.target || bytes_ <= cfg_.mtu;
-    if (below) {
-      state_.has_first_above = false;
-      state_.dropping = false;
-      return true;
-    }
-    if (!state_.dropping) {
-      if (!state_.has_first_above) {
-        state_.first_above_time = now + cfg_.interval;
-        state_.has_first_above = true;
-        return true;
-      }
-      if (now < state_.first_above_time) return true;
-      // Enter dropping state; drop this packet.
-      state_.dropping = true;
-      const std::uint32_t delta = state_.count - state_.last_count;
-      state_.count = (delta > 1 && now - state_.drop_next < cfg_.interval * 16)
-                         ? delta
-                         : 1;
-      state_.last_count = state_.count;
-      state_.drop_next = detail::codel_control_law(now, cfg_.interval, state_.count);
-      return false;
-    }
-    // In dropping state: drop whenever we pass drop_next.
-    if (now >= state_.drop_next) {
-      ++state_.count;
-      state_.drop_next = detail::codel_control_law(state_.drop_next, cfg_.interval, state_.count);
-      return false;
-    }
-    return true;
-  }
-
-  CoDelConfig cfg_;
+  std::int64_t limit_bytes_;
   CoDelState state_;
   sim::Ring<Entry> queue_;
   std::int64_t bytes_ = 0;

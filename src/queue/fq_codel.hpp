@@ -4,7 +4,6 @@
 // calls out: Zhuge must read per-flow queue state here, so the per-flow
 // Qdisc views are overridden.
 
-#include <cmath>
 #include <cstdint>
 #include <map>
 
@@ -17,17 +16,14 @@ namespace zhuge::queue {
 /// Deficit-round-robin fair queue with per-flow CoDel.
 class FqCoDel : public Qdisc {
  public:
-  struct Config {
-    CoDelConfig codel{};
-    std::uint32_t quantum = 1514;       ///< DRR quantum (bytes)
-    std::int64_t total_limit_bytes = 5'000'000;
-  };
+  static constexpr std::uint32_t kQuantum = 1514;  ///< DRR quantum (bytes)
 
-  FqCoDel() : FqCoDel(Config{}) {}
-  explicit FqCoDel(Config cfg) : Qdisc("queue.fq_codel"), cfg_(cfg) {}
+  /// `total_limit_bytes` caps the bytes queued over all flows.
+  explicit FqCoDel(std::int64_t total_limit_bytes = 5'000'000)
+      : Qdisc("queue.fq_codel"), total_limit_bytes_(total_limit_bytes) {}
 
   bool enqueue(Packet&& p, TimePoint now) override {
-    if (total_bytes_ + p.size_bytes > cfg_.total_limit_bytes) {
+    if (total_bytes_ + p.size_bytes > total_limit_bytes_) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");
       return false;
@@ -40,7 +36,7 @@ class FqCoDel : public Qdisc {
     obs_enqueued(q.entries.back().packet, now);
     if (!q.active) {
       q.active = true;
-      q.deficit = cfg_.quantum;
+      q.deficit = kQuantum;
       new_flows_.push_back(&q);
     }
     return true;
@@ -57,7 +53,7 @@ class FqCoDel : public Qdisc {
         continue;
       }
       if (q->deficit <= 0) {
-        q->deficit += static_cast<std::int64_t>(cfg_.quantum);
+        q->deficit += static_cast<std::int64_t>(kQuantum);
         rotate_current_to_old();
         continue;
       }
@@ -68,7 +64,7 @@ class FqCoDel : public Qdisc {
       q->head_since = q->entries.empty() ? std::optional<TimePoint>{} : now;
 
       const Duration sojourn = now - e.enqueue_time;
-      if (!codel_decide(*q, now, sojourn)) {
+      if (!q->codel.decide(now, sojourn, q->bytes)) {
         ++drops_;
         obs_dropped(e.packet, now, "head_drop");
         continue;  // head drop inside this flow; try again
@@ -151,38 +147,7 @@ class FqCoDel : public Qdisc {
     }
   }
 
-  /// Per-flow CoDel decision (same control law as the standalone qdisc).
-  bool codel_decide(SubQueue& q, TimePoint now, Duration sojourn) {
-    CoDelState& s = q.codel;
-    const bool below = sojourn < cfg_.codel.target || q.bytes <= cfg_.codel.mtu;
-    if (below) {
-      s.has_first_above = false;
-      s.dropping = false;
-      return true;
-    }
-    if (!s.dropping) {
-      if (!s.has_first_above) {
-        s.first_above_time = now + cfg_.codel.interval;
-        s.has_first_above = true;
-        return true;
-      }
-      if (now < s.first_above_time) return true;
-      s.dropping = true;
-      const std::uint32_t delta = s.count - s.last_count;
-      s.count = (delta > 1 && now - s.drop_next < cfg_.codel.interval * 16) ? delta : 1;
-      s.last_count = s.count;
-      s.drop_next = detail::codel_control_law(now, cfg_.codel.interval, s.count);
-      return false;
-    }
-    if (now >= s.drop_next) {
-      ++s.count;
-      s.drop_next = detail::codel_control_law(s.drop_next, cfg_.codel.interval, s.count);
-      return false;
-    }
-    return true;
-  }
-
-  Config cfg_;
+  std::int64_t total_limit_bytes_;
   // Ordered by flow id so per-flow state walks are hash-independent (DRR
   // service order itself lives in new_flows_/old_flows_, not here).
   std::map<FlowId, SubQueue> queues_;

@@ -8,7 +8,7 @@ Packet RtpReceiver::make_rtcp(net::RtcpHeader h) {
   Packet p;
   p.uid = uids_.next();
   p.flow = reverse_flow_;
-  p.size_bytes = cfg_.rtcp_bytes;
+  p.size_bytes = kRtcpBytes;
   p.sent_time = sim_.now();
   p.header = std::move(h);
   return p;
@@ -27,21 +27,21 @@ void RtpReceiver::arm_timers() {
 }
 
 void RtpReceiver::arm_timers_twcc() {
-  twcc_timer_ = sim_.schedule_after(cfg_.twcc_interval, [this] {
+  twcc_timer_ = sim_.schedule_after(kTwccInterval, [this] {
     send_twcc();
     arm_timers_twcc();
   });
 }
 
 void RtpReceiver::arm_timers_nack() {
-  nack_timer_ = sim_.schedule_after(cfg_.nack_retry_interval, [this] {
+  nack_timer_ = sim_.schedule_after(kNackRetryInterval, [this] {
     send_nacks();
     arm_timers_nack();
   });
 }
 
 void RtpReceiver::arm_timers_rr() {
-  rr_timer_ = sim_.schedule_after(cfg_.rr_interval, [this] {
+  rr_timer_ = sim_.schedule_after(kRrInterval, [this] {
     send_rr();
     arm_timers_rr();
   });
@@ -187,11 +187,11 @@ void RtpReceiver::send_nacks() {
   for (std::int64_t s = missing_.begin_seq(); s < missing_.end_seq(); ++s) {
     NackState& st = missing_[s];
     if (!st.missing) continue;
-    if (st.retries >= cfg_.max_nack_retries) {
+    if (st.retries >= kMaxNackRetries) {
       st.missing = false;  // give up; frame will stall until skipped
       continue;
     }
-    if (st.retries == 0 || now - st.last_sent >= cfg_.nack_retry_interval) {
+    if (st.retries == 0 || now - st.last_sent >= kNackRetryInterval) {
       nack.seqs.push_back(static_cast<std::uint16_t>(s & 0xFFFF));
       ++st.retries;
       st.last_sent = now;

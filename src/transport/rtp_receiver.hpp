@@ -23,16 +23,17 @@ class RtpReceiver {
  public:
   struct Config {
     std::uint32_t ssrc = 1;
-    Duration twcc_interval = Duration::millis(25);
-    Duration nack_retry_interval = Duration::millis(30);
-    int max_nack_retries = 10;
-    Duration rr_interval = Duration::millis(500);
-    std::uint32_t rtcp_bytes = 80;
     /// A head-of-line frame older than this is abandoned (decoder resync;
     /// real decoders recover at the next I-frame). Skipped frames are not
     /// counted as decoded, so stalls show up in the frame-rate metric.
     Duration stall_timeout = Duration::seconds(2);
   };
+
+  static constexpr Duration kTwccInterval = Duration::millis(25);
+  static constexpr Duration kNackRetryInterval = Duration::millis(30);
+  static constexpr int kMaxNackRetries = 10;
+  static constexpr Duration kRrInterval = Duration::millis(500);
+  static constexpr std::uint32_t kRtcpBytes = 80;
 
   RtpReceiver(sim::Simulator& simulator, Config cfg, net::PacketUidSource& uids,
               PacketHandler rtcp_out, rtc::FrameStats& stats)

@@ -34,17 +34,17 @@ void RtpSender::on_frame_tick() {
   ++frames_sent_;
 
   const auto n_packets = static_cast<std::uint16_t>(
-      (frame_bytes + cfg_.max_payload - 1) / cfg_.max_payload);
+      (frame_bytes + kMaxPayload - 1) / kMaxPayload);
   std::uint64_t remaining = frame_bytes;
   for (std::uint16_t i = 0; i < n_packets; ++i) {
     const auto payload = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.max_payload, remaining));
+        std::min<std::uint64_t>(kMaxPayload, remaining));
     remaining -= payload;
 
     Packet p;
     p.uid = uids_.next();
     p.flow = flow_;
-    p.size_bytes = payload + cfg_.header_bytes;
+    p.size_bytes = payload + kHeaderBytes;
     p.sent_time = sim_.now();
     // Packetisation instant: the pacing stage measures from here to the
     // (possibly deferred) wire departure in send_packet's pacing timer.
@@ -64,7 +64,7 @@ void RtpSender::on_frame_tick() {
     // frames out quickly to minimise latency, §3.1). Clamp the span below
     // the frame interval so paced sends never outlive the tick that
     // scheduled them (keeps pacing_timers_ bookkeeping one frame deep).
-    const Duration span = std::min(cfg_.pacing_span, encoder_.frame_interval());
+    const Duration span = std::min(kPacingSpan, encoder_.frame_interval());
     const Duration offset =
         n_packets > 1 ? span * (static_cast<double>(i) /
                                 static_cast<double>(n_packets))
@@ -153,7 +153,7 @@ void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
   // the unreported packets were delivered, their reports died. Rebase
   // instead of charging the gap as data loss.
   if (twcc_loss_base_ >= 0 &&
-      min_seq - twcc_loss_base_ > cfg_.feedback_gap_forgive_pkts) {
+      min_seq - twcc_loss_base_ > kFeedbackGapForgivePkts) {
     twcc_loss_base_ = min_seq;
   }
   if (twcc_loss_base_ >= 0 && max_seq >= twcc_loss_base_) {
@@ -166,7 +166,7 @@ void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
     // controller at its floor.
     twcc_loss_expected_ += expected;
     twcc_loss_received_ += std::min(received, expected);
-    if (twcc_loss_expected_ >= cfg_.loss_window_min_pkts) {
+    if (twcc_loss_expected_ >= kLossWindowMinPkts) {
       const double loss = std::max(
           0.0, 1.0 - static_cast<double>(twcc_loss_received_) /
                          static_cast<double>(twcc_loss_expected_));
@@ -183,7 +183,7 @@ void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
 }
 
 void RtpSender::handle_nack(const net::RtcpNack& nack) {
-  const double rtx_budget_bps = cfg_.max_rtx_rate_fraction * target_rate_bps();
+  const double rtx_budget_bps = kMaxRtxRateFraction * target_rate_bps();
   for (std::uint16_t seq : nack.seqs) {
     if (rtx_rate_.rate_bps(sim_.now()).value_or(0.0) > rtx_budget_bps) {
       // Retransmission budget exhausted; the receiver will NACK again.

@@ -30,34 +30,35 @@ class RtpSender {
  public:
   struct Config {
     std::uint32_t ssrc = 1;
-    std::uint32_t max_payload = 1200;
-    std::uint32_t header_bytes = 40;  ///< IP+UDP+RTP overhead
     rtc::VideoConfig video{};
     cca::Gcc::Config gcc{};
     std::size_t history_packets = 2048;  ///< NACK retransmission depth
-    Duration pacing_span = Duration::millis(5);  ///< frame burst spread
-    /// Retransmissions may use at most this fraction of the target rate
-    /// (measured over rtx_rate_window). Without the cap, a loss burst
-    /// turns the NACK machinery into an unbounded retransmission storm
-    /// that keeps the bottleneck queue pinned full no matter what the
-    /// congestion controller decides.
-    double max_rtx_rate_fraction = 0.25;
-    Duration rtx_rate_window = Duration::millis(200);
-    /// Inter-report TWCC seq gaps larger than this are treated as a
-    /// feedback-path outage (the reports died, not the data) and excluded
-    /// from the transport-wide loss estimate. A healthy feedback stream
-    /// has gap 0; genuine tail-drop bursts between reports stay well
-    /// under this. Without the guard, the first report after a feedback
-    /// blackout charges the whole silent interval as data loss and GCC
-    /// collapses to its floor even though every packet was delivered.
-    std::int64_t feedback_gap_forgive_pkts = 50;
-    /// Transport-wide loss is computed over a pooled window of at least
-    /// this many expected packets, accumulated across TWCC reports. A
-    /// single report can cover only 1-2 packets at low rates, where one
-    /// genuinely lost packet reads as 50-100% loss and re-triggers the GCC
-    /// loss cut right as the controller climbs out of a fault.
-    std::int64_t loss_window_min_pkts = 4;
   };
+
+  static constexpr std::uint32_t kMaxPayload = 1200;
+  static constexpr std::uint32_t kHeaderBytes = 40;  ///< IP+UDP+RTP overhead
+  static constexpr Duration kPacingSpan = Duration::millis(5);  ///< frame burst spread
+  /// Retransmissions may use at most this fraction of the target rate
+  /// (measured over kRtxRateWindow). Without the cap, a loss burst
+  /// turns the NACK machinery into an unbounded retransmission storm
+  /// that keeps the bottleneck queue pinned full no matter what the
+  /// congestion controller decides.
+  static constexpr double kMaxRtxRateFraction = 0.25;
+  static constexpr Duration kRtxRateWindow = Duration::millis(200);
+  /// Inter-report TWCC seq gaps larger than this are treated as a
+  /// feedback-path outage (the reports died, not the data) and excluded
+  /// from the transport-wide loss estimate. A healthy feedback stream
+  /// has gap 0; genuine tail-drop bursts between reports stay well
+  /// under this. Without the guard, the first report after a feedback
+  /// blackout charges the whole silent interval as data loss and GCC
+  /// collapses to its floor even though every packet was delivered.
+  static constexpr std::int64_t kFeedbackGapForgivePkts = 50;
+  /// Transport-wide loss is computed over a pooled window of at least
+  /// this many expected packets, accumulated across TWCC reports. A
+  /// single report can cover only 1-2 packets at low rates, where one
+  /// genuinely lost packet reads as 50-100% loss and re-triggers the GCC
+  /// loss cut right as the controller climbs out of a fault.
+  static constexpr std::int64_t kLossWindowMinPkts = 4;
 
   RtpSender(sim::Simulator& simulator, sim::Rng& rng, net::FlowId flow,
             Config cfg, net::PacketUidSource& uids, PacketHandler out);
@@ -145,7 +146,7 @@ class RtpSender {
   std::int64_t twcc_loss_base_ = 0;  ///< next expected unwrapped TWCC seq
   std::int64_t twcc_loss_expected_ = 0;  ///< pooled window: expected pkts
   std::int64_t twcc_loss_received_ = 0;  ///< pooled window: reported pkts
-  stats::WindowedRate rtx_rate_{sim::Duration::millis(200)};
+  stats::WindowedRate rtx_rate_{kRtxRateWindow};
   std::uint64_t rtx_suppressed_ = 0;
 };
 

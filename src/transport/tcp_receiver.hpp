@@ -7,6 +7,7 @@
 #include <map>
 
 #include "net/packet.hpp"
+#include "net/tcp_ack.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::transport {
@@ -18,18 +19,13 @@ using sim::TimePoint;
 /// Receiver half of the TCP-like stack.
 class TcpReceiver {
  public:
-  struct Config {
-    std::uint32_t ack_bytes = 40;  ///< wire size of an ACK
-  };
-
   /// Called once per completed video frame: (frame_id, capture, now).
   using FrameCallback =
       std::function<void(std::uint32_t, TimePoint, TimePoint)>;
 
-  TcpReceiver(sim::Simulator& simulator, Config cfg, net::PacketUidSource& uids,
+  TcpReceiver(sim::Simulator& simulator, net::PacketUidSource& uids,
               PacketHandler ack_out, FrameCallback on_frame)
       : sim_(simulator),
-        cfg_(cfg),
         uids_(uids),
         ack_out_(std::move(ack_out)),
         on_frame_(std::move(on_frame)) {}
@@ -37,22 +33,18 @@ class TcpReceiver {
   /// Process one data packet; emits exactly one ACK.
   void on_data(const Packet& data);
 
-  [[nodiscard]] std::uint64_t contiguous_received() const { return rcv_nxt_; }
+  [[nodiscard]] std::uint64_t contiguous_received() const { return rcv_.prefix(); }
   [[nodiscard]] std::uint64_t total_received_bytes() const { return total_bytes_; }
 
  private:
-  void merge_interval(std::uint64_t start, std::uint64_t end);
   void deliver_frames(TimePoint now);
 
   sim::Simulator& sim_;
-  Config cfg_;
   net::PacketUidSource& uids_;
   PacketHandler ack_out_;
   FrameCallback on_frame_;
 
-  std::uint64_t rcv_nxt_ = 0;    ///< contiguous prefix received
-  std::uint64_t max_seen_ = 0;   ///< highest byte seen (SACK-lite)
-  std::map<std::uint64_t, std::uint64_t> ooo_;  ///< out-of-order intervals
+  net::ContiguousPrefix rcv_;
   std::map<std::uint64_t, std::pair<std::uint32_t, TimePoint>>
       frame_ends_;  ///< frame_end_seq -> (frame_id, capture_time)
   std::uint64_t frames_delivered_upto_ = 0;  ///< last delivered frame end

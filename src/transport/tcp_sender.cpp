@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "net/tcp_ack.hpp"
+
 namespace zhuge::transport {
 
 void TcpSender::write_frame(std::uint32_t frame_id, TimePoint capture_time,
@@ -14,12 +16,12 @@ void TcpSender::write_frame(std::uint32_t frame_id, TimePoint capture_time,
 }
 
 Duration TcpSender::current_rto() const {
-  Duration rto = cfg_.min_rto;
+  Duration rto = kMinRto;
   if (srtt_ > Duration::zero()) {
-    rto = std::max(cfg_.min_rto, srtt_ + rttvar_ * 4.0);
+    rto = std::max(kMinRto, srtt_ + rttvar_ * 4.0);
   }
   for (int i = 0; i < rto_backoff_; ++i) rto = rto * 2.0;
-  return std::min(rto, cfg_.max_rto);
+  return std::min(rto, kMaxRto);
 }
 
 void TcpSender::arm_rto() {
@@ -69,7 +71,7 @@ void TcpSender::send_segment(std::uint64_t seq, const SentSegment& meta) {
   Packet p;
   p.uid = uids_.next();
   p.flow = flow_;
-  p.size_bytes = static_cast<std::uint32_t>(meta.end_seq - seq) + cfg_.header_bytes;
+  p.size_bytes = static_cast<std::uint32_t>(meta.end_seq - seq) + net::kTcpHeaderBytes;
   p.sent_time = sim_.now();
   net::TcpHeader h;
   h.seq = seq;
@@ -87,7 +89,7 @@ void TcpSender::try_send() {
   const double pace = cca_->pacing_rate_bps();
 
   while (backlog_bytes_ > 0) {
-    if (bytes_in_flight_ + cfg_.mss > cca_->cwnd_bytes()) return;  // window-limited
+    if (bytes_in_flight_ + cca::kMss > cca_->cwnd_bytes()) return;  // window-limited
     if (pace > 0.0 && next_send_time_ > now) {
       arm_pacing_timer(next_send_time_);
       return;
@@ -95,7 +97,7 @@ void TcpSender::try_send() {
 
     FrameChunk& chunk = app_queue_.front();
     const std::uint64_t take =
-        std::min<std::uint64_t>(cfg_.mss, chunk.remaining);
+        std::min<std::uint64_t>(cca::kMss, chunk.remaining);
     SentSegment seg;
     seg.end_seq = next_seq_ + take;
     seg.sent_time = now;
@@ -116,14 +118,14 @@ void TcpSender::try_send() {
     if (pace > 0.0) {
       next_send_time_ =
           std::max(next_send_time_, now) +
-          Duration::from_seconds(static_cast<double>(take + cfg_.header_bytes) * 8.0 / pace);
+          Duration::from_seconds(static_cast<double>(take + net::kTcpHeaderBytes) * 8.0 / pace);
     }
     if (!rto_armed_) arm_rto();
   }
   // Ran out of data with window to spare: everything outstanding was sent
   // while the app was the limit, so delivery-rate samples from those ACKs
   // must not be read as path capacity (Linux/BBR app_limited marking).
-  if (bytes_in_flight_ + cfg_.mss <= cca_->cwnd_bytes()) {
+  if (bytes_in_flight_ + cca::kMss <= cca_->cwnd_bytes()) {
     app_limited_until_ = next_seq_;
   }
 }
@@ -208,11 +210,11 @@ void TcpSender::on_ack(const Packet& ack) {
 
   // Fast retransmit on dupacks or a SACK-visible hole.
   const bool sack_hole =
-      h.sack_upto > h.ack + static_cast<std::uint64_t>(cfg_.dupack_threshold) * cfg_.mss;
-  if ((dupacks_ >= cfg_.dupack_threshold || sack_hole) && !in_flight_.empty() &&
+      h.sack_upto > h.ack + static_cast<std::uint64_t>(kDupackThreshold) * cca::kMss;
+  if ((dupacks_ >= kDupackThreshold || sack_hole) && !in_flight_.empty() &&
       snd_una_ >= recovery_until_) {
     recovery_until_ = next_seq_;  // one loss event per window
-    cca_->on_loss(now, cfg_.mss);
+    cca_->on_loss(now, cca::kMss);
     retransmit_first_unacked();
     dupacks_ = 0;
   }

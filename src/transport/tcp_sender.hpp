@@ -27,21 +27,16 @@ using sim::TimePoint;
 /// Reliable paced byte-stream sender.
 class TcpSender {
  public:
-  struct Config {
-    std::uint32_t mss = cca::kMss;      ///< payload bytes per segment
-    std::uint32_t header_bytes = 40;    ///< IP+TCP overhead on the wire
-    Duration min_rto = Duration::millis(200);
-    Duration max_rto = Duration::seconds(4);
-    int dupack_threshold = 3;
-  };
+  static constexpr Duration kMinRto = Duration::millis(200);
+  static constexpr Duration kMaxRto = Duration::seconds(4);
+  static constexpr int kDupackThreshold = 3;
 
   TcpSender(sim::Simulator& simulator, net::FlowId flow,
-            std::unique_ptr<cca::CongestionControl> cca, Config cfg,
+            std::unique_ptr<cca::CongestionControl> cca,
             net::PacketUidSource& uids, PacketHandler out)
       : sim_(simulator),
         flow_(flow),
         cca_(std::move(cca)),
-        cfg_(cfg),
         uids_(uids),
         out_(std::move(out)),
         delivered_rate_(Duration::millis(500)) {}
@@ -72,8 +67,8 @@ class TcpSender {
   [[nodiscard]] std::uint64_t backlog_bytes() const { return backlog_bytes_; }
   [[nodiscard]] Duration smoothed_rtt() const { return srtt_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  /// The RTO an arm would set now: max(min_rto, srtt + 4·rttvar), doubled
-  /// per consecutive expiry, capped at max_rto.
+  /// The RTO an arm would set now: max(kMinRto, srtt + 4·rttvar), doubled
+  /// per consecutive expiry, capped at kMaxRto.
   [[nodiscard]] Duration current_rto() const;
   /// Delivery rate seen through ACKs (bps), for logging/benches.
   [[nodiscard]] double delivery_rate_bps(TimePoint now) {
@@ -119,7 +114,6 @@ class TcpSender {
   sim::Simulator& sim_;
   net::FlowId flow_;
   std::unique_ptr<cca::CongestionControl> cca_;
-  Config cfg_;
   net::PacketUidSource& uids_;
   PacketHandler out_;
 

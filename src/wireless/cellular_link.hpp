@@ -13,6 +13,7 @@
 #include "obs/tracer.hpp"
 #include "queue/qdisc.hpp"
 #include "sim/pool.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "wireless/channel.hpp"
 
@@ -24,22 +25,20 @@ using net::PacketHandler;
 /// One direction of a cellular hop.
 class CellularLink {
  public:
-  struct Config {
-    Duration tti = Duration::millis(1);        ///< scheduler granularity
-    Duration air_latency = Duration::millis(4);  ///< HARQ + propagation
-    double loss_prob = 0.0;                    ///< residual post-HARQ loss
-  };
+  static constexpr Duration kTti = Duration::millis(1);         ///< scheduler granularity
+  static constexpr Duration kAirLatency = Duration::millis(4);  ///< HARQ + propagation
 
   using DequeueObserver = std::function<void(const Packet&, TimePoint)>;
   using DeliveryObserver = std::function<void(const Packet&, TimePoint)>;
 
+  /// `loss_prob` is the residual post-HARQ loss.
   CellularLink(sim::Simulator& simulator, sim::Rng& rng, Channel& channel,
-               queue::Qdisc& qdisc, Config cfg, PacketHandler deliver)
+               queue::Qdisc& qdisc, PacketHandler deliver, double loss_prob = 0.0)
       : sim_(simulator),
         rng_(rng),
         channel_(channel),
         qdisc_(qdisc),
-        cfg_(cfg),
+        loss_prob_(loss_prob),
         deliver_(std::move(deliver)) {}
 
   /// Enqueue for the next scheduling opportunity. Returns false when the
@@ -49,7 +48,7 @@ class CellularLink {
     const bool accepted = qdisc_.enqueue(std::move(p), sim_.now());
     if (!ticking_) {
       ticking_ = true;
-      sim_.schedule_after(cfg_.tti, [this] { tick(); });
+      sim_.schedule_after(kTti, [this] { tick(); });
     }
     return accepted;
   }
@@ -64,7 +63,7 @@ class CellularLink {
   void tick() {
     const TimePoint now = sim_.now();
     const double rate = std::max(0.0, channel_.rate_bps(now));
-    carry_bytes_ += rate * cfg_.tti.to_seconds() / 8.0;
+    carry_bytes_ += rate * kTti.to_seconds() / 8.0;
     ZHUGE_METRIC_INC("wireless.cellular.ttis");
     ZHUGE_METRIC_SET("wireless.cellular.rate_bps", rate);
     ZHUGE_TRACE(now, "wireless.cellular", "tti", {"rate_mbps", rate / 1e6},
@@ -74,7 +73,7 @@ class CellularLink {
     // Everything this TTI's budget admits is dequeued into one aggregate
     // and delivered by a single event after the air latency — the batched
     // analogue of the WifiLink's one-grant-per-AMPDU shape. The aggregate
-    // lives in a pooled vector (several can be in flight when air_latency
+    // lives in a pooled vector (several can be in flight when kAirLatency
     // spans multiple TTIs) so steady state schedules one event and zero
     // allocations per TTI instead of one packet-carrying event per MPDU.
     sim::Pool<std::vector<Packet>>::Index agg_idx = 0;
@@ -90,7 +89,7 @@ class CellularLink {
       if (!p.has_value()) continue;  // AQM head drop
       carry_bytes_ -= static_cast<double>(p->size_bytes);
       if (on_dequeue_) on_dequeue_(*p, now);
-      if (rng_.chance(cfg_.loss_prob)) {
+      if (rng_.chance(loss_prob_)) {
         ZHUGE_METRIC_INC("wireless.cellular.air_losses");
         continue;
       }
@@ -101,12 +100,12 @@ class CellularLink {
       aggregates_.at(agg_idx).push_back(std::move(*p));
     }
     if (have_agg) {
-      sim_.schedule_after(cfg_.air_latency,
+      sim_.schedule_after(kAirLatency,
                           [this, agg_idx] { deliver_aggregate(agg_idx); });
     }
 
     if (qdisc_.packet_count() > 0) {
-      sim_.schedule_after(cfg_.tti, [this] { tick(); });
+      sim_.schedule_after(kTti, [this] { tick(); });
     } else {
       ticking_ = false;
     }
@@ -133,7 +132,7 @@ class CellularLink {
   sim::Rng& rng_;
   Channel& channel_;
   queue::Qdisc& qdisc_;
-  Config cfg_;
+  double loss_prob_;
   PacketHandler deliver_;
   DequeueObserver on_dequeue_;
   DeliveryObserver on_delivered_;

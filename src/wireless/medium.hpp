@@ -25,15 +25,13 @@ using sim::TimePoint;
 /// FIFO medium arbiter with interferer contention.
 class Medium {
  public:
-  struct Config {
-    int interferers = 0;
-    Duration difs = Duration::micros(34);
-    Duration backoff_mean = Duration::micros(80);  ///< exponential backoff
-    Duration interferer_frame = Duration::micros(1500);  ///< airtime/frame
-  };
+  static constexpr Duration kDifs = Duration::micros(34);
+  static constexpr Duration kBackoffMean = Duration::micros(80);  ///< exponential backoff
+  static constexpr Duration kInterfererFrame = Duration::micros(1500);  ///< airtime/frame
 
-  Medium(sim::Simulator& simulator, sim::Rng& rng, Config cfg)
-      : sim_(simulator), rng_(rng), cfg_(cfg) {}
+  /// `interferers` saturating contenders share the channel.
+  Medium(sim::Simulator& simulator, sim::Rng& rng, int interferers = 0)
+      : sim_(simulator), rng_(rng), interferers_(interferers) {}
 
   /// Request the medium. When granted, `on_grant` runs and returns the
   /// airtime the frame will occupy; `on_done` runs when that airtime ends.
@@ -44,7 +42,7 @@ class Medium {
     if (!busy_) grant_next();
   }
 
-  [[nodiscard]] int interferers() const { return cfg_.interferers; }
+  [[nodiscard]] int interferers() const { return interferers_; }
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t interferer_wins() const { return interferer_wins_; }
 
@@ -61,14 +59,14 @@ class Medium {
     }
     busy_ = true;
     const Duration gap =
-        cfg_.difs + Duration::from_seconds(rng_.exponential(cfg_.backoff_mean.to_seconds()));
+        kDifs + Duration::from_seconds(rng_.exponential(kBackoffMean.to_seconds()));
     // One contention round: with n saturating interferers, the local
     // requester wins with probability 1/(n+1).
-    const int n = cfg_.interferers;
+    const int n = interferers_;
     if (n > 0 &&
         rng_.uniform() < static_cast<double>(n) / static_cast<double>(n + 1)) {
       ++interferer_wins_;
-      sim_.schedule_after(gap + cfg_.interferer_frame, [this] { grant_next(); });
+      sim_.schedule_after(gap + kInterfererFrame, [this] { grant_next(); });
       return;
     }
     sim_.schedule_after(gap, [this] {
@@ -84,7 +82,7 @@ class Medium {
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
-  Config cfg_;
+  int interferers_;
   sim::Ring<Request> waiting_;
   bool busy_ = false;
   std::uint64_t interferer_wins_ = 0;

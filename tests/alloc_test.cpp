@@ -172,11 +172,11 @@ TEST(AllocTcp, InOrderSegmentsThroughLinksAreAllocationFree) {
   net::PointToPointLink up(sim, link_cfg, [&tx](Packet&& p) { tx->on_ack(p); });
   tx = std::make_unique<transport::TcpSender>(
       sim, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<FixedWindow>(64 * cca::kMss),
-      transport::TcpSender::Config{}, uids,
+      uids,
       [&down](Packet&& p) { down.send(std::move(p)); });
   std::uint64_t frames = 0;
   rx = std::make_unique<transport::TcpReceiver>(
-      sim, transport::TcpReceiver::Config{}, uids,
+      sim, uids,
       [&up](Packet&& p) { up.send(std::move(p)); },
       [&frames](std::uint32_t, TimePoint, TimePoint) { ++frames; });
   // One frame far larger than the run: every segment carries the same
@@ -197,7 +197,7 @@ TEST(AllocTcp, InOrderSegmentsThroughLinksAreAllocationFree) {
 }
 
 TEST(AllocTcp, FastAckInOrderIsAllocationFree) {
-  baseline::FastAck fa({});
+  baseline::FastAck fa;
   std::uint64_t seq = 0;
   const auto deliver = [&] {
     const auto ack = fa.on_wireless_delivered(tcp_packet(0, seq), TimePoint::zero(), seq);
@@ -223,7 +223,7 @@ TEST(AllocAp, DownlinkDispatchIsAllocationFree) {
   constexpr int kFlows = 24;
   sim::Simulator sim;
   sim::Rng rng(3);
-  wireless::Medium medium(sim, rng, {});
+  wireless::Medium medium(sim, rng);
   std::vector<std::unique_ptr<wireless::Channel>> channels;
   app::AccessPoint::Config cfg;
   cfg.mode = app::ApMode::kZhuge;

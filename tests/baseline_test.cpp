@@ -35,7 +35,7 @@ Packet tcp_data(std::uint64_t seq, std::uint64_t end, std::uint64_t ts = 0) {
 }
 
 TEST(FastAck, ForgesCumulativeAcks) {
-  FastAck fa({});
+  FastAck fa;
   auto a1 = fa.on_wireless_delivered(tcp_data(0, 1200, 7), at(1), 100);
   ASSERT_TRUE(a1.has_value());
   EXPECT_TRUE(a1->tcp().is_ack);
@@ -49,7 +49,7 @@ TEST(FastAck, ForgesCumulativeAcks) {
 }
 
 TEST(FastAck, HandlesOutOfOrderDelivery) {
-  FastAck fa({});
+  FastAck fa;
   auto a1 = fa.on_wireless_delivered(tcp_data(1200, 2400), at(1), 100);
   ASSERT_TRUE(a1.has_value());
   EXPECT_EQ(a1->tcp().ack, 0u);         // hole at the front
@@ -59,8 +59,21 @@ TEST(FastAck, HandlesOutOfOrderDelivery) {
   EXPECT_EQ(a2->tcp().ack, 2400u);  // hole filled, prefix jumps
 }
 
+TEST(FastAck, PartialOverlapAcksThroughEarlierInterval) {
+  // [0,11) fills the hole up to 11. The prefix then runs on through
+  // [5,20), which starts below [10,12) but reaches further: the ACK must
+  // say 20, as TcpReceiver's does, not stop at 12.
+  FastAck fa;
+  (void)fa.on_wireless_delivered(tcp_data(5, 20), at(1), 100);
+  (void)fa.on_wireless_delivered(tcp_data(10, 12), at(2), 101);
+  auto ack = fa.on_wireless_delivered(tcp_data(0, 11), at(3), 102);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->tcp().ack, 20u);
+  EXPECT_EQ(ack->tcp().sack_upto, 20u);
+}
+
 TEST(FastAck, IgnoresNonTcpPackets) {
-  FastAck fa({});
+  FastAck fa;
   Packet rtp;
   rtp.header = net::RtpHeader{};
   EXPECT_FALSE(fa.on_wireless_delivered(rtp, at(1), 100).has_value());
@@ -111,9 +124,7 @@ TEST(AbcRouter, BrakesUnderQueueDelay) {
 }
 
 TEST(AbcRouter, MarkFractionTracksTargetOverCurrent) {
-  AbcRouter::Config cfg;
-  cfg.eta = 1.0;
-  AbcRouter router(cfg);
+  AbcRouter router(/*eta=*/1.0);
   std::int64_t t = 0;
   // Dequeue rate 5 Mbps, arrival rate 10 Mbps, no queue delay: target/cr
   // = 0.5, so about half the packets should be accelerate.

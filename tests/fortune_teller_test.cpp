@@ -266,13 +266,13 @@ struct RefFortuneTeller {
       : cfg(c),
         tx_rate(c.window),
         dequeue_interval(c.window),
-        burst_max(c.burst_window) {}
+        burst_max(FortuneTeller::kBurstWindow) {}
 
   void on_dequeue(std::int64_t bytes, TimePoint now, bool queue_empty_after) {
     tx_rate.record(now, bytes);
     if (last_dequeue.has_value()) {
       const Duration gap = now - *last_dequeue;
-      if (gap >= cfg.burst_resolution) {
+      if (gap >= FortuneTeller::kBurstResolution) {
         if (current_burst_bytes > 0) {
           burst_max.record(now, static_cast<double>(current_burst_bytes));
         }

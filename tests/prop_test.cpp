@@ -52,6 +52,7 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
+#include "net/tcp_ack.hpp"
 #include "prop.hpp"
 #include "sim/lookup_table.hpp"
 #include "sim/ring.hpp"
@@ -1006,7 +1007,8 @@ TEST(PropRing, PushOfOwnElementSurvivesGrowth) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP sequence tables: in-order fast paths vs the map-only algorithms
+// TCP sequence tables: the receiver's fast paths vs the map-only algorithm,
+// and the contiguous-prefix tracker vs a byte set
 // ---------------------------------------------------------------------------
 
 /// One data segment of a random stream.
@@ -1154,7 +1156,7 @@ TEST(PropTcpReceiver, InOrderFastPathMatchesMapModel) {
     std::vector<net::TcpHeader> acks;
     std::vector<std::uint32_t> frames;
     transport::TcpReceiver rx(
-        sim, {}, uids, [&acks](net::Packet&& a) { acks.push_back(a.tcp()); },
+        sim, uids, [&acks](net::Packet&& a) { acks.push_back(a.tcp()); },
         [&frames](std::uint32_t id, TimePoint, TimePoint) { frames.push_back(id); });
     MapReceiverModel model;
     std::uint64_t max_seen = 0;
@@ -1175,51 +1177,55 @@ TEST(PropTcpReceiver, InOrderFastPathMatchesMapModel) {
   EXPECT_GT(segments, 1000u);
 }
 
-/// FastAck's shadow receiver as it was before the in-order fast path.
-class MapShadowModel {
+/// The contiguous prefix by brute force: one flag per stream byte.
+class ByteSetModel {
  public:
-  void on_delivered(const Seg& s) {
-    intervals_[s.seq] = std::max(intervals_[s.seq], s.end);
-    while (true) {
-      auto it = intervals_.find(rcv_nxt_);
-      if (it == intervals_.end()) {
-        auto lower = intervals_.upper_bound(rcv_nxt_);
-        if (lower != intervals_.begin()) {
-          auto prev = std::prev(lower);
-          if (prev->second > rcv_nxt_) {
-            rcv_nxt_ = prev->second;
-            continue;
-          }
-        }
-        break;
-      }
-      rcv_nxt_ = std::max(rcv_nxt_, it->second);
-    }
-    while (!intervals_.empty() && intervals_.begin()->second <= rcv_nxt_) {
-      intervals_.erase(intervals_.begin());
-    }
+  void add(std::uint64_t start, std::uint64_t end) {
+    if (got_.size() < end) got_.resize(end, false);
+    for (std::uint64_t b = start; b < end; ++b) got_[b] = true;
+    while (prefix < got_.size() && got_[prefix]) ++prefix;
+    highest = std::max(highest, end);
   }
 
-  std::uint64_t rcv_nxt_ = 0;
+  std::uint64_t prefix = 0;
+  std::uint64_t highest = 0;
 
  private:
-  std::map<std::uint64_t, std::uint64_t> intervals_;
+  std::vector<bool> got_;
 };
 
-TEST(PropFastAck, InOrderFastPathMatchesMapModel) {
+TEST(PropContiguousPrefix, MatchesByteSetModel) {
   prop::for_all([](sim::Rng& rng, int) {
-    baseline::FastAck fa({});
-    MapShadowModel model;
-    std::uint64_t max_seen = 0;
+    // Segment streams as a sender cuts them, and short random intervals
+    // over a small range, where partial overlaps are the rule.
+    std::vector<Seg> stream = random_stream(rng);
+    for (int i = 0; i < 300; ++i) {
+      const std::uint64_t a = rng.uniform_int(400);
+      stream.push_back(Seg{a, a + 1 + rng.uniform_int(60), 0, 0});
+    }
+    net::ContiguousPrefix rcv;
+    ByteSetModel model;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      rcv.add(stream[i].seq, stream[i].end);
+      model.add(stream[i].seq, stream[i].end);
+      ASSERT_EQ(rcv.prefix(), model.prefix) << "interval " << i;
+      ASSERT_EQ(rcv.highest(), model.highest) << "interval " << i;
+    }
+  });
+}
+
+TEST(PropFastAck, ForgedAckMatchesByteSetModel) {
+  prop::for_all([](sim::Rng& rng, int) {
+    baseline::FastAck fa;
+    ByteSetModel model;
     const std::vector<Seg> stream = random_stream(rng);
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const auto ack = fa.on_wireless_delivered(data_packet(stream[i], i + 1),
                                                 TimePoint::zero(), i + 1);
-      model.on_delivered(stream[i]);
-      max_seen = std::max(max_seen, stream[i].end);
+      model.add(stream[i].seq, stream[i].end);
       ASSERT_TRUE(ack.has_value());
-      ASSERT_EQ(ack->tcp().ack, model.rcv_nxt_) << "segment " << i;
-      EXPECT_EQ(ack->tcp().sack_upto, max_seen);
+      ASSERT_EQ(ack->tcp().ack, model.prefix) << "segment " << i;
+      EXPECT_EQ(ack->tcp().sack_upto, model.highest);
       EXPECT_EQ(ack->tcp().ts_echo, i + 1);
       EXPECT_EQ(ack->uid, i + 1);
     }

@@ -122,9 +122,7 @@ TEST(CoDel, RecoversAfterQueueDrains) {
 }
 
 TEST(CoDel, TailDropBackstop) {
-  CoDelConfig cfg;
-  cfg.limit_bytes = 2500;
-  CoDel q(cfg);
+  CoDel q(/*limit_bytes=*/2500);
   EXPECT_TRUE(q.enqueue(make_packet(1000), at(0)));
   EXPECT_TRUE(q.enqueue(make_packet(1000), at(0)));
   EXPECT_FALSE(q.enqueue(make_packet(1000), at(0)));
@@ -189,9 +187,7 @@ TEST(FqCoDel, PerFlowHeadSince) {
 }
 
 TEST(FqCoDel, TotalLimitDrops) {
-  FqCoDel::Config cfg;
-  cfg.total_limit_bytes = 2500;
-  FqCoDel q(cfg);
+  FqCoDel q(/*total_limit_bytes=*/2500);
   EXPECT_TRUE(q.enqueue(make_packet(1000, flow_a()), at(0)));
   EXPECT_TRUE(q.enqueue(make_packet(1000, flow_b()), at(0)));
   EXPECT_FALSE(q.enqueue(make_packet(1000, flow_a()), at(0)));

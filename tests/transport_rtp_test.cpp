@@ -271,12 +271,12 @@ class MapReceiver {
     skip_stalled(now);
     std::vector<std::uint16_t> seqs;
     for (auto it = missing_.begin(); it != missing_.end();) {
-      if (it->second.retries >= cfg_.max_nack_retries) {
+      if (it->second.retries >= RtpReceiver::kMaxNackRetries) {
         it = missing_.erase(it);
         continue;
       }
       if (it->second.retries == 0 ||
-          now - it->second.last_sent >= cfg_.nack_retry_interval) {
+          now - it->second.last_sent >= RtpReceiver::kNackRetryInterval) {
         seqs.push_back(static_cast<std::uint16_t>(it->first & 0xFFFF));
         ++it->second.retries;
         it->second.last_sent = now;
@@ -423,9 +423,9 @@ TEST(RtpReceiver, MatchesOrderedMapReferenceUnderLossDuplicationAndReordering) {
 
     MapReceiver ref(cfg);
     std::vector<std::vector<std::uint16_t>> ref_nacks;
-    TimePoint tick = TimePoint::zero() + cfg.nack_retry_interval;
+    TimePoint tick = TimePoint::zero() + RtpReceiver::kNackRetryInterval;
     const auto tick_until = [&](TimePoint t) {
-      for (; tick <= t; tick += cfg.nack_retry_interval) {
+      for (; tick <= t; tick += RtpReceiver::kNackRetryInterval) {
         std::vector<std::uint16_t> s = ref.nack_tick(tick);
         if (!s.empty()) ref_nacks.push_back(std::move(s));
       }

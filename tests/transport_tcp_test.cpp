@@ -39,7 +39,7 @@ struct Loop {
   explicit Loop(std::unique_ptr<cca::CongestionControl> cca = nullptr) {
     if (!cca) cca = std::make_unique<cca::Cubic>();
     sender = std::make_unique<TcpSender>(
-        sim, flow, std::move(cca), TcpSender::Config{}, uids,
+        sim, flow, std::move(cca), uids,
         [this](Packet p) {
           if (drop_data && drop_data(p)) return;
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
@@ -47,7 +47,7 @@ struct Loop {
           });
         });
     receiver = std::make_unique<TcpReceiver>(
-        sim, TcpReceiver::Config{}, uids,
+        sim, uids,
         [this](Packet p) {
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             sender->on_ack(p);
@@ -223,8 +223,7 @@ TEST(TcpRto, AckTrainCancelsNothing) {
   Simulator sim;
   net::PacketUidSource uids;
   std::deque<Packet> sent;
-  TcpSender sender(sim, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<cca::Cubic>(),
-                   TcpSender::Config{}, uids,
+  TcpSender sender(sim, net::FlowId{1, 2, 10, 20, 6}, std::make_unique<cca::Cubic>(), uids,
                    [&](Packet p) { sent.push_back(std::move(p)); });
   sender.write_frame(0, sim.now(), 10'000'000);
   // ACK each segment 20 ms after it left, straight from the test loop, so
@@ -255,7 +254,7 @@ TEST(TcpReceiver, MergesOutOfOrderIntervals) {
   Simulator sim;
   net::PacketUidSource uids;
   std::vector<Packet> acks;
-  TcpReceiver rx(sim, {}, uids, [&](Packet p) { acks.push_back(std::move(p)); },
+  TcpReceiver rx(sim, uids, [&](Packet p) { acks.push_back(std::move(p)); },
                  nullptr);
   auto data = [&](std::uint64_t seq, std::uint64_t end) {
     Packet p;
@@ -281,7 +280,7 @@ TEST(TcpReceiver, EchoesTimestampAndAbcMark) {
   Simulator sim;
   net::PacketUidSource uids;
   std::vector<Packet> acks;
-  TcpReceiver rx(sim, {}, uids, [&](Packet p) { acks.push_back(std::move(p)); },
+  TcpReceiver rx(sim, uids, [&](Packet p) { acks.push_back(std::move(p)); },
                  nullptr);
   Packet p;
   p.flow = net::FlowId{1, 2, 3, 4, 6};

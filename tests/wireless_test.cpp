@@ -52,7 +52,7 @@ TEST(Channel, McsModeAndClamping) {
 TEST(Medium, GrantsSequentially) {
   Simulator sim;
   sim::Rng rng(1);
-  Medium medium(sim, rng, {});
+  Medium medium(sim, rng);
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
     medium.transmit([&order, i] { order.push_back(i); return Duration::millis(1); },
@@ -66,9 +66,7 @@ TEST(Medium, InterferersSlowLocalTraffic) {
   auto run_with = [](int interferers) {
     Simulator sim;
     sim::Rng rng(1);
-    Medium::Config cfg;
-    cfg.interferers = interferers;
-    Medium medium(sim, rng, cfg);
+    Medium medium(sim, rng, interferers);
     TimePoint done;
     int remaining = 50;
     std::function<void()> next = [&] {
@@ -103,7 +101,7 @@ struct WifiHarness {
   explicit WifiHarness(double rate_bps, WifiLink::Config cfg = {})
       : tr(trace::constant_trace(rate_bps, 1000_s)),
         channel(&tr),
-        medium(sim, rng, {}) {
+        medium(sim, rng) {
     link = std::make_unique<WifiLink>(sim, rng, channel, medium, qdisc, cfg,
                                       [this](Packet p) { delivered.push_back(std::move(p)); });
   }
@@ -224,8 +222,7 @@ TEST(CellularLink, DeliversAtTraceRate) {
   Channel ch(&tr);
   queue::DropTailFifo q(-1);
   std::vector<Packet> delivered;
-  CellularLink link(sim, rng, ch, q, {},
-                    [&](Packet p) { delivered.push_back(std::move(p)); });
+  CellularLink link(sim, rng, ch, q, [&](Packet p) { delivered.push_back(std::move(p)); });
   // 1 MB at 8 Mbps = 1 s.
   const int n = 1'000'000 / 1000;
   for (int i = 0; i < n; ++i) link.offer(make_packet(1000));
@@ -242,8 +239,7 @@ TEST(CellularLink, BudgetDoesNotBankWhileIdle) {
   Channel ch(&tr);
   queue::DropTailFifo q(-1);
   std::vector<TimePoint> deliveries;
-  CellularLink link(sim, rng, ch, q, {},
-                    [&](Packet) { deliveries.push_back(sim.now()); });
+  CellularLink link(sim, rng, ch, q, [&](Packet) { deliveries.push_back(sim.now()); });
   link.offer(make_packet(1000));
   sim.run_until(TimePoint::zero() + 500_ms);
   // A long idle period must not accumulate credit that would let a later
@@ -290,10 +286,8 @@ TEST(CellularLink, ResidualLossAccountingIsDeterministic) {
     Channel ch(&tr);
     queue::DropTailFifo q(-1);
     std::vector<std::uint64_t> uids;
-    CellularLink::Config cfg;
-    cfg.loss_prob = 0.3;
-    CellularLink link(sim, rng, ch, q, cfg,
-                      [&](Packet p) { uids.push_back(p.uid); });
+    CellularLink link(sim, rng, ch, q, [&](Packet p) { uids.push_back(p.uid); },
+                      /*loss_prob=*/0.3);
     for (std::uint64_t i = 0; i < 400; ++i) link.offer(make_packet(1000, i));
     sim.run_until(TimePoint::zero() + 10_s);
     return uids;
@@ -312,9 +306,7 @@ TEST(CellularLink, ResidualLossDropsPackets) {
   Channel ch(&tr);
   queue::DropTailFifo q(-1);
   int delivered = 0;
-  CellularLink::Config cfg;
-  cfg.loss_prob = 0.5;
-  CellularLink link(sim, rng, ch, q, cfg, [&](Packet) { ++delivered; });
+  CellularLink link(sim, rng, ch, q, [&](Packet) { ++delivered; }, /*loss_prob=*/0.5);
   for (int i = 0; i < 400; ++i) link.offer(make_packet(1000));
   sim.run_until(TimePoint::zero() + 10_s);
   EXPECT_GT(delivered, 120);
