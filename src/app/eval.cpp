@@ -1,32 +1,12 @@
 #include "app/eval.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 namespace zhuge::app {
 
 namespace {
-
-bool parse_mechanism(const std::string& s, ApMode& out) {
-  if (s == "vanilla") out = ApMode::kNone;
-  else if (s == "zhuge") out = ApMode::kZhuge;
-  else if (s == "fastack") out = ApMode::kFastAck;
-  else if (s == "abc") out = ApMode::kAbc;
-  else return false;
-  return true;
-}
-
-bool parse_cca(const std::string& s, EvalCca& out) {
-  if (s == "gcc") out = EvalCca::kGcc;
-  else if (s == "cubic") out = EvalCca::kCubic;
-  else if (s == "bbr") out = EvalCca::kBbr;
-  else return false;
-  return true;
-}
 
 /// The flow kind a cell schedules: GCC is RTP; TCP columns keep their CCA
 /// except under the ABC mechanism, where the host stack is replaced by
@@ -131,137 +111,6 @@ std::vector<EvalHeadline> compute_headline(const std::vector<EvalCell>& cells) {
 }
 
 }  // namespace
-
-const char* to_string(EvalCca cca) {
-  switch (cca) {
-    case EvalCca::kGcc: return "gcc";
-    case EvalCca::kCubic: return "cubic";
-    case EvalCca::kBbr: return "bbr";
-  }
-  return "?";
-}
-
-const char* eval_mechanism_name(ApMode mode) {
-  switch (mode) {
-    case ApMode::kNone: return "vanilla";
-    case ApMode::kZhuge: return "zhuge";
-    case ApMode::kFastAck: return "fastack";
-    case ApMode::kAbc: return "abc";
-  }
-  return "?";
-}
-
-std::optional<EvalSpec> parse_eval_spec(std::string_view text,
-                                        std::string* err) {
-  const auto fail = [err](const std::string& msg) -> std::optional<EvalSpec> {
-    if (err != nullptr) *err = msg;
-    return std::nullopt;
-  };
-
-  std::string jerr;
-  const auto doc = Json::parse(text, &jerr);
-  if (!doc.has_value()) return fail(jerr);
-  if (!doc->is_object()) return fail("eval spec must be a JSON object");
-
-  // One strict pass over the keys: a typo'd axis name would silently run
-  // the default axis while claiming a narrowed matrix (or vice versa), and
-  // a scalar of the wrong kind is an error, not a silent default.
-  EvalSpec spec;
-  SpecReader r("eval", err);
-  for (const auto& [key, v] : doc->object()) {
-    bool ok = true;
-    if (key == "name") ok = r.text(v, key, spec.name);
-    else if (key == "duration_s") ok = r.num(v, key, spec.duration_s);
-    else if (key == "warmup_s") ok = r.num(v, key, spec.warmup_s);
-    else if (key == "seed") ok = r.integer(v, key, spec.seed);
-    else if (key == "max_bitrate_mbps") ok = r.num(v, key, spec.max_bitrate_mbps);
-    else if (key == "fps") ok = r.num(v, key, spec.fps);
-    else if (key != "mechanisms" && key != "ccas" && key != "traces" &&
-             key != "densities") {
-      ok = r.unknown(key, v);
-    }
-    if (!ok) return std::nullopt;
-  }
-  if (spec.duration_s <= 0) return fail("duration_s must be > 0");
-  if (spec.warmup_s < 0 || spec.warmup_s >= spec.duration_s) {
-    return fail("warmup_s must be in [0, duration_s)");
-  }
-  if (spec.max_bitrate_mbps <= 0 || spec.fps <= 0) {
-    return fail("max_bitrate_mbps and fps must be > 0");
-  }
-
-  // Axis values keep their own "line N: axis[] must be ..." messages.
-  SpecReader axes("", err);
-  const auto parse_axis = [&](const char* key, auto& dst, auto parse_one,
-                              const char* expect) -> bool {
-    const Json* arr = doc->find(key);
-    if (arr == nullptr) return true;  // keep the default axis
-    if (!arr->is_array() || arr->array().empty()) {
-      return axes.fail(*arr, std::string(key) + " must be a non-empty array");
-    }
-    dst.clear();
-    for (const Json& e : arr->array()) {
-      typename std::decay_t<decltype(dst)>::value_type parsed{};
-      if (!parse_one(e, parsed)) {
-        return axes.fail(e, std::string(key) + "[] must be " + expect);
-      }
-      dst.push_back(parsed);
-    }
-    return true;
-  };
-
-  if (!parse_axis(
-          "mechanisms", spec.mechanisms,
-          [](const Json& e, ApMode& out) {
-            return parse_mechanism(e.string_or(""), out);
-          },
-          "vanilla|zhuge|fastack|abc")) {
-    return std::nullopt;
-  }
-  if (!parse_axis(
-          "ccas", spec.ccas,
-          [](const Json& e, EvalCca& out) {
-            return parse_cca(e.string_or(""), out);
-          },
-          "gcc|cubic|bbr")) {
-    return std::nullopt;
-  }
-  if (!parse_axis(
-          "traces", spec.traces,
-          [](const Json& e, trace::TraceKind& out) {
-            return parse_trace_class(e.string_or(""), out);
-          },
-          "W1|W2|C1|C2|C3|ETH|ABC")) {
-    return std::nullopt;
-  }
-  if (!parse_axis(
-          "densities", spec.densities,
-          [](const Json& e, int& out) {
-            const double d = e.number_or(0.0);
-            // zlint-allow(float-equality): exact test for a whole number.
-            if (d < 1.0 || d > 64.0 || std::trunc(d) != d) return false;
-            out = static_cast<int>(d);
-            return true;
-          },
-          "integers in [1, 64]")) {
-    return std::nullopt;
-  }
-  return spec;
-}
-
-std::optional<EvalSpec> load_eval_spec(const std::string& path,
-                                       std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  auto spec = parse_eval_spec(ss.str(), err);
-  if (!spec.has_value() && err != nullptr) *err = path + ": " + *err;
-  return spec;
-}
 
 std::vector<EvalCellSpec> expand_eval_matrix(const EvalSpec& spec) {
   std::vector<EvalCellSpec> cells;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #ifndef ZHUGE_BUILD_TYPE
@@ -382,16 +381,7 @@ std::optional<Json> parse_record(std::string_view text, std::string* err) {
 }
 
 std::optional<Json> load_record(const std::string& path, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err != nullptr) *err = path + ": cannot open";
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  auto rec = parse_record(ss.str(), err);
-  if (!rec.has_value() && err != nullptr) *err = path + ": " + *err;
-  return rec;
+  return load_document(path, err, parse_record);
 }
 
 }  // namespace zhuge::app

@@ -8,14 +8,20 @@
 // literature: the workload is data, not code, so dense scale scenarios are
 // reproducible, diffable, and shareable.
 //
-// Specs are JSON, parsed by the repo's one codec (obs/json.hpp). The same
-// strict SpecReader serves the eval specs and the run records
+// Specs are JSON, read and written by the repo's one codec (obs/json.hpp)
+// through one key table per spec object (spec.cpp): the same table drives
+// the strict parser and the canonical writer, of scenario and eval specs
+// alike, and a written spec parses back to an equal one. SpecReader, the
+// strict typed reads under both, also serves the run records
 // (app/record.hpp).
 
+#include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +48,13 @@ class SpecReader {
   SpecReader(std::string path, std::string* err)
       : path_(std::move(path)), err_(err) {}
 
+  /// The reader of the value under `key` ("path.key"), and of the top level.
+  [[nodiscard]] SpecReader child(std::string_view key) const;
+  [[nodiscard]] SpecReader root() const { return {"", err_}; }
+
   bool fail(const Json& at, const std::string& msg);
+  /// "\"key\" must be <what>".
+  bool must_be(const Json& at, std::string_view key, std::string_view what);
   bool unknown(std::string_view key, const Json& v);
   bool object(const Json& v);
   bool num(const Json& v, std::string_view key, double& out);
@@ -55,24 +67,10 @@ class SpecReader {
     if (!num(v, key, d)) return false;
     if (!whole_in_range(d, std::numeric_limits<Int>::is_signed,
                         std::numeric_limits<Int>::digits)) {
-      // Appended, not a `"..." + std::string` chain: GCC 12 -O3 raises a
-      // false -Wrestrict on that chain's insert.
-      std::string msg = "\"";
-      msg += key;
-      msg += "\" must be an integer in range";
-      return fail(v, msg);
+      return must_be(v, key, "an integer in range");
     }
     out = static_cast<Int>(d);
     return true;
-  }
-
-  /// A string naming one of an enum's spellings.
-  template <typename T>
-  bool choice(const Json& v, std::string_view key,
-              bool (*parse)(const std::string&, T&), T& out,
-              const char* expected) {
-    if (v.kind() == Json::Kind::kString && parse(v.string_or(""), out)) return true;
-    return fail(v, std::string(key) + " must be " + expected);
   }
 
  private:
@@ -186,6 +184,22 @@ struct ChurnSpec {
   friend bool operator==(const ChurnSpec&, const ChurnSpec&) = default;
 };
 
+/// A fault plan shared by the copies of a spec (null = no faults) that
+/// compares by value.
+struct SharedFaultPlan : std::shared_ptr<const fault::FaultPlan> {
+  using std::shared_ptr<const fault::FaultPlan>::shared_ptr;
+  SharedFaultPlan() = default;
+  SharedFaultPlan(std::shared_ptr<const fault::FaultPlan> plan)  // NOLINT
+      : std::shared_ptr<const fault::FaultPlan>(std::move(plan)) {}
+
+  friend bool operator==(const SharedFaultPlan& a, const SharedFaultPlan& b) {
+    return a.get() == b.get() || (a && b && *a == *b);
+  }
+  friend bool operator==(const SharedFaultPlan& a, std::nullptr_t) {
+    return !a;
+  }
+};
+
 /// Full declarative multi-station scenario.
 struct ScenarioSpec {
   std::string name = "unnamed";
@@ -217,7 +231,7 @@ struct ScenarioSpec {
   /// boundaries run feedback-only; data packets pass them untouched.
   /// Shared and immutable so that copying a spec (the eval matrix makes
   /// one per cell) stays cheap; null = no faults.
-  std::shared_ptr<const fault::FaultPlan> faults;
+  SharedFaultPlan faults;
 
   /// AP-side Zhuge configuration. The spec key "zhuge_initial_ladder"
   /// sets watchdog.initial_level: the default kFull runs the normal
@@ -234,18 +248,12 @@ struct ScenarioSpec {
   /// The group a station index falls in (station_count() must be > index).
   [[nodiscard]] const StationGroupSpec& station_group(int station) const;
 
-  /// Field-by-field, the nested specs and configs included; `faults`
-  /// compares by pointer. Two specs equal apart from `name` run the same
-  /// simulation (the name only labels the result), which is how the eval
-  /// matrix finds the cells one run can judge.
+  /// Field-by-field, the nested specs, configs and fault plan included.
+  /// Two specs equal apart from `name` run the same simulation (the name
+  /// only labels the result), which is how the eval matrix finds the
+  /// cells one run can judge.
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
-
-/// Parse a trace-class short name ("W1"..."C3", "ETH", "ABC") into its
-/// generator kind. Shared by the station "trace" key and the eval matrix's
-/// trace axis.
-[[nodiscard]] bool parse_trace_class(const std::string& s,
-                                     trace::TraceKind& out);
 
 /// Parse a spec document. Every object is strictly validated: a typo'd
 /// key would silently run a default scenario while claiming to run the
@@ -255,9 +263,30 @@ struct ScenarioSpec {
 [[nodiscard]] std::optional<ScenarioSpec> parse_scenario_spec(
     std::string_view text, std::string* err);
 
+/// The canonical document of `spec`: each key whose member is not at its
+/// default, through the tables the parser reads, so it parses back to
+/// `spec`. A spec the keys cannot express (a `zhuge` ablation field, a
+/// second active window) is refused with `*err` set, never trimmed.
+[[nodiscard]] std::optional<Json> write_scenario_spec(const ScenarioSpec& spec,
+                                                      std::string* err);
+
 /// Read + parse a spec file.
 [[nodiscard]] std::optional<ScenarioSpec> load_scenario_spec(
     const std::string& path, std::string* err);
+
+/// `parse` of the text of the file at `path` (a spec, an eval spec, a run
+/// record); an error leads with the path.
+template <typename Parse>
+auto load_document(const std::string& path, std::string* err, Parse parse) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto doc = parse(text.str(), err);
+  if (!doc.has_value() && err != nullptr) {
+    *err = path + ": " + (in ? *err : "cannot open");
+  }
+  return doc;
+}
 
 // ---------------------------------------------------------------------------
 // Schedule expansion

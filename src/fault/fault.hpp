@@ -35,6 +35,8 @@ struct GilbertElliott {
   double loss_bad = 1.0;     ///< per-packet loss prob in the bad state
 
   [[nodiscard]] bool enabled() const { return p_enter_bad > 0.0; }
+
+  friend bool operator==(const GilbertElliott&, const GilbertElliott&) = default;
 };
 
 /// Half-open absolute-time window [start, end).
@@ -43,6 +45,8 @@ struct Window {
   TimePoint end;
 
   [[nodiscard]] bool contains(TimePoint t) const { return t >= start && t < end; }
+
+  friend bool operator==(const Window&, const Window&) = default;
 };
 
 /// Per-boundary fault configuration. Defaults inject nothing.
@@ -73,12 +77,16 @@ struct InjectorConfig {
            reorder_prob > 0.0 || spike_prob > 0.0 || !blackouts.empty() ||
            (fade_delay > Duration::zero() && !fades.empty());
   }
+
+  friend bool operator==(const InjectorConfig&, const InjectorConfig&) = default;
 };
 
 /// An AP clock step (NTP-style) applied at an instant.
 struct ClockJump {
   TimePoint at;
   Duration delta;  ///< positive = clock leaps forward
+
+  friend bool operator==(const ClockJump&, const ClockJump&) = default;
 };
 
 /// Scenario-level fault plan: one injector per boundary the harness wraps,
@@ -102,6 +110,8 @@ struct FaultPlan {
            downlink_wireless.any() || uplink_wan.any() || ap_feedback.any() ||
            uplink_rtcp.any() || !clock_jumps.empty() || !ap_restarts.empty();
   }
+
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
 /// PacketHandler wrapper applying InjectorConfig deterministically.

@@ -44,27 +44,6 @@ HistogramSpec ratio_spec() { return HistogramSpec{0.01, 100.0, 20}; }
 
 }  // namespace
 
-const char* ladder_level_name(LadderLevel level) {
-  switch (level) {
-    case LadderLevel::kFull: return "full";
-    case LadderLevel::kClampedPredict: return "clamped_predict";
-    case LadderLevel::kHoldOnly: return "hold_only";
-    case LadderLevel::kPassThrough: return "pass_through";
-  }
-  return "?";
-}
-
-bool parse_ladder_level(std::string_view name, LadderLevel* out) {
-  for (std::size_t i = 0; i < kLadderLevelCount; ++i) {
-    const auto level = static_cast<LadderLevel>(i);
-    if (name == ladder_level_name(level)) {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
-}
-
 RecoverySlo compute_recovery_slo(const SloInputs& in) {
   RecoverySlo slo;
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -33,9 +32,13 @@ enum class LadderLevel : std::uint8_t {
 };
 inline constexpr std::size_t kLadderLevelCount = 4;
 
-[[nodiscard]] const char* ladder_level_name(LadderLevel level);
-/// Parse "full" / "clamped_predict" / "hold_only" / "pass_through".
-[[nodiscard]] bool parse_ladder_level(std::string_view name, LadderLevel* out);
+/// Each level's name, indexed by its value.
+inline constexpr const char* kLadderLevelNames[kLadderLevelCount] = {
+    "full", "clamped_predict", "hold_only", "pass_through"};
+
+[[nodiscard]] inline const char* ladder_level_name(LadderLevel level) {
+  return kLadderLevelNames[static_cast<std::size_t>(level)];
+}
 
 /// Why a flow moved between ladder levels.
 enum class LadderReason : std::uint8_t {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace zhuge::trace {
 
@@ -73,16 +74,7 @@ SyntheticParams params_for(TraceKind kind) {
 }
 
 const char* short_name(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kRestaurantWifi: return "W1";
-    case TraceKind::kOfficeWifi: return "W2";
-    case TraceKind::kIndoorMixed45G: return "C1";
-    case TraceKind::kCity4G: return "C2";
-    case TraceKind::kCity5G: return "C3";
-    case TraceKind::kEthernet: return "ETH";
-    case TraceKind::kLegacyCellular: return "ABC";
-  }
-  return "?";
+  return kTraceKindNames[static_cast<std::size_t>(kind)];
 }
 
 const char* long_name(TraceKind kind) {

@@ -47,6 +47,10 @@ struct SyntheticParams {
 /// Canonical parameters for a trace class.
 [[nodiscard]] SyntheticParams params_for(TraceKind kind);
 
+/// Each kind's short name, indexed by its value.
+inline constexpr const char* kTraceKindNames[] = {"W1", "W2", "C1", "C2",
+                                                  "C3", "ETH", "ABC"};
+
 /// Human-readable short name ("W1", "C3", ...).
 [[nodiscard]] const char* short_name(TraceKind kind);
 /// Descriptive name ("Restaurant WiFi", ...).

@@ -244,6 +244,8 @@ const EvalFixtureCase kEvalFixtures[] = {
      "line 3: eval: \"seed\" must be an integer in range"},
     {"eval_density_fractional.json",
      "line 3: densities[] must be integers in [1, 64]"},
+    // Range failures carry their line and path like every other message.
+    {"eval_duration_zero.json", "line 3: eval: \"duration_s\" must be > 0"},
 };
 
 TEST(EvalSpecFixtures, KnownBadSpecsFailWithPinnedMessages) {

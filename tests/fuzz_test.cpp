@@ -1,8 +1,9 @@
 // Deterministic mutation fuzzing of the JSON input parsers, on the
 // tests/prop.hpp harness (no libFuzzer): byte flips, truncations and
 // duplicated spans applied to the shipped golden records, the example
-// scenario and eval specs, the benchmark specs, and a Chrome trace and a
-// bandwidth-trace CSV written in-test. Every mutant must either parse or
+// scenario and eval specs, the benchmark specs, the written specs of the
+// scenario goldens and chaos cases (the only seeds with a "faults"
+// section), and a Chrome trace and a bandwidth-trace CSV written in-test. Every mutant must either parse or
 // return an error (the two trace loaders: load or throw
 // std::runtime_error) — never crash, and never trip
 // ASan or UBSan in the sanitizer job — and a golden mutant that still
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "app/chaos.hpp"
 #include "app/eval.hpp"
 #include "app/golden.hpp"
 #include "app/record.hpp"
@@ -77,8 +79,9 @@ std::string trace_csv_seed() {
 }
 
 /// The corpus, in a fixed order: every *.json of the golden, example-spec
-/// and benchmark-spec directories (specs named eval_* are EvalSpecs), then
-/// the Chrome trace and trace-CSV seeds.
+/// and benchmark-spec directories (specs named eval_* are EvalSpecs), the
+/// written scenario goldens and chaos cases, then the Chrome trace and
+/// trace-CSV seeds.
 std::vector<Seed> corpus() {
   std::vector<Seed> out;
   const auto add_dir = [&out](const std::string& dir, bool golden) {
@@ -98,6 +101,16 @@ std::vector<Seed> corpus() {
   add_dir(ZHUGE_GOLDEN_DIR, true);
   add_dir(ZHUGE_SPEC_DIR, false);
   add_dir(ZHUGE_PERFBENCH_SPEC_DIR, false);
+  const auto add_written = [&out](const std::string& label,
+                                  const ScenarioSpec& spec) {
+    std::string err;
+    out.push_back({"written " + label, Parser::kScenario,
+                   write_scenario_spec(spec, &err).value().dump(2)});
+  };
+  for (const std::string& name : golden_names()) {
+    if (const auto spec = golden_scenario_spec(name)) add_written(name, *spec);
+  }
+  for (const ChaosCase& c : chaos_suite(1)) add_written(c.name, c.spec);
   out.push_back({"rtp_zhuge_single trace", Parser::kTrace, chrome_trace_seed()});
   out.push_back({"W1 trace csv", Parser::kTraceCsv, trace_csv_seed()});
   return out;

@@ -1,14 +1,20 @@
 // Tests for the declarative scenario-spec layer: the minimal JSON
-// parser/serialiser, spec validation, and the deterministic flow-schedule
+// parser/serialiser, spec validation, the canonical spec writer (every
+// spec the repo builds round-trips), and the deterministic flow-schedule
 // expansion (draw-stability under max_concurrent skips included).
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "app/chaos.hpp"
+#include "app/eval.hpp"
+#include "app/golden.hpp"
 #include "app/spec.hpp"
 #include "prop.hpp"
 
@@ -284,6 +290,97 @@ TEST(ScenarioSpecParse, RejectsBadFigureValues) {
 }
 
 // ---------------------------------------------------------------------------
+// write_scenario_spec
+// ---------------------------------------------------------------------------
+
+/// Writing `spec` and parsing the text gives `spec` back, and writing that
+/// gives the same bytes.
+void expect_round_trip(const ScenarioSpec& spec) {
+  std::string err;
+  const auto doc = write_scenario_spec(spec, &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const std::string text = doc->dump(2);
+  const auto back = parse_scenario_spec(text, &err);
+  ASSERT_TRUE(back.has_value()) << err << "\n" << text;
+  EXPECT_TRUE(*back == spec) << text;
+  const auto again = write_scenario_spec(*back, &err);
+  ASSERT_TRUE(again.has_value()) << err;
+  EXPECT_EQ(again->dump(2), text);
+}
+
+TEST(SpecWriter, EverySpecTheRepoBuildsRoundTrips) {
+  int goldens = 0;
+  for (const std::string& name : golden_names()) {
+    if (const auto spec = golden_scenario_spec(name)) {
+      SCOPED_TRACE(name);
+      expect_round_trip(*spec);
+      ++goldens;
+    }
+  }
+  EXPECT_EQ(goldens, 3);
+
+  const std::vector<ChaosCase> suite = chaos_suite(1);
+  ASSERT_EQ(suite.size(), 31u);
+  for (const ChaosCase& c : suite) {
+    SCOPED_TRACE(c.name);
+    ASSERT_NE(c.spec.faults, nullptr);
+    expect_round_trip(c.spec);
+  }
+
+  const std::vector<EvalCellSpec> cells = expand_eval_matrix(EvalSpec{});
+  ASSERT_EQ(cells.size(), 120u);
+  for (const EvalCellSpec& c : cells) {
+    SCOPED_TRACE(c.name);
+    expect_round_trip(c.scenario);
+  }
+
+  // Every shipped scenario spec (the eval_* files are EvalSpecs).
+  int files = 0;
+  for (const char* dir : {ZHUGE_SPEC_DIR, ZHUGE_PERFBENCH_SPEC_DIR}) {
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      const std::string file = e.path().filename().string();
+      if (e.path().extension() != ".json" || file.rfind("eval_", 0) == 0) {
+        continue;
+      }
+      SCOPED_TRACE(file);
+      std::string err;
+      const auto spec = load_scenario_spec(e.path().string(), &err);
+      ASSERT_TRUE(spec.has_value()) << err;
+      expect_round_trip(*spec);
+      ++files;
+    }
+  }
+  EXPECT_EQ(files, 5);
+}
+
+TEST(SpecWriter, RefusesWhatNoKeyExpresses) {
+  ScenarioSpec spec = golden_scenario_spec("rtp_zhuge_single").value();
+  std::string err;
+  // The ladder level has a key ("zhuge_initial_ladder") ...
+  spec.zhuge.watchdog.initial_level = obs::LadderLevel::kHoldOnly;
+  expect_round_trip(spec);
+  // ... the ablation switches of `figures ablation` do not.
+  ScenarioSpec ablated = spec;
+  ablated.zhuge.fortune.use_qshort = false;
+  EXPECT_FALSE(write_scenario_spec(ablated, &err).has_value());
+  EXPECT_EQ(err, "spec \"rtp_zhuge_single\" has a value no key can express");
+  // Nor do a second active window and a forced only_feedback.
+  fault::FaultPlan plan;
+  plan.uplink_wan.loss_prob = 0.1;
+  plan.uplink_wan.active = {{sim::TimePoint(0), sim::TimePoint(1'000'000'000)},
+                            {sim::TimePoint(2'000'000'000),
+                             sim::TimePoint(3'000'000'000)}};
+  spec.faults = std::make_shared<const fault::FaultPlan>(plan);
+  EXPECT_FALSE(write_scenario_spec(spec, &err).has_value());
+  plan.uplink_wan.active.resize(1);
+  spec.faults = std::make_shared<const fault::FaultPlan>(plan);
+  expect_round_trip(spec);
+  plan.ap_feedback.only_feedback = true;
+  spec.faults = std::make_shared<const fault::FaultPlan>(plan);
+  EXPECT_FALSE(write_scenario_spec(spec, &err).has_value());
+}
+
+// ---------------------------------------------------------------------------
 // expand_flow_schedule
 // ---------------------------------------------------------------------------
 
@@ -431,6 +528,17 @@ TEST(ScenarioSpecParse, KnownBadFixturesRejectWithLineNumbers) {
       {"ladder_unknown_level.json",
        "line 5: zhuge_initial_ladder must be "
        "full|clamped_predict|hold_only|pass_through"},
+      // Every numeric key has a range: these ran (or, for the interarrival,
+      // spun drawing arrivals) before.
+      {"churn_fps_zero.json", "line 7: churn: \"fps\" must be >= 0.001"},
+      {"churn_bitrate_negative.json",
+       "line 7: churn: \"max_bitrate_mbps\" must be >= 0.001"},
+      {"churn_zhuge_fraction_out_of_range.json",
+       "line 7: churn: \"zhuge_fraction\" must be in [0, 1]"},
+      {"churn_interarrival_tiny.json",
+       "line 7: churn: \"mean_interarrival_s\" must be >= 0.001"},
+      {"top_wan_delay_huge.json",
+       "line 5: \"wan_one_way_ms\" must be in [0, 1000000000]"},
   };
   for (const auto& c : cases) {
     const std::string path =
